@@ -24,7 +24,7 @@ C3 = catalogue("chain(3)")
 m = Capacity(C3, (0, 1, 1, 2))  # m({1}) = m({2}) = 1 on the 3-chain
 
 u = (2, 0)
-print("chain(3), capacity", m.values, "input", u)
+print("chain(3), capacity", m.coefficients, "input", u)
 print("  subset form   :", sugeno_eval(C3, m, u))
 print("  level form    :", sugeno_eval_levels(C3, m, u))
 print("  pointwise form:", sugeno_eval_pointwise(C3, m, u))

@@ -49,7 +49,7 @@ print(report.render())
 # characteristic vectors, and integrating it recovers the table.
 maximum = FunctionTable.from_callable(3, 2, max)
 m = capacity_from_function(C3, maximum)
-print("capacity of max:", m.values)
+print("capacity of max:", m.coefficients)
 print("integral of that capacity equals max?",
       sugeno_table(C3, m) == maximum)
 print("boolean restriction of max:",

@@ -83,4 +83,4 @@ from .constructions import (
     project_capacity,
     split_capacity,
 )
-from .io import Workspace
+from . import io

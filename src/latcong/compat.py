@@ -17,9 +17,10 @@ from dataclasses import dataclass, field
 from .congruences import all_congruences, principal_congruences
 from .errors import BudgetExceeded, NotMonotone
 from .lattice import Lattice
-from .polynomials import NormalForm, eval_normal_form, is_monotone
+from .polynomials import NormalForm, _monotone_assignments, \
+    boolean_restriction, eval_normal_form, is_monotone
 from .sugeno import capacity_from_function, enumerate_capacities, sugeno_table
-from .tables import FunctionTable, all_inputs, encode, vertex_input
+from .tables import FunctionTable, all_inputs, check_table, encode
 
 __all__ = [
     "FunctionTable",
@@ -51,6 +52,7 @@ def is_compatible(L: Lattice, f: FunctionTable, mode: str = "principal-only") ->
     stable under joins); mode='all' re-checks against the full congruence
     lattice.
     """
+    check_table(L, f)
     n = f.arity
     size = L.size
     strides = [size ** (n - 1 - k) for k in range(n)]
@@ -77,6 +79,7 @@ def median_decomposition_check(L: Lattice, f: FunctionTable) -> bool:
 
     f0 and f1 are f with coordinate k forced to bottom resp. top.
     """
+    check_table(L, f)
     n = f.arity
     size = L.size
     strides = [size ** (n - 1 - k) for k in range(n)]
@@ -92,13 +95,6 @@ def median_decomposition_check(L: Lattice, f: FunctionTable) -> bool:
             if L.med(f0, x[k], f1) != fx:
                 return False
     return True
-
-
-def boolean_restriction(L: Lattice, f: FunctionTable) -> NormalForm:
-    """Coefficient table read off the boolean vertices of f."""
-    coeffs = [f.values[encode(vertex_input(L, f.arity, mask), L.size)]
-              for mask in range(1 << f.arity)]
-    return NormalForm(f.arity, tuple(coeffs))
 
 
 def synthesize(L: Lattice, f: FunctionTable) -> tuple[NormalForm, bool]:
@@ -127,7 +123,6 @@ def enumerate_monotone_tables(L: Lattice, n: int, filter: str = "all",
         raise ValueError(f"unknown filter {filter!r}")
     size = L.size
     grid = list(all_inputs(size, n))
-    total = len(grid)
     leq = L.leq_table
 
     # For every input position, the earlier positions it must dominate or
@@ -145,31 +140,17 @@ def enumerate_monotone_tables(L: Lattice, n: int, filter: str = "all",
         below.append(tuple(lows))
         above.append(tuple(highs))
 
-    pinned = {}
+    pinned = ()
     if filter == "aggregation":
-        pinned[encode((L.bottom,) * n, size)] = L.bottom
-        pinned[encode((L.top,) * n, size)] = L.top
+        pinned = ((encode((L.bottom,) * n, size), L.bottom),
+                  (encode((L.top,) * n, size), L.top))
 
-    values = [0] * total
-    emitted = 0
-
-    def rec(t):
-        nonlocal emitted
-        if t == total:
-            emitted += 1
-            if emitted > budget:
-                raise BudgetExceeded(
-                    f"monotone-table enumeration exceeded budget {budget}")
-            yield FunctionTable(n, size, tuple(values))
-            return
-        candidates = (pinned[t],) if t in pinned else range(size)
-        for v in candidates:
-            if all(leq[values[s], v] for s in below[t]) and \
-                    all(leq[v, values[s]] for s in above[t]):
-                values[t] = v
-                yield from rec(t + 1)
-
-    yield from rec(0)
+    for emitted, values in enumerate(
+            _monotone_assignments(L, below, above, pinned), start=1):
+        if emitted > budget:
+            raise BudgetExceeded(
+                f"monotone-table enumeration exceeded budget {budget}")
+        yield FunctionTable(n, size, values)
 
 
 @dataclass(frozen=True)
@@ -261,17 +242,17 @@ def verify_equivalence_suite(L: Lattice, n: int, filter: str = "all",
                 if sugeno_table(L, m) != f:
                     integral_violations.append(
                         f"aggregation table {f.values} is not the integral "
-                        f"of its own capacity {m.values}")
+                        f"of its own capacity {m.coefficients}")
     capacity_count = 0
     for m in enumerate_capacities(L, n):
         capacity_count += 1
         table = sugeno_table(L, m)
         if not is_compatible(L, table):
             integral_violations.append(
-                f"integral of capacity {m.values} is not compatible")
+                f"integral of capacity {m.coefficients} is not compatible")
         if capacity_from_function(L, table) != m:
             integral_violations.append(
-                f"capacity {m.values} does not round-trip through its integral")
+                f"capacity {m.coefficients} does not round-trip through its integral")
     return EquivalenceReport(
         L.name or f"size-{L.size}", n, filter, monotone, compatible,
         capacity_count, compatible_aggregation, tuple(equivalence_violations),

@@ -149,6 +149,23 @@ def principal_congruence(L: Lattice, a: int, b: int) -> Congruence:
     return formula_relation(L, L.meet(a, b), L.join(a, b))
 
 
+def _find(parent, x):
+    """Root of x in the union-find forest ``parent``, halving paths."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _union(parent, x, y) -> bool:
+    """Merge the classes of x and y; False if they were already one."""
+    rx, ry = _find(parent, x), _find(parent, y)
+    if rx == ry:
+        return False
+    parent[ry] = rx
+    return True
+
+
 def principal_congruence_oracle(L: Lattice, a: int, b: int) -> Congruence:
     """Least congruence collapsing a and b, by iterative closure.
 
@@ -157,31 +174,17 @@ def principal_congruence_oracle(L: Lattice, a: int, b: int) -> Congruence:
     """
     n = L.size
     parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            return False
-        parent[ry] = rx
-        return True
-
     meet, join = L.meet_table, L.join_table
     queue = []
-    if union(a, b):
+    if _union(parent, a, b):
         queue.append((a, b))
     while queue:
         x, y = queue.pop()
         for c in range(n):
             for p, q in ((join[x, c], join[y, c]), (meet[x, c], meet[y, c])):
-                if union(p, q):
+                if _union(parent, p, q):
                     queue.append((p, q))
-    return Congruence.from_class_of([find(x) for x in range(n)])
+    return Congruence.from_class_of([_find(parent, x) for x in range(n)])
 
 
 def congruence_join(L: Lattice, theta: Congruence, psi: Congruence) -> Congruence:
@@ -194,23 +197,14 @@ def congruence_join(L: Lattice, theta: Congruence, psi: Congruence) -> Congruenc
         raise SizeMismatch("congruence join needs partitions of the same lattice")
     n = L.size
     parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for cong in (theta, psi):
         first = {}
         for e, c in enumerate(cong.class_of):
             if c in first:
-                ra, rb = find(first[c]), find(e)
-                if ra != rb:
-                    parent[rb] = ra
+                _union(parent, first[c], e)
             else:
                 first[c] = e
-    joined = Congruence.from_class_of([find(x) for x in range(n)])
+    joined = Congruence.from_class_of([_find(parent, x) for x in range(n)])
     assert is_congruence(L, joined)
     return joined
 

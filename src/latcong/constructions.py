@@ -120,7 +120,7 @@ def horizontal_sum(summands) -> HorizontalSumLattice:
 
 def project_capacity(P: ProductLattice, m: Capacity, k: int) -> Capacity:
     """k-th coordinate projection of a product capacity."""
-    return Capacity(P.factors[k], [P.component(v, k) for v in m.values])
+    return Capacity(P.factors[k], [P.component(v, k) for v in m.coefficients])
 
 
 def product_decomposition_check(P: ProductLattice, m: Capacity) -> bool:
@@ -130,7 +130,7 @@ def product_decomposition_check(P: ProductLattice, m: Capacity) -> bool:
     integral on factor k of the projected capacity and projected inputs.
     """
     projected = [project_capacity(P, m, k) for k in range(len(P.factors))]
-    for u in all_inputs(P.size, m.n):
+    for u in all_inputs(P.size, m.arity):
         whole = P.tuples[sugeno_eval(P, m, u)]
         for k, factor in enumerate(P.factors):
             uk = tuple(P.component(v, k) for v in u)
@@ -141,7 +141,7 @@ def product_decomposition_check(P: ProductLattice, m: Capacity) -> bool:
 
 def split_capacity(H: HorizontalSumLattice, m: Capacity, k: int) -> Capacity:
     """Summand-k share of a capacity: values outside the summand drop to bottom."""
-    return Capacity(H.summands[k], [H.to_summand(v, k) for v in m.values])
+    return Capacity(H.summands[k], [H.to_summand(v, k) for v in m.coefficients])
 
 
 def horizontal_sum_decomposition_check(H: HorizontalSumLattice, m: Capacity,
@@ -157,7 +157,7 @@ def horizontal_sum_decomposition_check(H: HorizontalSumLattice, m: Capacity,
             "the horizontal-sum splitting is only claimed for distributive "
             "sums; rerun with report_only=True to record the outcome")
     split = [split_capacity(H, m, k) for k in range(len(H.summands))]
-    for u in all_inputs(H.size, m.n):
+    for u in all_inputs(H.size, m.arity):
         whole = sugeno_eval(H, m, u)
         parts = H.bottom
         for k, summand in enumerate(H.summands):

@@ -8,13 +8,12 @@ a file that parses is a file whose object holds its invariants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import ParseError, ValidationError
+from .errors import ForeignElement, ParseError, ValidationError
 from .lattice import Lattice, build_from_covers
-from .polynomials import Constant, Join, Meet, Projection, WeightedPolynomial
+from .polynomials import Constant, Join, Meet, Projection, \
+    WeightedPolynomial, _max_projection
 from .sugeno import Capacity
-from .tables import FunctionTable, all_inputs, encode
+from .tables import FunctionTable, all_inputs, check_input, encode
 
 
 def _lines(text):
@@ -34,15 +33,47 @@ def _int(token, lineno, what="index"):
         raise ParseError(f"expected an integer {what}, got {token!r}", lineno)
 
 
-def sniff_kind(text: str) -> str:
-    for _, tokens in _lines(text):
-        head = tokens[0]
-        if head.startswith("("):
-            return "polynomial"
-        if head in ("lattice", "capacity", "function"):
-            return head
-        raise ParseError(f"unrecognized leading keyword {head!r}")
-    raise ParseError("empty input")
+def _parse_keyed(text, kind, entry, parse_entry, slots):
+    """Shared skeleton of capacity and function files.
+
+    A '<kind> <name>' header, an 'n <arity>' line, then '<entry> ...' lines
+    that ``parse_entry(tokens, n, lineno)`` turns into (slot, value).  Every
+    one of the ``slots(n)`` slots must be given exactly once.  Returns the
+    name, the arity and the values in slot order.
+    """
+    name = None
+    n = None
+    values = {}
+    for lineno, tokens in _lines(text):
+        key = tokens[0]
+        if key == kind:
+            if len(tokens) != 2:
+                raise ParseError(f"expected: {kind} <name>", lineno)
+            name = tokens[1]
+        elif key == "n":
+            if len(tokens) != 2:
+                raise ParseError("expected: n <arity>", lineno)
+            n = _int(tokens[1], lineno, "arity")
+            if n < 0:
+                raise ParseError(f"arity must be non-negative, got {n}", lineno)
+        elif key == entry:
+            if n is None:
+                raise ParseError("the 'n <arity>' line must precede values", lineno)
+            slot, value = parse_entry(tokens, n, lineno)
+            if slot in values:
+                raise ParseError(f"entry given twice: {' '.join(tokens)}", lineno)
+            values[slot] = value
+        else:
+            raise ParseError(f"unknown {kind} keyword {key!r}", lineno)
+    if name is None:
+        raise ParseError(f"missing '{kind} <name>' line")
+    if n is None:
+        raise ParseError("missing 'n <arity>' line")
+    total = slots(n)
+    if len(values) != total:
+        raise ValidationError(
+            f"incomplete {kind}: {total - len(values)} of {total} entries missing")
+    return name, n, [values[slot] for slot in range(total)]
 
 
 # --- lattice ----------------------------------------------------------------
@@ -107,39 +138,15 @@ def _parse_subset(token, n, lineno):
 
 
 def parse_capacity(text: str, L: Lattice) -> tuple[str, Capacity]:
-    name = None
-    n = None
-    values = {}
-    for lineno, tokens in _lines(text):
-        key = tokens[0]
-        if key == "capacity":
-            if len(tokens) != 2:
-                raise ParseError("expected: capacity <name>", lineno)
-            name = tokens[1]
-        elif key == "n":
-            if len(tokens) != 2:
-                raise ParseError("expected: n <arity>", lineno)
-            n = _int(tokens[1], lineno, "arity")
-        elif key == "m":
-            if n is None:
-                raise ParseError("the 'n <arity>' line must precede values", lineno)
-            if len(tokens) != 3:
-                raise ParseError("expected: m {subset} <element>", lineno)
-            mask = _parse_subset(tokens[1], n, lineno)
-            if mask in values:
-                raise ParseError(f"subset {tokens[1]} given twice", lineno)
-            values[mask] = _int(tokens[2], lineno, "element")
-        else:
-            raise ParseError(f"unknown capacity keyword {key!r}", lineno)
-    if name is None:
-        raise ParseError("missing 'capacity <name>' line")
-    if n is None:
-        raise ParseError("missing 'n <arity>' line")
-    missing = [mask for mask in range(1 << n) if mask not in values]
-    if missing:
-        raise ValidationError(
-            f"incomplete capacity: {len(missing)} of {1 << n} subsets missing")
-    return name, Capacity(L, [values[mask] for mask in range(1 << n)])
+    def entry(tokens, n, lineno):
+        if len(tokens) != 3:
+            raise ParseError("expected: m {subset} <element>", lineno)
+        return (_parse_subset(tokens[1], n, lineno),
+                _int(tokens[2], lineno, "element"))
+
+    name, _, values = _parse_keyed(text, "capacity", "m", entry,
+                                   lambda n: 1 << n)
+    return name, Capacity(L, values)
 
 
 def _subset_token(mask, n):
@@ -147,9 +154,9 @@ def _subset_token(mask, n):
 
 
 def serialize_capacity(m: Capacity, name: str = "capacity") -> str:
-    lines = [f"capacity {name}", f"n {m.n}"]
-    lines.extend(f"m {_subset_token(mask, m.n)} {m.values[mask]}"
-                 for mask in range(1 << m.n))
+    lines = [f"capacity {name}", f"n {m.arity}"]
+    lines.extend(f"m {_subset_token(mask, m.arity)} {m.coefficients[mask]}"
+                 for mask in range(1 << m.arity))
     return "\n".join(lines) + "\n"
 
 
@@ -157,43 +164,19 @@ def serialize_capacity(m: Capacity, name: str = "capacity") -> str:
 
 
 def parse_function_table(text: str, L: Lattice) -> tuple[str, FunctionTable]:
-    name = None
-    n = None
-    values = {}
-    for lineno, tokens in _lines(text):
-        key = tokens[0]
-        if key == "function":
-            if len(tokens) != 2:
-                raise ParseError("expected: function <name>", lineno)
-            name = tokens[1]
-        elif key == "n":
-            if len(tokens) != 2:
-                raise ParseError("expected: n <arity>", lineno)
-            n = _int(tokens[1], lineno, "arity")
-        elif key == "f":
-            if n is None:
-                raise ParseError("the 'n <arity>' line must precede values", lineno)
-            if len(tokens) != n + 3 or tokens[n + 1] != "->":
-                raise ParseError(
-                    f"expected: f <x1> .. <x{n}> -> <value>", lineno)
-            x = tuple(_int(t, lineno) for t in tokens[1:n + 1])
-            for v in x:
-                if not 0 <= v < L.size:
-                    raise ParseError(f"input {v} outside lattice", lineno)
-            idx = encode(x, L.size)
-            if idx in values:
-                raise ParseError(f"input {x} given twice", lineno)
-            values[idx] = _int(tokens[n + 2], lineno, "value")
-        else:
-            raise ParseError(f"unknown function keyword {key!r}", lineno)
-    if name is None:
-        raise ParseError("missing 'function <name>' line")
-    if n is None:
-        raise ParseError("missing 'n <arity>' line")
-    if len(values) != L.size ** n:
-        raise ValidationError(
-            f"incomplete function table: {len(values)} of {L.size ** n} inputs")
-    return name, FunctionTable(n, L.size, [values[i] for i in range(L.size ** n)])
+    def entry(tokens, n, lineno):
+        if len(tokens) != n + 3 or tokens[n + 1] != "->":
+            raise ParseError(f"expected: f <x1> .. <x{n}> -> <value>", lineno)
+        x = [_int(t, lineno) for t in tokens[1:n + 1]]
+        try:
+            x = check_input(L.size, n, x)
+        except ForeignElement as exc:
+            raise ParseError(str(exc), lineno)
+        return encode(x, L.size), _int(tokens[n + 2], lineno, "value")
+
+    name, n, values = _parse_keyed(text, "function", "f", entry,
+                                   lambda n: L.size ** n)
+    return name, FunctionTable(n, L.size, values)
 
 
 def serialize_function_table(f: FunctionTable, name: str = "function") -> str:
@@ -266,16 +249,8 @@ def parse_polynomial(text: str, arity: int | None = None) -> WeightedPolynomial:
     if pos != len(tokens):
         raise ParseError(f"trailing tokens after polynomial: {tokens[pos]!r}")
     if arity is None:
-        arity = _needed_arity(root)
+        arity = _max_projection(root) + 1
     return WeightedPolynomial(arity, root)
-
-
-def _needed_arity(node):
-    if isinstance(node, Projection):
-        return node.index + 1
-    if isinstance(node, Constant):
-        return 0
-    return max(_needed_arity(node.left), _needed_arity(node.right))
 
 
 def serialize_polynomial(p: WeightedPolynomial) -> str:
@@ -289,63 +264,3 @@ def serialize_polynomial(p: WeightedPolynomial) -> str:
 
     return render(p.root) + "\n"
 
-
-# --- workspace ----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Registered:
-    name: str
-    kind: str
-    obj: object
-    source: str | None
-
-
-class Workspace:
-    """Named registry of parsed objects, one namespace per kind."""
-
-    KINDS = ("lattice", "capacity", "function", "polynomial")
-
-    def __init__(self):
-        self._by_kind = {kind: {} for kind in self.KINDS}
-
-    def register(self, kind: str, name: str, obj, source=None) -> Registered:
-        if kind not in self._by_kind:
-            raise ValidationError(f"unknown kind {kind!r}")
-        if name in self._by_kind[kind]:
-            raise ValidationError(f"{kind} name {name!r} already registered")
-        entry = Registered(name, kind, obj, source)
-        self._by_kind[kind][name] = entry
-        return entry
-
-    def get(self, kind: str, name: str):
-        try:
-            return self._by_kind[kind][name].obj
-        except KeyError:
-            raise ValidationError(f"no {kind} named {name!r}")
-
-    def names(self, kind: str):
-        return sorted(self._by_kind[kind])
-
-    def parse(self, text: str, kind: str | None = None, *,
-              lattice: Lattice | None = None, source=None) -> Registered:
-        """Parse, validate, and register one object from text."""
-        if kind is None:
-            kind = sniff_kind(text)
-        if kind == "lattice":
-            obj = parse_lattice(text)
-            name = obj.name
-        elif kind == "capacity":
-            if lattice is None:
-                raise ValidationError("a capacity file needs a lattice context")
-            name, obj = parse_capacity(text, lattice)
-        elif kind == "function":
-            if lattice is None:
-                raise ValidationError("a function file needs a lattice context")
-            name, obj = parse_function_table(text, lattice)
-        elif kind == "polynomial":
-            obj = parse_polynomial(text)
-            name = source or f"polynomial-{len(self._by_kind['polynomial'])}"
-        else:
-            raise ValidationError(f"unknown kind {kind!r}")
-        return self.register(kind, name, obj, source)

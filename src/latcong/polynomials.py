@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 from .errors import ArityMismatch, ForeignElement
 from .lattice import Lattice
-from .tables import FunctionTable, all_inputs, vertex_input
+from .tables import FunctionTable, all_inputs, check_input, check_table, \
+    encode, vertex_input
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,13 @@ Node = Projection | Constant | Meet | Join
 
 
 def _max_projection(node) -> int:
+    """Largest projection index in the term, -1 if it has none.
+
+    A negative index fits no arity, so it raises ArityMismatch here.
+    """
     if isinstance(node, Projection):
+        if node.index < 0:
+            raise ArityMismatch(f"negative projection index {node.index}")
         return node.index
     if isinstance(node, Constant):
         return -1
@@ -65,13 +72,7 @@ class WeightedPolynomial:
 
 def evaluate(L: Lattice, p: WeightedPolynomial, x) -> int:
     """Evaluate the term at an input vector via the lattice tables."""
-    x = tuple(x)
-    if len(x) != p.arity:
-        raise ArityMismatch(f"expected {p.arity} inputs, got {len(x)}")
-    for v in x:
-        if not 0 <= v < L.size:
-            raise ForeignElement(f"input {v} outside lattice of size {L.size}")
-    return _eval_node(L, p.root, x)
+    return _eval_node(L, p.root, check_input(L.size, p.arity, x))
 
 
 def _eval_node(L, node, x):
@@ -92,7 +93,7 @@ def to_table(L: Lattice, p: WeightedPolynomial) -> FunctionTable:
     return FunctionTable.from_callable(L.size, p.arity, lambda x: evaluate(L, p, x))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NormalForm:
     """One coefficient per subset mask (bit i = coordinate i)."""
 
@@ -111,9 +112,10 @@ class NormalForm:
     def is_monotone_in_masks(self, L: Lattice) -> bool:
         """Coefficient table nondecreasing along subset inclusion."""
         g = self.coefficients
+        leq = L.leq_table
         for mask in range(1 << self.arity):
             for i in range(self.arity):
-                if mask >> i & 1 and not L.leq(g[mask & ~(1 << i)], g[mask]):
+                if mask >> i & 1 and not leq[g[mask & ~(1 << i)], g[mask]]:
                     return False
         return True
 
@@ -131,9 +133,7 @@ def eval_normal_form(L: Lattice, nf: NormalForm, x) -> int:
     The empty meet is top, so the empty mask contributes its coefficient
     unguarded.
     """
-    x = tuple(x)
-    if len(x) != nf.arity:
-        raise ArityMismatch(f"expected {nf.arity} inputs, got {len(x)}")
+    x = check_input(L.size, nf.arity, x)
     meet, join = L.meet_table, L.join_table
     acc = L.bottom
     for mask in range(1 << nf.arity):
@@ -162,9 +162,7 @@ def normal_form_to_polynomial(nf: NormalForm) -> WeightedPolynomial:
 
 def is_monotone(L: Lattice, f: FunctionTable) -> bool:
     """Nondecreasing in each coordinate, checked over cover-adjacent inputs."""
-    if f.size != L.size:
-        raise ForeignElement(
-            f"table over carrier {f.size} checked on lattice of size {L.size}")
+    check_table(L, f)
     n = f.arity
     strides = [L.size ** (n - 1 - k) for k in range(n)]
     leq = L.leq_table
@@ -178,26 +176,62 @@ def is_monotone(L: Lattice, f: FunctionTable) -> bool:
     return True
 
 
+def boolean_restriction(L: Lattice, f: FunctionTable) -> NormalForm:
+    """Coefficient table read off the boolean vertices of f."""
+    check_table(L, f)
+    coeffs = [f.values[encode(vertex_input(L, f.arity, mask), L.size)]
+              for mask in range(1 << f.arity)]
+    return NormalForm(f.arity, tuple(coeffs))
+
+
+def _monotone_assignments(L: Lattice, below, above, pinned=()):
+    """Every assignment of elements to positions 0, 1, ... that keeps order.
+
+    The value at position t must dominate the values at the earlier
+    positions ``below[t]`` and lie under those at ``above[t]``.  ``pinned``
+    holds (position, value) pairs; two different values pinned to one
+    position leave nothing to assign.  Candidates are tried in element
+    order, so the value tuples come out lexicographically sorted.
+    """
+    total = len(below)
+    leq = L.leq_table
+    pins = {}
+    for t, v in pinned:
+        if pins.setdefault(t, v) != v:
+            return iter(())
+    values = [0] * total
+
+    def rec(t):
+        if t == total:
+            yield tuple(values)
+            return
+        lows, highs = below[t], above[t]
+        for v in (pins[t],) if t in pins else range(L.size):
+            # ``highs`` is always empty for masks; testing it before
+            # building a second all() keeps the mask enumerators fast.
+            if all(leq[values[s], v] for s in lows) and \
+                    (not highs or all(leq[v, values[s]] for s in highs)):
+                values[t] = v
+                yield from rec(t + 1)
+
+    return rec(0)
+
+
+def _submask_order(arity: int):
+    """below/above lists for masks in numeric order.
+
+    Numeric order fills every submask before its supermasks, so each mask
+    only has to dominate the masks one element smaller.
+    """
+    below = [tuple(mask & ~(1 << i) for i in range(arity) if mask >> i & 1)
+             for mask in range(1 << arity)]
+    return below, [()] * len(below)
+
+
 def enumerate_monotone_normal_forms(L: Lattice, arity: int):
     """All coefficient tables nondecreasing along subset inclusion."""
-    total = 1 << arity
-    coeffs = [0] * total
-    leq = L.leq_table
-
-    def rec(mask):
-        if mask == total:
-            yield NormalForm(arity, tuple(coeffs))
-            return
-        for v in range(L.size):
-            ok = all(leq[coeffs[mask & ~(1 << i)], v]
-                     for i in range(arity) if mask >> i & 1)
-            if ok:
-                coeffs[mask] = v
-                yield from rec(mask + 1)
-
-    # Masks must be filled in an order compatible with inclusion; the
-    # numeric order 0,1,2,... is one such order (submasks are smaller).
-    yield from rec(0)
+    for coeffs in _monotone_assignments(L, *_submask_order(arity)):
+        yield NormalForm(arity, coeffs)
 
 
 def random_polynomial(rng, arity: int, lattice_size: int,

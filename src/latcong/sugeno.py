@@ -15,27 +15,30 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ArityMismatch, ForeignElement, NotAChain, NotAggregation, \
-    ValidationError
+from .errors import ForeignElement, NotAChain, NotAggregation, ValidationError
 from .lattice import Lattice
-from .polynomials import is_monotone
-from .tables import FunctionTable, all_inputs, vertex_input
+from .polynomials import NormalForm, _monotone_assignments, _submask_order, \
+    boolean_restriction, eval_normal_form, is_monotone
+from .tables import FunctionTable, all_inputs, check_input, check_table
 
 
-class Capacity:
+@dataclass(frozen=True, init=False, slots=True)
+class Capacity(NormalForm):
     """Monotone set function on subsets of the n criteria, with boundaries.
 
-    ``values[mask]`` is the capacity of the subset whose 1-based criteria
-    are the set bits of ``mask`` (bit i-1 for criterion i).  Validation is
-    eager; downstream code assumes a valid capacity.
+    A capacity is the coefficient table of a normal form whose empty-set
+    coefficient is pinned to bottom and full-set coefficient to top.
+    ``coefficients[mask]`` is the capacity of the subset whose 1-based
+    criteria are the set bits of ``mask`` (bit i-1 for criterion i).
+    Validation is eager; downstream code assumes a valid capacity.
     """
 
-    __slots__ = ("lattice", "n", "values")
+    lattice: Lattice = field(repr=False, hash=False)
 
     def __init__(self, lattice: Lattice, values):
-        values = tuple(int(v) for v in values)
-        n = len(values).bit_length() - 1
-        if len(values) != 1 << n or not values:
+        values = tuple(map(int, values))
+        arity = len(values).bit_length() - 1
+        if len(values) != 1 << arity or not values:
             raise ValidationError(
                 f"capacity needs 2^n entries, got {len(values)}")
         for v in values:
@@ -48,115 +51,62 @@ class Capacity:
         if values[-1] != lattice.top:
             raise ValidationError(
                 f"capacity of the full set must be top, got {values[-1]}")
-        leq = lattice.leq_table
-        for mask in range(1 << n):
-            for i in range(n):
-                if mask >> i & 1 and not leq[values[mask & ~(1 << i)], values[mask]]:
-                    raise ValidationError(
-                        f"capacity not monotone between masks "
-                        f"{mask & ~(1 << i):b} and {mask:b}")
-        self.lattice = lattice
-        self.n = n
-        self.values = values
-
-    def value(self, mask: int) -> int:
-        return self.values[mask]
-
-    def __eq__(self, other):
-        if not isinstance(other, Capacity):
-            return NotImplemented
-        return (self.n, self.values) == (other.n, other.values) \
-            and self.lattice == other.lattice
-
-    def __hash__(self):
-        return hash((self.n, self.values))
-
-    def __repr__(self):
-        return f"Capacity(n={self.n}, values={self.values})"
+        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "coefficients", values)
+        object.__setattr__(self, "lattice", lattice)
+        if not self.is_monotone_in_masks(lattice):
+            raise ValidationError(
+                "capacity not monotone along subset inclusion")
 
 
 def enumerate_capacities(L: Lattice, n: int):
-    """Every capacity on n criteria over L, in deterministic order."""
-    total = 1 << n
-    values = [L.bottom] * total
-    values[total - 1] = L.top
-    leq = L.leq_table
+    """Every capacity on n criteria over L, in deterministic order.
 
-    def rec(mask):
-        if mask == total - 1:
-            yield Capacity(L, tuple(values))
-            return
-        for v in range(L.size):
-            ok = all(leq[values[mask & ~(1 << i)], v]
-                     for i in range(n) if mask >> i & 1)
-            if ok:
-                values[mask] = v
-                yield from rec(mask + 1)
-        values[mask] = L.bottom
-
-    if n == 0:
-        # Only the empty-set entry exists and it must be both bottom and top.
-        if L.size == 1:
-            yield Capacity(L, (L.bottom,))
-        return
-    yield from rec(1)
+    For n = 0 the empty set is also the full set, so only a one-element
+    lattice has a capacity.
+    """
+    below, above = _submask_order(n)
+    pinned = ((0, L.bottom), (len(below) - 1, L.top))
+    for values in _monotone_assignments(L, below, above, pinned):
+        yield Capacity(L, values)
 
 
-def _check_input(L, m, u):
-    u = tuple(u)
-    if len(u) != m.n:
-        raise ArityMismatch(f"expected {m.n} inputs, got {len(u)}")
-    for v in u:
-        if not 0 <= v < L.size:
-            raise ForeignElement(f"input {v} outside lattice of size {L.size}")
-    return u
-
-
-def sugeno_eval(L: Lattice, m: Capacity, u) -> int:
-    """Subset expansion: join over subsets I of m(I) ^ meet of the u_i in I."""
-    u = _check_input(L, m, u)
-    meet, join = L.meet_table, L.join_table
-    acc = L.bottom
-    for mask in range(1 << m.n):
-        term = m.values[mask]
-        for i in range(m.n):
-            if mask >> i & 1:
-                term = meet[term, u[i]]
-        acc = join[acc, term]
-    return int(acc)
+# The subset expansion is the normal form with the capacity as coefficients.
+sugeno_eval = eval_normal_form
 
 
 def sugeno_eval_levels(L: Lattice, m: Capacity, u) -> int:
     """Level-set form with the threshold ranging over all lattice elements."""
-    u = _check_input(L, m, u)
+    u = check_input(L.size, m.arity, u)
     meet, join, leq = L.meet_table, L.join_table, L.leq_table
     acc = L.bottom
     for t in range(L.size):
         mask = 0
-        for i in range(m.n):
+        for i in range(m.arity):
             if leq[t, u[i]]:
                 mask |= 1 << i
-        acc = join[acc, meet[t, m.values[mask]]]
+        acc = join[acc, meet[t, m.coefficients[mask]]]
     return int(acc)
 
 
 def sugeno_eval_pointwise(L: Lattice, m: Capacity, u) -> int:
     """Pointwise form: join over i of u_i ^ m({j : u_j >= u_i})."""
-    u = _check_input(L, m, u)
+    u = check_input(L.size, m.arity, u)
     meet, join, leq = L.meet_table, L.join_table, L.leq_table
     acc = L.bottom
-    for i in range(m.n):
+    for i in range(m.arity):
         mask = 0
-        for j in range(m.n):
+        for j in range(m.arity):
             if leq[u[i], u[j]]:
                 mask |= 1 << j
-        acc = join[acc, meet[u[i], m.values[mask]]]
+        acc = join[acc, meet[u[i], m.coefficients[mask]]]
     return int(acc)
 
 
 def sugeno_table(L: Lattice, m: Capacity) -> FunctionTable:
     """Lower the integral to an explicit function table."""
-    return FunctionTable.from_callable(L.size, m.n, lambda u: sugeno_eval(L, m, u))
+    return FunctionTable.from_callable(L.size, m.arity,
+                                       lambda u: sugeno_eval(L, m, u))
 
 
 def capacity_from_function(L: Lattice, A: FunctionTable) -> Capacity:
@@ -164,17 +114,13 @@ def capacity_from_function(L: Lattice, A: FunctionTable) -> Capacity:
 
     Raises NotAggregation unless A is monotone with bottom/top boundaries.
     """
-    if A.size != L.size:
-        raise ForeignElement(
-            f"table over carrier {A.size} used with lattice of size {L.size}")
+    check_table(L, A)
     if A.value_at((L.bottom,) * A.arity) != L.bottom \
             or A.value_at((L.top,) * A.arity) != L.top:
         raise NotAggregation("boundary conditions fail at the constant vertices")
     if not is_monotone(L, A):
         raise NotAggregation("table is not nondecreasing in every coordinate")
-    values = [A.value_at(vertex_input(L, A.arity, mask))
-              for mask in range(1 << A.arity)]
-    return Capacity(L, values)
+    return Capacity(L, boolean_restriction(L, A).coefficients)
 
 
 # --- axiomatic property checks (exhaustive at desk scale) ------------------
@@ -182,13 +128,13 @@ def capacity_from_function(L: Lattice, A: FunctionTable) -> Capacity:
 
 def check_idempotent(L: Lattice, m: Capacity) -> bool:
     """Integral of a constant vector is that constant."""
-    return all(sugeno_eval(L, m, (c,) * m.n) == c for c in range(L.size))
+    return all(sugeno_eval(L, m, (c,) * m.arity) == c for c in range(L.size))
 
 
 def check_min_homogeneous(L: Lattice, m: Capacity) -> bool:
     """Integral of c ^ u equals c ^ integral of u, for every c and u."""
     meet = L.meet_table
-    for u in all_inputs(L.size, m.n):
+    for u in all_inputs(L.size, m.arity):
         su = sugeno_eval(L, m, u)
         for c in range(L.size):
             lowered = tuple(int(meet[c, v]) for v in u)
@@ -212,7 +158,7 @@ def check_comonotone_maxitive(L: Lattice, m: Capacity) -> bool:
     if not L.is_chain:
         raise NotAChain("comonotonicity is only defined on chain lattices here")
     join, leq = L.join_table, L.leq_table
-    grid = list(all_inputs(L.size, m.n))
+    grid = list(all_inputs(L.size, m.arity))
     cached = {u: sugeno_eval(L, m, u) for u in grid}
     for u in grid:
         for v in grid:
@@ -233,7 +179,7 @@ def check_horizontally_maxitive(L: Lattice, m: Capacity) -> bool:
     if not L.is_chain:
         raise NotAChain("horizontal splitting is only checked on chains here")
     meet, join, leq = L.meet_table, L.join_table, L.leq_table
-    for u in all_inputs(L.size, m.n):
+    for u in all_inputs(L.size, m.arity):
         su = sugeno_eval(L, m, u)
         for c in range(L.size):
             capped = tuple(int(meet[c, v]) for v in u)
@@ -294,6 +240,6 @@ def compare_formulations(L: Lattice, n: int) -> FormulationReport:
             pw = sugeno_eval_pointwise(L, m, u)
             sub = sugeno_eval(L, m, u)
             if not (lv == pw == sub):
-                found.append(Disagreement(m.values, u, lv, pw, sub))
+                found.append(Disagreement(m.coefficients, u, lv, pw, sub))
     return FormulationReport(L.name or f"size-{L.size}", n, count,
                              len(grid), tuple(found))

@@ -57,13 +57,7 @@ class FunctionTable:
         return cls(arity, size, [fn(x) for x in all_inputs(size, arity)])
 
     def value_at(self, x) -> int:
-        x = tuple(x)
-        if len(x) != self.arity:
-            raise ArityMismatch(f"expected {self.arity} inputs, got {len(x)}")
-        for v in x:
-            if not 0 <= v < self.size:
-                raise ForeignElement(f"input {v} outside carrier of size {self.size}")
-        return self.values[encode(x, self.size)]
+        return self.values[encode(check_input(self.size, self.arity, x), self.size)]
 
     def inputs(self):
         return all_inputs(self.size, self.arity)
@@ -79,6 +73,24 @@ class FunctionTable:
 
     def __repr__(self):
         return f"FunctionTable(arity={self.arity}, size={self.size})"
+
+
+def check_input(size: int, arity: int, x) -> tuple[int, ...]:
+    """The input as a tuple, after checking its length and element range."""
+    x = tuple(x)
+    if len(x) != arity:
+        raise ArityMismatch(f"expected {arity} inputs, got {len(x)}")
+    for v in x:
+        if not 0 <= v < size:
+            raise ForeignElement(f"input {v} outside carrier of size {size}")
+    return x
+
+
+def check_table(L, f: FunctionTable) -> None:
+    """Raise ForeignElement unless f is a table over the carrier of L."""
+    if f.size != L.size:
+        raise ForeignElement(
+            f"table over carrier {f.size} used with lattice of size {L.size}")
 
 
 def vertex_input(L, arity: int, mask: int) -> tuple[int, ...]:

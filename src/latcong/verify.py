@@ -214,7 +214,7 @@ def check_capacity_bijection() -> CheckResult:
         for m in enumerate_capacities(C3, n):
             roundtrips += 1
             if capacity_from_function(C3, sugeno_table(C3, m)) != m:
-                problems.append(f"capacity {m.values} (n={n}) fails round-trip")
+                problems.append(f"capacity {m.coefficients} (n={n}) fails round-trip")
     details.append(f"{roundtrips} chain(3) round-trips")
     return CheckResult(
         "AC07", "capacity <-> integral bijection",
@@ -256,7 +256,7 @@ def check_chain_properties() -> CheckResult:
                     ("comonotone-maxitive", check_comonotone_maxitive),
                     ("horizontally-maxitive", check_horizontally_maxitive)):
                 if not checker(L, m):
-                    problems.append(f"{name} capacity {m.values} fails {label}")
+                    problems.append(f"{name} capacity {m.coefficients} fails {label}")
     return CheckResult(
         "AC09", "axiomatic properties on chains",
         not problems,
@@ -274,14 +274,14 @@ def check_decompositions() -> CheckResult:
         for m in enumerate_capacities(P, 2):
             count += 1
             if not product_decomposition_check(P, m):
-                problems.append(f"{P.name} capacity {m.values} fails splitting")
+                problems.append(f"{P.name} capacity {m.coefficients} fails splitting")
         details.append(f"{P.name}: {count} capacities")
     H = horizontal_sum([catalogue("chain(3)"), catalogue("chain(3)")])
     count = 0
     for m in enumerate_capacities(H, 2):
         count += 1
         if not horizontal_sum_decomposition_check(H, m):
-            problems.append(f"{H.name} capacity {m.values} fails splitting")
+            problems.append(f"{H.name} capacity {m.coefficients} fails splitting")
     details.append(f"{H.name}: {count} capacities")
     bad = horizontal_sum([catalogue("chain(4)"), catalogue("chain(4)")])
     if bad.is_distributive:
@@ -342,13 +342,13 @@ def check_roundtrips() -> CheckResult:
         name, back = io.parse_capacity(text, C3)
         if back != m or name != f"cap{i}" \
                 or io.serialize_capacity(back, name) != text:
-            problems.append(f"capacity {m.values} does not round-trip")
+            problems.append(f"capacity {m.coefficients} does not round-trip")
         table = sugeno_table(C3, m)
         count += 1
         ttext = io.serialize_function_table(table, f"fn{i}")
         tname, tback = io.parse_function_table(ttext, C3)
         if tback != table or io.serialize_function_table(tback, tname) != ttext:
-            problems.append(f"table of capacity {m.values} does not round-trip")
+            problems.append(f"table of capacity {m.coefficients} does not round-trip")
     rng = random.Random(RANDOM_SEED)
     for _ in range(25):
         p = random_polynomial(rng, 3, C3.size, max_depth=3)

@@ -121,3 +121,20 @@ def sugeno_by_subsets(L, capacity_values, u):
                 term = L.meet(term, u[i])
             best = L.join(best, term)
     return best
+
+
+def monotone_maps(L, points, precedes, pinned=()):
+    """Order-preserving value tuples over ``points``, in lexicographic order.
+
+    Filters every tuple in L^len(points): values[i] <= values[j] whenever
+    precedes(points[i], points[j]), and values[i] == v for each pinned
+    pair (i, v).
+    """
+    pairs = [(i, j) for i, p in enumerate(points)
+             for j, q in enumerate(points) if precedes(p, q)]
+    out = []
+    for values in itertools.product(range(L.size), repeat=len(points)):
+        if all(values[i] == v for i, v in pinned) \
+                and all(L.leq(values[i], values[j]) for i, j in pairs):
+            out.append(values)
+    return out

@@ -26,6 +26,8 @@ def files(tmp_path_factory):
     write("bent.fn", "function bent\nn 1\nf 0 -> 0\nf 1 -> 2\nf 2 -> 2\n")
     write("p.poly", "(join (meet (const 1) (var 0)) (var 1))\n")
     write("broken.cap", "capacity x\nn 2\nm {} 1\nm {1} 1\nm {2} 1\nm {1,2} 2\n")
+    write("negative.cap", "capacity x\nn -1\n")
+    write("negative.fn", "function f\nn -1\n")
     return paths
 
 
@@ -143,6 +145,18 @@ def test_parse_errors_exit_2(files, capsys):
                        "--input", "0", "0")
     assert code == 2
     assert "bottom" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("sugeno", "--capacity", "negative.cap", "--input", "0"),
+    ("capacity-of", "--function", "negative.fn"),
+])
+def test_negative_arity_exits_2(files, capsys, argv):
+    argv = [files.get(a, a) for a in argv]
+    code, _, err = run(capsys, *argv, "--lattice", files["c3.lat"])
+    assert code == 2
+    assert err.startswith("error: line 2: arity must be non-negative")
+    assert "Traceback" not in err
 
 
 def test_missing_file_exits_2(files, capsys):

@@ -9,9 +9,9 @@ from latcong.compat import (
     synthesize,
     verify_equivalence_suite,
 )
-from latcong.errors import BudgetExceeded, NotMonotone
+from latcong.errors import BudgetExceeded, ForeignElement, NotMonotone
 from latcong.lattice import catalogue
-from latcong.polynomials import eval_normal_form
+from latcong.polynomials import eval_normal_form, is_monotone
 from latcong.sugeno import Capacity, capacity_from_function, sugeno_table
 from latcong.tables import FunctionTable, all_inputs
 
@@ -58,7 +58,7 @@ def test_boolean_restriction_examples(c3):
     proj = FunctionTable.from_callable(3, 2, lambda x: x[0])
     assert boolean_restriction(c3, proj).coefficients == (0, 2, 0, 2)
     m = Capacity(c3, (0, 1, 0, 2))
-    assert boolean_restriction(c3, sugeno_table(c3, m)).coefficients == m.values
+    assert boolean_restriction(c3, sugeno_table(c3, m)).coefficients == m.coefficients
 
 
 def test_synthesize_on_incompatible_table(c3):
@@ -229,3 +229,12 @@ def test_equivalence_scan_chain3_ternary(c3):
     nf_count = sum(1 for _ in enumerate_monotone_normal_forms(c3, 3))
     assert report.compatible_count == nf_count == 168
     assert report.capacity_count == 129
+
+
+@pytest.mark.parametrize("check", [
+    is_monotone, is_compatible, median_decomposition_check,
+    boolean_restriction, capacity_from_function])
+def test_table_over_another_carrier_is_foreign(c3, check):
+    """A table over four elements is no function on the 3-chain."""
+    with pytest.raises(ForeignElement):
+        check(c3, FunctionTable(1, 4, (0, 1, 2, 3)))

@@ -118,7 +118,7 @@ def test_capacity_projection(c2, c3):
     m = next(iter(enumerate_capacities(P, 2)))
     for k, factor in enumerate((c2, c3)):
         mk = project_capacity(P, m, k)
-        assert mk.values == tuple(P.tuples[v][k] for v in m.values)
+        assert mk.coefficients == tuple(P.tuples[v][k] for v in m.coefficients)
 
 
 @pytest.mark.parametrize("names", [("chain(2)", "chain(2)"),
@@ -141,8 +141,8 @@ def test_split_capacity_values():
     m = Capacity(H, (H.bottom, 1, 2, H.top))  # one interior from each summand
     m0 = split_capacity(H, m, 0)
     m1 = split_capacity(H, m, 1)
-    assert m0.values == (0, 1, 0, 2)  # the summand-1 interior drops to bottom
-    assert m1.values == (0, 0, 1, 2)
+    assert m0.coefficients == (0, 1, 0, 2)  # the summand-1 interior drops to bottom
+    assert m1.coefficients == (0, 0, 1, 2)
 
 
 def test_horizontal_sum_decomposition_all_capacities():

@@ -1,7 +1,8 @@
 import pytest
 
 from latcong import io
-from latcong.errors import NotBounded, ParseError, ValidationError
+from latcong.errors import ArityMismatch, NotBounded, ParseError, \
+    ValidationError
 from latcong.lattice import catalogue
 from latcong.polynomials import Constant, Join, Meet, Projection, \
     WeightedPolynomial
@@ -64,7 +65,7 @@ def test_parse_lattice_errors_carry_lines():
 def test_parse_capacity(c3):
     name, m = io.parse_capacity(CAP_TEXT, c3)
     assert name == "m"
-    assert m.values == (0, 1, 1, 2)
+    assert m.coefficients == (0, 1, 1, 2)
 
 
 def test_capacity_round_trip(c3):
@@ -122,6 +123,8 @@ def test_function_table_errors(c3):
     with pytest.raises(ParseError):
         io.parse_function_table("function f\nn 1\nf 0 0 -> 0\n", c3)
     with pytest.raises(ParseError):
+        io.parse_function_table("function f\nn 1\nf -1 -> 0\n", c3)
+    with pytest.raises(ParseError):
         io.parse_function_table(
             "function f\nn 1\nf 0 -> 0\nf 0 -> 1\nf 2 -> 2\n", c3)
 
@@ -144,32 +147,22 @@ def test_polynomial_round_trip():
     assert io.parse_polynomial(text, arity=3) == p
 
 
+def test_negative_arity_rejected(c3):
+    with pytest.raises(ParseError):
+        io.parse_capacity("capacity m\nn -1\n", c3)
+    with pytest.raises(ParseError):
+        io.parse_function_table("function f\nn -1\n", c3)
+
+
+def test_negative_projection_rejected():
+    for arity in (None, 2):
+        with pytest.raises(ArityMismatch):
+            io.parse_polynomial("(join (var 0) (var -1))", arity=arity)
+
+
 def test_polynomial_parse_errors():
     for bad in ("", "(frob 1)", "(var x)", "(meet (var 0))",
                 "(var 0) trailing", "(join (var 0) (var 1)"):
         with pytest.raises(ParseError):
             io.parse_polynomial(bad)
 
-
-def test_sniff_kind():
-    assert io.sniff_kind(C3_TEXT) == "lattice"
-    assert io.sniff_kind(CAP_TEXT) == "capacity"
-    assert io.sniff_kind("function f\nn 1\n") == "function"
-    assert io.sniff_kind("(var 0)") == "polynomial"
-    with pytest.raises(ParseError):
-        io.sniff_kind("bogus stuff")
-
-
-def test_workspace_registry(c3):
-    ws = io.Workspace()
-    entry = ws.parse(C3_TEXT, source="c3.lat")
-    assert entry.kind == "lattice"
-    assert ws.get("lattice", "c3").size == 3
-    ws.parse(CAP_TEXT, lattice=c3, source="m.cap")
-    assert ws.names("capacity") == ["m"]
-    with pytest.raises(ValidationError):
-        ws.parse(C3_TEXT)  # duplicate name for the kind
-    with pytest.raises(ValidationError):
-        ws.parse(CAP_TEXT)  # capacity without lattice context
-    with pytest.raises(ValidationError):
-        ws.get("lattice", "nope")

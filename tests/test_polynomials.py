@@ -52,6 +52,8 @@ def test_eval_errors(c3):
 def test_projection_index_must_fit_arity():
     with pytest.raises(ArityMismatch):
         WeightedPolynomial(1, Projection(1))
+    with pytest.raises(ArityMismatch):
+        WeightedPolynomial(2, Join(Projection(0), Projection(-1)))
 
 
 def test_normal_form_of_projection(c3):

@@ -5,7 +5,8 @@ import oracles
 from latcong.errors import ArityMismatch, ForeignElement, NotAChain, \
     NotAggregation, ValidationError
 from latcong.lattice import catalogue
-from latcong.polynomials import NormalForm, eval_normal_form
+from latcong.polynomials import NormalForm, Projection, WeightedPolynomial, \
+    eval_normal_form, evaluate
 from latcong.sugeno import (
     Capacity,
     capacity_from_function,
@@ -50,9 +51,9 @@ def test_capacity_counts():
 def test_capacities_enumerated_are_valid(b2):
     seen = set()
     for m in enumerate_capacities(b2, 2):
-        assert m.values[0] == b2.bottom
-        assert m.values[-1] == b2.top
-        seen.add(m.values)
+        assert m.coefficients[0] == b2.bottom
+        assert m.coefficients[-1] == b2.top
+        seen.add(m.coefficients)
     assert len(seen) == 16
 
 
@@ -73,6 +74,22 @@ def test_sugeno_arity_mismatch(c3, m_c3):
         sugeno_eval(c3, m_c3, (1,))
 
 
+@pytest.mark.parametrize("call", [
+    lambda L, m, u: evaluate(L, WeightedPolynomial(2, Projection(1)), u),
+    lambda L, m, u: eval_normal_form(L, NormalForm(2, (0, 1, 1, 2)), u),
+    sugeno_eval,
+    sugeno_eval_levels,
+    sugeno_eval_pointwise,
+    lambda L, m, u: FunctionTable.from_callable(3, 2, max).value_at(u),
+], ids=["evaluate", "eval_normal_form", "sugeno_eval", "levels", "pointwise",
+        "value_at"])
+@pytest.mark.parametrize("u", [(-1, 0), (9, 0), (0, 3)])
+def test_inputs_outside_the_carrier_are_foreign(c3, m_c3, call, u):
+    """A negative index must not wrap around to the last element."""
+    with pytest.raises(ForeignElement):
+        call(c3, m_c3, u)
+
+
 @pytest.mark.parametrize("name,n", [("chain(3)", 1), ("chain(3)", 2),
                                     ("boolean(2)", 2), ("M3", 1), ("N5", 2)])
 def test_subset_expansion_matches_combination_oracle(name, n):
@@ -80,13 +97,13 @@ def test_subset_expansion_matches_combination_oracle(name, n):
     for m in enumerate_capacities(L, n):
         for u in all_inputs(L.size, n):
             assert sugeno_eval(L, m, u) == \
-                oracles.sugeno_by_subsets(L, m.values, u)
+                oracles.sugeno_by_subsets(L, m.coefficients, u)
 
 
 def test_integral_is_normal_form_evaluation(c3):
     """The capacity doubles as the coefficient table of a normal form."""
     for m in enumerate_capacities(c3, 2):
-        nf = NormalForm(2, m.values)
+        nf = NormalForm(2, m.coefficients)
         for u in all_inputs(3, 2):
             assert sugeno_eval(c3, m, u) == eval_normal_form(c3, nf, u)
 
@@ -135,9 +152,9 @@ def test_capacity_from_function_examples(c3):
     meet_table = FunctionTable.from_callable(3, 2, min)
     join_table = FunctionTable.from_callable(3, 2, max)
     proj_table = FunctionTable.from_callable(3, 2, lambda x: x[0])
-    assert capacity_from_function(c3, meet_table).values == (0, 0, 0, 2)
-    assert capacity_from_function(c3, join_table).values == (0, 2, 2, 2)
-    assert capacity_from_function(c3, proj_table).values == (0, 2, 0, 2)
+    assert capacity_from_function(c3, meet_table).coefficients == (0, 0, 0, 2)
+    assert capacity_from_function(c3, join_table).coefficients == (0, 2, 2, 2)
+    assert capacity_from_function(c3, proj_table).coefficients == (0, 2, 0, 2)
 
 
 def test_capacity_from_function_rejects_non_aggregation(c3):
