@@ -47,10 +47,10 @@ def is_compatible(L: Lattice, f: FunctionTable, mode: str = "principal-only") ->
 
     Checked one coordinate at a time: perturbing a single coordinate within
     its congruence class must keep the output in class.  Transitivity of the
-    congruence telescopes this to full tuples.  Principal congruences
-    suffice (every congruence is a join of principals, and preservation is
-    stable under joins); mode='all' re-checks against the full congruence
-    lattice.
+    congruence telescopes this to full tuples.  The principal congruences of
+    covering pairs suffice (every congruence is a join of them, and
+    preservation is stable under joins); mode='all' re-checks against the
+    full congruence lattice.
     """
     check_table(L, f)
     n = f.arity

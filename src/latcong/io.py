@@ -9,7 +9,7 @@ a file that parses is a file whose object holds its invariants.
 from __future__ import annotations
 
 from .errors import ForeignElement, ParseError, ValidationError
-from .lattice import Lattice, build_from_covers
+from .lattice import MAX_SIZE, Lattice, build_from_covers
 from .polynomials import Constant, Join, Meet, Projection, \
     WeightedPolynomial, _max_projection
 from .sugeno import Capacity
@@ -94,6 +94,9 @@ def parse_lattice(text: str) -> Lattice:
             if len(tokens) != 2:
                 raise ParseError("expected: elements <count>", lineno)
             size = _int(tokens[1], lineno, "element count")
+            if size > MAX_SIZE:
+                raise ParseError(
+                    f"element count {size} exceeds the limit of {MAX_SIZE}", lineno)
         elif key == "cover":
             if len(tokens) != 3:
                 raise ParseError("expected: cover <i> <j>", lineno)

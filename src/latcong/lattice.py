@@ -19,6 +19,10 @@ from .errors import CyclicCovers, NotALattice, NotBounded, UnknownName
 
 Element = int
 
+# Largest carrier that gets meet and join tables (boolean(9)); beyond it the
+# n x n tables and the cubic table build outgrow a few seconds and 100 MB.
+MAX_SIZE = 512
+
 
 class Lattice:
     """Immutable finite bounded lattice.
@@ -148,33 +152,15 @@ def build_from_covers(size: int, covers, *, name=None, labels=None) -> Lattice:
         if i == j:
             raise CyclicCovers(f"self-cover at element {i}")
         edges.append((int(i), int(j)))
-    _check_acyclic(size, edges)
     leq = np.eye(size, dtype=bool)
     for i, j in edges:
         leq[i, j] = True
-    # Warshall closure over the cover DAG.
+    # Warshall closure; a cycle shows as a pair below each other.
     for k in range(size):
         leq |= leq[:, k:k + 1] & leq[k:k + 1, :]
-    return Lattice(leq, name=name, labels=labels)
-
-
-def _check_acyclic(size, edges):
-    succ = [[] for _ in range(size)]
-    indeg = [0] * size
-    for i, j in edges:
-        succ[i].append(j)
-        indeg[j] += 1
-    stack = [v for v in range(size) if indeg[v] == 0]
-    seen = 0
-    while stack:
-        v = stack.pop()
-        seen += 1
-        for w in succ[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                stack.append(w)
-    if seen != size:
+    if np.count_nonzero(leq & leq.T) != size:
         raise CyclicCovers("cover relation contains a cycle")
+    return Lattice(leq, name=name, labels=labels)
 
 
 def _check_partial_order(leq):
@@ -203,24 +189,29 @@ def _unique_top(leq):
 
 
 def _meet_join_tables(leq):
+    """Meet and join tables, one row at a time.
+
+    For the join, the up-set of i is listed in a linear extension (ascending
+    down-set size), so the first of its members above j is the only
+    candidate for the join of i and j.  It is the join exactly when its
+    up-set holds every common upper bound, which is checked by counting.
+    The meet is the same on the reversed order.
+    """
     n = len(leq)
-    up_of = {leq[i].tobytes(): i for i in range(n)}
-    down_of = {leq[:, i].tobytes(): i for i in range(n)}
-    meet = np.zeros((n, n), dtype=np.int64)
-    join = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(i, n):
-            above = (leq[i] & leq[j]).tobytes()
-            k = up_of.get(above)
-            if k is None:
-                raise NotALattice(f"elements {i} and {j} have no unique join")
-            join[i, j] = join[j, i] = k
-            below = (leq[:, i] & leq[:, j]).tobytes()
-            k = down_of.get(below)
-            if k is None:
-                raise NotALattice(f"elements {i} and {j} have no unique meet")
-            meet[i, j] = meet[j, i] = k
-    return meet, join
+    tables = []
+    for order_rel, what in ((leq.T, "meet"), (leq, "join")):
+        order = np.argsort(order_rel.sum(axis=0), kind="stable")
+        up_size = order_rel.sum(axis=1)
+        out = np.empty((n, n), dtype=np.int64)
+        for i in range(n):
+            above = order[order_rel[i, order]]
+            common = order_rel[:, above]
+            out[i] = above[common.argmax(axis=1)]
+            bad = np.flatnonzero(up_size[out[i]] != np.count_nonzero(common, axis=1))
+            if len(bad):
+                raise NotALattice(f"elements {i} and {bad[0]} have no unique {what}")
+        tables.append(out)
+    return tables
 
 
 def _cover_pairs(leq):
@@ -274,14 +265,14 @@ def catalogue(name: str) -> Lattice:
     m = _CHAIN_RE.match(name)
     if m:
         k = int(m.group(1))
-        if k < 1:
-            raise UnknownName(f"chain size must be positive: {name}")
+        if not 1 <= k <= MAX_SIZE:
+            raise UnknownName(f"chain size must be in 1..{MAX_SIZE}: {name}")
         return build_from_covers(k, [(i, i + 1) for i in range(k - 1)], name=name)
     m = _BOOLEAN_RE.match(name)
     if m:
         k = int(m.group(1))
-        if k > 12:
-            raise UnknownName(f"boolean({k}) is too large for table storage")
+        if k >= MAX_SIZE.bit_length():
+            raise UnknownName(f"{name} has more than {MAX_SIZE} elements")
         size = 1 << k
         covers = [(s, s | (1 << b)) for s in range(size) for b in range(k)
                   if not s & (1 << b)]

@@ -1,9 +1,12 @@
+import itertools
+import random
 import sys
 from pathlib import Path
 
 import pytest
 
-from latcong.lattice import catalogue
+from latcong.congruences import all_congruences, congruence_join, is_congruence
+from latcong.lattice import build_from_covers, catalogue
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -48,3 +51,22 @@ CATALOGUE_NAMES = ["chain(2)", "chain(3)", "chain(4)", "chain(5)",
 
 DISTRIBUTIVE_NAMES = ["chain(2)", "chain(3)", "chain(4)", "chain(5)",
                       "chain(6)", "boolean(2)", "boolean(3)"]
+
+
+def relabelled(L, seed):
+    """The same lattice with its elements renumbered by a seeded shuffle, or
+    in reverse for ``seed=None`` so that every cover runs down."""
+    perm = list(range(L.size))[::-1]
+    if seed is not None:
+        random.Random(seed).shuffle(perm)
+    covers = sorted((perm[a], perm[b]) for a, b in L.covers)
+    return build_from_covers(L.size, covers, name=L.name)
+
+
+def assert_joins_are_members(L):
+    """The join of two congruences is a congruence, and so already in Con L."""
+    congs = all_congruences(L)
+    for theta, psi in itertools.combinations_with_replacement(congs, 2):
+        joined = congruence_join(L, theta, psi)
+        assert is_congruence(L, joined)
+        assert joined in congs

@@ -138,3 +138,14 @@ def monotone_maps(L, points, precedes, pinned=()):
                 and all(L.leq(values[i], values[j]) for i, j in pairs):
             out.append(values)
     return out
+
+
+def join_irreducible_count(L):
+    """Elements with exactly one lower cover, found by scanning ``leq``."""
+    count = 0
+    for x in range(L.size):
+        below = [y for y in range(L.size) if y != x and L.leq(y, x)]
+        lower_covers = [y for y in below
+                        if not any(z != y and L.leq(y, z) for z in below)]
+        count += len(lower_covers) == 1
+    return count

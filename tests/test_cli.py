@@ -28,6 +28,7 @@ def files(tmp_path_factory):
     write("broken.cap", "capacity x\nn 2\nm {} 1\nm {1} 1\nm {2} 1\nm {1,2} 2\n")
     write("negative.cap", "capacity x\nn -1\n")
     write("negative.fn", "function f\nn -1\n")
+    write("huge.lat", "lattice huge\nelements 1000000000\ncover 0 1\n")
     return paths
 
 
@@ -156,6 +157,14 @@ def test_negative_arity_exits_2(files, capsys, argv):
     code, _, err = run(capsys, *argv, "--lattice", files["c3.lat"])
     assert code == 2
     assert err.startswith("error: line 2: arity must be non-negative")
+    assert "Traceback" not in err
+
+
+def test_oversized_lattice_exits_2(files, capsys):
+    code, out, err = run(capsys, "congruences", "--lattice", files["huge.lat"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: line 2: element count 1000000000 exceeds")
     assert "Traceback" not in err
 
 

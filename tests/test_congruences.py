@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 import oracles
+from conftest import assert_joins_are_members, relabelled
 from latcong.congruences import (
     Congruence,
     all_congruences,
@@ -13,7 +14,9 @@ from latcong.congruences import (
     is_congruence,
     principal_congruence,
     principal_congruence_oracle,
+    principal_congruences,
 )
+from latcong.constructions import direct_product
 from latcong.errors import BudgetExceeded, NotDistributive, SizeMismatch
 from latcong.lattice import catalogue
 
@@ -208,3 +211,59 @@ def test_congruence_join_size_mismatch(c3, c4):
 def test_all_congruences_deterministic(b3):
     assert all_congruences(b3) == all_congruences(b3)
     assert len(all_congruences(b3)) == 2 ** 3
+
+
+@pytest.mark.parametrize("name", ["M3", "N5", "chain(4)", "boolean(3)"])
+def test_joins_of_congruences_are_members(name):
+    assert_joins_are_members(catalogue(name))
+
+
+@pytest.mark.parametrize("name", ["chain(1)", "chain(4)", "boolean(3)", "M3", "N5"])
+def test_principal_congruences_are_the_cover_principals(name):
+    L = catalogue(name)
+    covers = {oracles.least_congruence_containing(L, a, b) for a, b in L.covers}
+    assert principal_congruences(L) == tuple(sorted(covers, key=lambda c: c.class_of))
+    assert Congruence.identity(L.size) not in principal_congruences(L)
+
+
+def test_principal_cache_is_bounded():
+    maxsize = principal_congruences.cache_parameters()["maxsize"]
+    assert maxsize is not None
+    for k in range(1, maxsize + 3):
+        principal_congruences(catalogue(f"chain({k})"))
+    assert principal_congruences.cache_info().currsize <= maxsize
+
+
+def _product(names):
+    return direct_product([catalogue(n) for n in names])
+
+
+DISTRIBUTIVE_EXTENTS = {
+    "boolean(6)": lambda: catalogue("boolean(6)"),
+    "chain(3)^3": lambda: _product(["chain(3)"] * 3),
+    "chain(4)*boolean(2)": lambda: _product(["chain(4)", "boolean(2)"]),
+}
+
+
+@pytest.mark.parametrize("seed", [None, 5])
+@pytest.mark.parametrize("name", sorted(DISTRIBUTIVE_EXTENTS))
+def test_distributive_congruence_count(name, seed):
+    """|Con L| = 2^|J(L)| on a finite distributive lattice."""
+    L = DISTRIBUTIVE_EXTENTS[name]()
+    if seed is not None:
+        L = relabelled(L, seed)
+    assert L.is_distributive
+    assert len(all_congruences(L)) == 2 ** oracles.join_irreducible_count(L)
+
+
+@pytest.mark.parametrize("seed", [None, 5])
+@pytest.mark.parametrize("factors,count", [
+    (("M3", "N5"), 10), (("N5", "N5"), 25), (("N5", "chain(4)"), 40)])
+def test_product_congruence_count(factors, count, seed):
+    """|Con(A x B)| = |Con A| * |Con B|, factor counts by partition filtering."""
+    a, b = (len(all_congruences_bruteforce(catalogue(f))) for f in factors)
+    assert a * b == count
+    L = _product(factors)
+    if seed is not None:
+        L = relabelled(L, seed)
+    assert len(all_congruences(L)) == count

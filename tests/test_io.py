@@ -62,6 +62,14 @@ def test_parse_lattice_errors_carry_lines():
         io.parse_lattice("lattice x\nelements 2\n")  # two minimal elements
 
 
+def test_parse_lattice_refuses_oversized_carrier():
+    with pytest.raises(ParseError) as err:
+        io.parse_lattice("lattice big\nelements 513\n")
+    assert err.value.line == 2
+    with pytest.raises(ParseError):
+        io.parse_lattice("lattice big\nelements 1000000000000\ncover 0 1\n")
+
+
 def test_parse_capacity(c3):
     name, m = io.parse_capacity(CAP_TEXT, c3)
     assert name == "m"

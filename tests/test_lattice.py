@@ -1,12 +1,13 @@
 import itertools
+import re
 
 import pytest
 
 import oracles
-from conftest import CATALOGUE_NAMES, DISTRIBUTIVE_NAMES
+from conftest import CATALOGUE_NAMES, DISTRIBUTIVE_NAMES, relabelled
 from latcong.errors import CyclicCovers, NotALattice, NotBounded, UnknownName
-from latcong.lattice import build_from_covers, catalogue, is_isomorphic, \
-    med_dual_check
+from latcong.lattice import MAX_SIZE, build_from_covers, catalogue, \
+    is_isomorphic, med_dual_check
 
 
 def test_chain_construction():
@@ -46,6 +47,57 @@ def test_hexagon_without_unique_meet_rejected():
     with pytest.raises((NotALattice, NotBounded)):
         build_from_covers(6, [(0, 1), (0, 2), (1, 3), (2, 3), (1, 4), (2, 4),
                               (3, 5), (4, 5)])
+
+
+HEXAGON = [(0, 1), (0, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 5), (4, 5)]
+
+
+class _Order:
+    """Reflexive-transitive closure of a cover list, for the bound oracles."""
+
+    def __init__(self, size, covers):
+        self.size = size
+        self.pairs = {(a, a) for a in range(size)} | set(covers)
+        while True:
+            step = {(a, d) for a, b in self.pairs for c, d in self.pairs if b == c}
+            if step <= self.pairs:
+                break
+            self.pairs |= step
+
+    def leq(self, a, b):
+        return (a, b) in self.pairs
+
+
+@pytest.mark.parametrize("perm", [range(6), [4, 5, 3, 1, 2, 0]])
+def test_hexagon_error_names_a_pair_without_bound(perm):
+    covers = [(perm[a], perm[b]) for a, b in HEXAGON]
+    with pytest.raises(NotALattice) as err:
+        build_from_covers(6, covers)
+    m = re.fullmatch(r"elements (\d+) and (\d+) have no unique (meet|join)",
+                     str(err.value))
+    assert m
+    a, b = int(m[1]), int(m[2])
+    bound = oracles.greatest_lower_bound if m[3] == "meet" else oracles.least_upper_bound
+    assert bound(_Order(6, covers), a, b) is None
+
+
+@pytest.mark.parametrize("seed", [None, 11])
+@pytest.mark.parametrize("name", ["boolean(3)", "N5", "M3"])
+def test_tables_on_relabelled_catalogue(name, seed):
+    """Tables must not depend on covers running up in element order."""
+    L = relabelled(catalogue(name), seed)
+    assert any(a > b for a, b in L.covers)
+    for a, b in itertools.product(range(L.size), repeat=2):
+        assert L.meet(a, b) == oracles.greatest_lower_bound(L, a, b)
+        assert L.join(a, b) == oracles.least_upper_bound(L, a, b)
+
+
+def test_catalogue_size_guard():
+    assert MAX_SIZE == 512
+    assert catalogue("boolean(9)").size == 512
+    for name in ("boolean(10)", "boolean(12)", "boolean(99999)", "chain(513)"):
+        with pytest.raises(UnknownName):
+            catalogue(name)
 
 
 def test_out_of_range_cover_rejected():

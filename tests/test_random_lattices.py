@@ -11,6 +11,7 @@ import random
 import pytest
 
 import oracles
+from conftest import assert_joins_are_members, relabelled
 from latcong.compat import enumerate_monotone_tables, is_compatible, \
     median_decomposition_check, synthesize
 from latcong.congruences import (
@@ -64,6 +65,22 @@ def test_tables_match_bound_scans(idx):
     for a, b in itertools.product(range(L.size), repeat=2):
         assert L.meet(a, b) == oracles.greatest_lower_bound(L, a, b)
         assert L.join(a, b) == oracles.least_upper_bound(L, a, b)
+
+
+@pytest.mark.parametrize("seed", [None, 3])
+@pytest.mark.parametrize("idx", range(len(LATTICES)))
+def test_tables_match_bound_scans_relabelled(idx, seed):
+    """Covers that run down in element order too, not only up."""
+    L = relabelled(LATTICES[idx], seed)
+    assert any(a > b for a, b in L.covers)
+    for a, b in itertools.product(range(L.size), repeat=2):
+        assert L.meet(a, b) == oracles.greatest_lower_bound(L, a, b)
+        assert L.join(a, b) == oracles.least_upper_bound(L, a, b)
+
+
+@pytest.mark.parametrize("idx", range(len(LATTICES)))
+def test_joins_of_congruences_are_members(idx):
+    assert_joins_are_members(LATTICES[idx])
 
 
 @pytest.mark.parametrize("idx", range(len(LATTICES)))
