@@ -191,8 +191,7 @@ def cmd_hsum(args):
 
 
 def cmd_verify(args):
-    results = verify.run_checks(args.suite, max_size=args.max_size,
-                                max_arity=args.max_arity, budget=args.budget)
+    results = verify.run_checks(args.suite)
     failed = sum(not r.passed for r in results)
     if args.json:
         payload = {
@@ -301,9 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the verification checklist")
     p.add_argument("--suite", default="all",
                    choices=("all",) + tuple(verify.SUITES))
-    p.add_argument("--max-size", type=int, default=None)
-    p.add_argument("--max-arity", type=int, default=None)
-    p.add_argument("--budget", type=int, default=None)
     p.add_argument("--json", action="store_true",
                    help="structured report instead of plain text")
     p.set_defaults(handler=cmd_verify)

@@ -11,8 +11,7 @@ capacity and input.
 from __future__ import annotations
 
 import itertools
-
-import numpy as np
+import math
 
 from .errors import NotDistributive, ValidationError
 from .lattice import Lattice
@@ -32,14 +31,16 @@ class ProductLattice(Lattice):
         if not factors:
             raise ValidationError("a product needs at least one factor")
         tuples = tuple(itertools.product(*(range(f.size) for f in factors)))
-        n = len(tuples)
-        leq = np.ones((n, n), dtype=bool)
-        for i, x in enumerate(tuples):
-            for j, y in enumerate(tuples):
-                leq[i, j] = all(f.leq_table[a, b]
-                                for f, a, b in zip(factors, x, y))
+        strides = [math.prod(f.size for f in factors[k + 1:])
+                   for k in range(len(factors))]
+        # In a product, y covers x exactly when one coordinate steps up a
+        # cover of its factor and the others stay put.
+        covers = [(i, i + (c - x[k]) * strides[k])
+                  for i, x in enumerate(tuples)
+                  for k, f in enumerate(factors)
+                  for c in f.upper_covers(x[k])]
         names = [f.name or f"size-{f.size}" for f in factors]
-        super().__init__(leq, name="*".join(names))
+        super().__init__(len(tuples), covers, name="*".join(names))
         self.factors = factors
         self.tuples = tuples
         self.index_of = {t: i for i, t in enumerate(tuples)}
@@ -84,17 +85,10 @@ class HorizontalSumLattice(Lattice):
                 provenance[next_id] = k
                 next_id += 1
             embed.append(mapping)
-        leq = np.zeros((n, n), dtype=bool)
-        np.fill_diagonal(leq, True)
-        leq[bottom, :] = True
-        leq[:, top] = True
-        for k, s in enumerate(summands):
-            for a in range(s.size):
-                for b in range(s.size):
-                    if s.leq_table[a, b]:
-                        leq[embed[k][a], embed[k][b]] = True
+        covers = [(embed[k][a], embed[k][b])
+                  for k, s in enumerate(summands) for a, b in s.covers]
         names = [s.name or f"size-{s.size}" for s in summands]
-        super().__init__(leq, name="+".join(names))
+        super().__init__(n, covers, name="+".join(names))
         self.summands = summands
         self.provenance = tuple(provenance)
         self.embeddings = tuple(dict(m) for m in embed)

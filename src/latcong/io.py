@@ -15,6 +15,14 @@ from .polynomials import Constant, Join, Meet, Projection, \
 from .sugeno import Capacity
 from .tables import FunctionTable, all_inputs, check_input, encode
 
+# Largest arity of a capacity or function file: 2^20 entries over the
+# smallest carrier.  Above it the entry count is too large to list, and on
+# a huge ``n`` computing it would take the memory of the number itself.
+MAX_ARITY = 20
+# Deepest polynomial term, so that the parser and every recursive walk over
+# the term (evaluation, printing, equality) stay within Python's stack.
+MAX_DEPTH = 256
+
 
 def _lines(text):
     """(lineno, tokens) for every non-empty line, comments stripped."""
@@ -56,6 +64,9 @@ def _parse_keyed(text, kind, entry, parse_entry, slots):
             n = _int(tokens[1], lineno, "arity")
             if n < 0:
                 raise ParseError(f"arity must be non-negative, got {n}", lineno)
+            if n > MAX_ARITY:
+                raise ParseError(
+                    f"arity {n} exceeds the limit of {MAX_ARITY}", lineno)
         elif key == entry:
             if n is None:
                 raise ParseError("the 'n <arity>' line must precede values", lineno)
@@ -216,8 +227,14 @@ def parse_polynomial(text: str, arity: int | None = None) -> WeightedPolynomial:
             raise ParseError(f"expected {token!r}, got {got!r}")
         pos += 1
 
-    def parse_node():
+    def too_deep():
+        return ParseError(f"polynomial nested deeper than {MAX_DEPTH} levels")
+
+    def parse_node(level):
+        """The node at nesting ``level`` and the depth of its subtree."""
         nonlocal pos
+        if level > MAX_DEPTH:
+            raise too_deep()
         expect("(")
         if pos >= len(tokens):
             raise ParseError("unterminated S-expression")
@@ -233,22 +250,26 @@ def parse_polynomial(text: str, arity: int | None = None) -> WeightedPolynomial:
                                  f"got {tokens[pos]!r}")
             pos += 1
             node = Projection(value) if head == "var" else Constant(value)
+            depth = 1
         elif head in ("meet", "join"):
             args = []
             while pos < len(tokens) and tokens[pos] == "(":
-                args.append(parse_node())
+                args.append(parse_node(level + 1))
             if len(args) < 2:
                 raise ParseError(f"{head!r} needs at least two arguments")
-            node = args[0]
+            node, depth = args[0]
             ctor = Meet if head == "meet" else Join
-            for arg in args[1:]:
+            for arg, arg_depth in args[1:]:
                 node = ctor(node, arg)
+                depth = 1 + max(depth, arg_depth)
         else:
             raise ParseError(f"unknown polynomial operator {head!r}")
         expect(")")
-        return node
+        return node, depth
 
-    root = parse_node()
+    root, depth = parse_node(1)
+    if depth > MAX_DEPTH:
+        raise too_deep()
     if pos != len(tokens):
         raise ParseError(f"trailing tokens after polynomial: {tokens[pos]!r}")
     if arity is None:

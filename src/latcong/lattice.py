@@ -37,20 +37,35 @@ class Lattice:
         labels: optional dict element -> display label.
     """
 
-    def __init__(self, leq, *, name=None, labels=None):
-        leq = np.array(leq, dtype=bool)
-        n = leq.shape[0]
-        if leq.shape != (n, n):
-            raise NotALattice(f"order table must be square, got {leq.shape}")
-        if n == 0:
+    def __init__(self, size: int, covers, *, name=None, labels=None):
+        """Build and validate a lattice from cover pairs ``(i, j)``, i below j.
+
+        Redundant pairs are allowed; ``covers`` keeps only the true covers.
+        Raises CyclicCovers, NotBounded, or NotALattice when the input does
+        not describe a finite bounded lattice.
+        """
+        if size <= 0:
             raise NotBounded("a bounded lattice needs at least one element")
-        _check_partial_order(leq)
-        self.size = n
+        edges = np.zeros((size, size), dtype=bool)
+        for i, j in covers:
+            if not (0 <= i < size and 0 <= j < size):
+                raise NotALattice(f"cover ({i}, {j}) out of range for size {size}")
+            if i == j:
+                raise CyclicCovers(f"self-cover at element {i}")
+            edges[i, j] = True
+        # The Warshall closure is reflexive and transitive by construction;
+        # a cycle shows as a pair below each other, so this is antisymmetry.
+        leq = edges | np.eye(size, dtype=bool)
+        for k in range(size):
+            leq |= leq[:, k:k + 1] & leq[k:k + 1, :]
+        if np.count_nonzero(leq & leq.T) != size:
+            raise CyclicCovers("cover relation contains a cycle")
+        self.size = size
         self.leq_table = leq
         self.bottom = _unique_bottom(leq)
         self.top = _unique_top(leq)
         self.meet_table, self.join_table = _meet_join_tables(leq)
-        self.covers = _cover_pairs(leq)
+        self.covers = _cover_pairs(leq, edges)
         self.name = name
         self.labels = dict(labels) if labels else {}
         for arr in (self.leq_table, self.meet_table, self.join_table):
@@ -66,20 +81,6 @@ class Lattice:
 
     def join(self, a: Element, b: Element) -> Element:
         return int(self.join_table[a, b])
-
-    def meet_all(self, elems) -> Element:
-        """Meet of an iterable; the empty meet is top."""
-        out = self.top
-        for e in elems:
-            out = int(self.meet_table[out, e])
-        return out
-
-    def join_all(self, elems) -> Element:
-        """Join of an iterable; the empty join is bottom."""
-        out = self.bottom
-        for e in elems:
-            out = int(self.join_table[out, e])
-        return out
 
     def med(self, x: Element, y: Element, z: Element) -> Element:
         """Median term (x v y) ^ (y v z) ^ (z v x)."""
@@ -137,41 +138,8 @@ class Lattice:
 
 
 def build_from_covers(size: int, covers, *, name=None, labels=None) -> Lattice:
-    """Build and validate a lattice from cover pairs ``(i, j)``, i covered by j.
-
-    Raises CyclicCovers, NotBounded, or NotALattice when the input does not
-    describe a finite bounded lattice.
-    """
-    if size <= 0:
-        raise NotBounded("a bounded lattice needs at least one element")
-    edges = []
-    for pair in covers:
-        i, j = pair
-        if not (0 <= i < size and 0 <= j < size):
-            raise NotALattice(f"cover ({i}, {j}) out of range for size {size}")
-        if i == j:
-            raise CyclicCovers(f"self-cover at element {i}")
-        edges.append((int(i), int(j)))
-    leq = np.eye(size, dtype=bool)
-    for i, j in edges:
-        leq[i, j] = True
-    # Warshall closure; a cycle shows as a pair below each other.
-    for k in range(size):
-        leq |= leq[:, k:k + 1] & leq[k:k + 1, :]
-    if np.count_nonzero(leq & leq.T) != size:
-        raise CyclicCovers("cover relation contains a cycle")
-    return Lattice(leq, name=name, labels=labels)
-
-
-def _check_partial_order(leq):
-    n = len(leq)
-    if not leq[np.diag_indices(n)].all():
-        raise NotALattice("order is not reflexive")
-    if (leq & leq.T).sum() != n:
-        raise NotALattice("order is not antisymmetric")
-    closure = leq @ leq
-    if (closure & ~leq).any():
-        raise NotALattice("order is not transitive")
+    """The lattice with the given cover pairs; see ``Lattice``."""
+    return Lattice(size, covers, name=name, labels=labels)
 
 
 def _unique_bottom(leq):
@@ -214,10 +182,16 @@ def _meet_join_tables(leq):
     return tables
 
 
-def _cover_pairs(leq):
-    lt = leq.copy()
-    np.fill_diagonal(lt, False)
-    direct = lt & ~(lt @ lt)
+def _cover_pairs(leq, edges):
+    """The input edges with nothing strictly between their ends.
+
+    Every cover is an input edge, so no other pair needs testing.
+    """
+    lt = leq & ~np.eye(len(leq), dtype=bool)
+    direct = edges.copy()
+    for a, row in enumerate(edges):
+        b = np.flatnonzero(row)
+        direct[a, b] = ~(lt[a] & lt[:, b].T).any(axis=1)
     return tuple((int(a), int(b)) for a, b in zip(*np.nonzero(direct)))
 
 

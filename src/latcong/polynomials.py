@@ -106,9 +106,6 @@ class NormalForm:
                 f"expected {1 << self.arity} coefficients for arity {self.arity}, "
                 f"got {len(self.coefficients)}")
 
-    def coefficient(self, mask: int) -> int:
-        return self.coefficients[mask]
-
     def is_monotone_in_masks(self, L: Lattice) -> bool:
         """Coefficient table nondecreasing along subset inclusion."""
         g = self.coefficients

@@ -22,13 +22,6 @@ def encode(x, size: int) -> int:
     return idx
 
 
-def decode(idx: int, size: int, arity: int) -> tuple[int, ...]:
-    out = [0] * arity
-    for k in range(arity - 1, -1, -1):
-        idx, out[k] = divmod(idx, size)
-    return tuple(out)
-
-
 def all_inputs(size: int, arity: int):
     """Every input tuple, in encoding order."""
     return itertools.product(range(size), repeat=arity)
@@ -58,9 +51,6 @@ class FunctionTable:
 
     def value_at(self, x) -> int:
         return self.values[encode(check_input(self.size, self.arity, x), self.size)]
-
-    def inputs(self):
-        return all_inputs(self.size, self.arity)
 
     def __eq__(self, other):
         if not isinstance(other, FunctionTable):

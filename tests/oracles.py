@@ -13,6 +13,25 @@ from functools import lru_cache
 from latcong.congruences import Congruence
 
 
+class Order:
+    """Reflexive-transitive closure of a cover list, grown pair by pair.
+
+    Has the ``size`` and ``leq`` that the bound scans below need.
+    """
+
+    def __init__(self, size, covers):
+        self.size = size
+        self.pairs = {(a, a) for a in range(size)} | set(covers)
+        while True:
+            step = {(a, d) for a, b in self.pairs for c, d in self.pairs if b == c}
+            if step <= self.pairs:
+                break
+            self.pairs |= step
+
+    def leq(self, a, b):
+        return (a, b) in self.pairs
+
+
 def lower_bounds(L, a, b):
     return [c for c in range(L.size) if L.leq(c, a) and L.leq(c, b)]
 

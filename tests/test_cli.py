@@ -29,6 +29,12 @@ def files(tmp_path_factory):
     write("negative.cap", "capacity x\nn -1\n")
     write("negative.fn", "function f\nn -1\n")
     write("huge.lat", "lattice huge\nelements 1000000000\ncover 0 1\n")
+    write("huge.cap", "capacity x\nn 100000000\n")
+    write("huge.fn", "function f\nn 100000000\n")
+    deep = "(var 0)"
+    for _ in range(1499):
+        deep = f"(meet {deep} (var 0))"
+    write("deep.poly", deep + "\n")
     return paths
 
 
@@ -160,6 +166,27 @@ def test_negative_arity_exits_2(files, capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("sugeno", "--capacity", "huge.cap", "--input", "0"),
+    ("capacity-of", "--function", "huge.fn"),
+])
+def test_huge_arity_exits_2(files, capsys, argv):
+    argv = [files.get(a, a) for a in argv]
+    code, _, err = run(capsys, *argv, "--lattice", files["c3.lat"])
+    assert code == 2
+    assert err.startswith("error: line 2: arity 100000000 exceeds the limit")
+    assert "Traceback" not in err
+
+
+def test_deep_polynomial_exits_2(files, capsys):
+    code, out, err = run(capsys, "compat", "--poly", files["deep.poly"],
+                         "--lattice", files["c3.lat"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: polynomial nested deeper than")
+    assert "Traceback" not in err
+
+
 def test_oversized_lattice_exits_2(files, capsys):
     code, out, err = run(capsys, "congruences", "--lattice", files["huge.lat"])
     assert code == 2
@@ -203,10 +230,3 @@ def test_sugeno_compare_json_mode(files, capsys):
     payload = json.loads(out)
     assert [r["arity"] for r in payload] == [1, 2]
     assert all(r["disagreements"] == [] for r in payload)
-
-
-def test_verify_respects_extent_knobs(files, capsys):
-    code, out, _ = run(capsys, "verify", "--suite", "principal",
-                       "--max-size", "4")
-    assert code == 0
-    assert "4 lattices" in out  # chains 2..4 plus boolean(2)

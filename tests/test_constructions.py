@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from conftest import relabelled
 from latcong.constructions import (
     direct_product,
     horizontal_sum,
@@ -34,15 +35,32 @@ def test_product_size_and_distributivity(c2, c3):
     assert P.is_distributive
 
 
-def test_product_operations_are_componentwise(c2, c3):
-    P = direct_product([c2, c3])
-    for i, j in itertools.product(range(P.size), repeat=2):
-        x, y = P.tuples[i], P.tuples[j]
-        assert P.leq(i, j) == (c2.leq(x[0], y[0]) and c3.leq(x[1], y[1]))
-        assert P.tuples[P.meet(i, j)] == (c2.meet(x[0], y[0]),
-                                          c3.meet(x[1], y[1]))
-        assert P.tuples[P.join(i, j)] == (c2.join(x[0], y[0]),
-                                          c3.join(x[1], y[1]))
+def _lattice(spec):
+    """A catalogue lattice, renumbered after '@': 'rev' reverses, a number
+    seeds a shuffle."""
+    name, _, how = spec.partition("@")
+    L = catalogue(name)
+    if not how:
+        return L
+    return relabelled(L, None if how == "rev" else int(how))
+
+
+def test_product_operations_are_componentwise():
+    for specs in (("chain(2)", "chain(3)"), ("N5@rev", "chain(3)@5"),
+                  ("M3", "boolean(2)@7"), ("chain(2)@rev", "N5@3", "M3@rev")):
+        factors = [_lattice(s) for s in specs]
+        P = direct_product(factors)
+        covers = set(P.covers)
+        for i, j in itertools.product(range(P.size), repeat=2):
+            x, y = P.tuples[i], P.tuples[j]
+            pairs = list(zip(factors, x, y))
+            assert P.leq(i, j) == all(f.leq(a, b) for f, a, b in pairs)
+            assert P.tuples[P.meet(i, j)] == tuple(f.meet(a, b) for f, a, b in pairs)
+            assert P.tuples[P.join(i, j)] == tuple(f.join(a, b) for f, a, b in pairs)
+            # y covers x when one coordinate steps along a cover of its factor
+            moved = [(f, a, b) for f, a, b in pairs if a != b]
+            assert ((i, j) in covers) == (
+                len(moved) == 1 and moved[0][1:] in moved[0][0].covers)
 
 
 @pytest.mark.parametrize("names,expected", [
@@ -86,12 +104,15 @@ def test_horizontal_sum_interiors_are_incomparable():
 
 
 def test_horizontal_sum_preserves_summand_order():
-    C4 = catalogue("chain(4)")
-    H = horizontal_sum([C4, C4])
-    for k in range(2):
-        emb = H.embeddings[k]
-        for a, b in itertools.product(range(4), repeat=2):
-            assert H.leq(emb[a], emb[b]) == C4.leq(a, b)
+    for specs in (("chain(4)", "chain(4)"), ("N5@rev", "M3@4"),
+                  ("M3@rev", "chain(2)", "boolean(2)@9", "N5@2")):
+        summands = [_lattice(s) for s in specs]
+        H = horizontal_sum(summands)
+        for S, emb in zip(summands, H.embeddings):
+            for a, b in itertools.product(range(S.size), repeat=2):
+                assert H.leq(emb[a], emb[b]) == S.leq(a, b)
+                assert H.meet(emb[a], emb[b]) == emb[S.meet(a, b)]
+                assert H.join(emb[a], emb[b]) == emb[S.join(a, b)]
 
 
 def test_long_horizontal_sum_is_not_distributive():

@@ -5,7 +5,7 @@ from latcong.errors import ArityMismatch, NotBounded, ParseError, \
     ValidationError
 from latcong.lattice import catalogue
 from latcong.polynomials import Constant, Join, Meet, Projection, \
-    WeightedPolynomial
+    WeightedPolynomial, evaluate
 from latcong.sugeno import Capacity, enumerate_capacities, sugeno_table
 
 C3_TEXT = """\
@@ -160,6 +160,42 @@ def test_negative_arity_rejected(c3):
         io.parse_capacity("capacity m\nn -1\n", c3)
     with pytest.raises(ParseError):
         io.parse_function_table("function f\nn -1\n", c3)
+
+
+def test_huge_arity_rejected_before_counting(c3):
+    """The entry count 2^n or size^n is never formed for an arity over the
+    limit; formatting it used to raise a raw ValueError."""
+    assert io.MAX_ARITY == 20
+    for n in (21, 100000000):
+        with pytest.raises(ParseError, match=f"line 2: arity {n} exceeds"):
+            io.parse_capacity(f"capacity m\nn {n}\n", c3)
+        with pytest.raises(ParseError, match=f"line 2: arity {n} exceeds"):
+            io.parse_function_table(f"function f\nn {n}\n", c3)
+    with pytest.raises(ValidationError, match=f"of {3 ** 20} entries missing"):
+        io.parse_function_table("function f\nn 20\n", c3)
+
+
+def _nested(depth):
+    text = "(var 0)"
+    for _ in range(depth - 1):
+        text = f"(meet {text} (var 1))"
+    return text
+
+
+def test_polynomial_depth_limit(c3):
+    """Deep terms are a ParseError, not a RecursionError, whether the depth
+    comes from nesting or from folding a long argument list."""
+    assert io.MAX_DEPTH == 256
+    p = io.parse_polynomial(_nested(io.MAX_DEPTH))
+    assert io.parse_polynomial(io.serialize_polynomial(p)) == p
+    assert evaluate(c3, p, (2, 1)) == 1
+    flat = "(join " + "(var 0) " * io.MAX_DEPTH + ")"
+    assert io.parse_polynomial(flat).arity == 1
+    for bad in (_nested(io.MAX_DEPTH + 1), _nested(1500),
+                "(join " + "(var 0) " * (io.MAX_DEPTH + 1) + ")",
+                "(meet " + "(var 0) " * 1500 + ")"):
+        with pytest.raises(ParseError, match="nested deeper than 256 levels"):
+            io.parse_polynomial(bad)
 
 
 def test_negative_projection_rejected():

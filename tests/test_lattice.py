@@ -2,6 +2,7 @@ import itertools
 import re
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from conftest import CATALOGUE_NAMES, DISTRIBUTIVE_NAMES, relabelled
@@ -52,22 +53,6 @@ def test_hexagon_without_unique_meet_rejected():
 HEXAGON = [(0, 1), (0, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 5), (4, 5)]
 
 
-class _Order:
-    """Reflexive-transitive closure of a cover list, for the bound oracles."""
-
-    def __init__(self, size, covers):
-        self.size = size
-        self.pairs = {(a, a) for a in range(size)} | set(covers)
-        while True:
-            step = {(a, d) for a, b in self.pairs for c, d in self.pairs if b == c}
-            if step <= self.pairs:
-                break
-            self.pairs |= step
-
-    def leq(self, a, b):
-        return (a, b) in self.pairs
-
-
 @pytest.mark.parametrize("perm", [range(6), [4, 5, 3, 1, 2, 0]])
 def test_hexagon_error_names_a_pair_without_bound(perm):
     covers = [(perm[a], perm[b]) for a, b in HEXAGON]
@@ -78,7 +63,7 @@ def test_hexagon_error_names_a_pair_without_bound(perm):
     assert m
     a, b = int(m[1]), int(m[2])
     bound = oracles.greatest_lower_bound if m[3] == "meet" else oracles.least_upper_bound
-    assert bound(_Order(6, covers), a, b) is None
+    assert bound(oracles.Order(6, covers), a, b) is None
 
 
 @pytest.mark.parametrize("seed", [None, 11])
@@ -229,3 +214,82 @@ def test_structural_equality(c3):
 def test_tables_are_read_only(c3):
     with pytest.raises(ValueError):
         c3.leq_table[0, 0] = False
+
+
+@st.composite
+def cover_lists(draw):
+    """Cover lists of up to 7 elements, most of them close to a lattice.
+
+    Edges run up a hidden ranking that a random numbering disguises; a
+    bounded draw adds every edge from the lowest and to the highest rank,
+    which makes many redundant.  Some edges are then reversed (cycles) and
+    stray pairs added (self-covers and pairs out of range).
+    """
+    size = draw(st.integers(0, 7))
+    ranks = [(r, s) for r in range(size) for s in range(r + 1, size)]
+    edges = draw(st.lists(st.sampled_from(ranks), max_size=12)) if ranks else []
+    if size and draw(st.booleans()):
+        edges += [(0, r) for r in range(1, size)]
+        edges += [(r, size - 1) for r in range(size - 1)]
+    edges = [(s, r) if draw(st.integers(0, 19)) == 0 else (r, s) for r, s in edges]
+    number = draw(st.permutations(range(size)))
+    covers = [(number[r], number[s]) for r, s in edges]
+    covers += draw(st.lists(st.tuples(st.integers(-1, size), st.integers(-1, size)),
+                            max_size=1 if draw(st.integers(0, 9)) == 0 else 0))
+    return size, draw(st.permutations(covers))
+
+
+def expected_error(size, covers):
+    """The error a cover list must raise, found without the library."""
+    if size <= 0:
+        return NotBounded
+    for i, j in covers:
+        if not (0 <= i < size and 0 <= j < size):
+            return NotALattice
+        if i == j:
+            return CyclicCovers
+    order = oracles.Order(size, covers)
+    rng = range(size)
+    if any(a != b and order.leq(a, b) and order.leq(b, a) for a in rng for b in rng):
+        return CyclicCovers
+    if not any(all(order.leq(a, x) for x in rng) for a in rng) \
+            or not any(all(order.leq(x, a) for x in rng) for a in rng):
+        return NotBounded
+    for a, b in itertools.product(rng, repeat=2):
+        if oracles.greatest_lower_bound(order, a, b) is None \
+                or oracles.least_upper_bound(order, a, b) is None:
+            return NotALattice
+    return None
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(cover_lists())
+@example((0, []))
+@example((1, [(0, 0)]))
+@example((3, [(0, 1), (1, 2), (2, 0)]))
+@example((2, [(0, 2)]))
+@example((3, [(0, 1), (0, 2)]))
+@example((6, HEXAGON))
+@example((4, [(3, 0), (3, 1), (1, 2), (0, 2), (3, 2), (3, 2)]))
+def test_build_agrees_with_oracles(case):
+    """A build succeeds exactly on lattices and then matches the brute-force
+    order, bounds and covers; otherwise it raises the expected error."""
+    size, covers = case
+    want = expected_error(size, covers)
+    if want is not None:
+        with pytest.raises((CyclicCovers, NotBounded, NotALattice)) as err:
+            build_from_covers(size, covers)
+        assert type(err.value) is want
+        return
+    L = build_from_covers(size, covers)
+    order = oracles.Order(size, covers)
+    rng = range(size)
+    for a, b in itertools.product(rng, repeat=2):
+        assert L.leq(a, b) == order.leq(a, b)
+        assert L.meet(a, b) == oracles.greatest_lower_bound(order, a, b)
+        assert L.join(a, b) == oracles.least_upper_bound(order, a, b)
+    strict = {(a, b) for a, b in order.pairs if a != b}
+    assert L.covers == tuple(sorted(
+        (a, b) for a, b in strict
+        if not any((a, c) in strict and (c, b) in strict for c in rng)))
+    assert all(order.leq(L.bottom, x) and order.leq(x, L.top) for x in rng)
