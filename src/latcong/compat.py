@@ -13,14 +13,19 @@ exhaustive enumeration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
+from itertools import islice
+
+import numpy as np
 
 from .congruences import all_congruences, principal_congruences
 from .errors import BudgetExceeded, NotMonotone
 from .lattice import Lattice
-from .polynomials import NormalForm, _monotone_assignments, \
-    boolean_restriction, eval_normal_form, is_monotone
-from .sugeno import capacity_from_function, enumerate_capacities, sugeno_table
-from .tables import FunctionTable, all_inputs, check_table, encode
+from .polynomials import BLOCK, NormalForm, _monotone_blocks, \
+    boolean_restriction, is_monotone, row_dtype
+from .sugeno import enumerate_capacities
+from .tables import FunctionTable, check_elements, check_table, encode, \
+    input_grid
 
 __all__ = [
     "FunctionTable",
@@ -28,18 +33,144 @@ __all__ = [
     "median_decomposition_check",
     "boolean_restriction",
     "synthesize",
+    "normal_form_table",
     "enumerate_monotone_tables",
     "verify_equivalence_suite",
     "EquivalenceReport",
 ]
 
+_CONGRUENCE_SETS = {"principal-only": principal_congruences, "all": all_congruences}
 
-def _congruence_set(L, mode):
-    if mode == "principal-only":
-        return principal_congruences(L)
-    if mode == "all":
-        return all_congruences(L)
-    raise ValueError(f"unknown mode {mode!r}; use 'principal-only' or 'all'")
+
+# --- table stacks -------------------------------------------------------------
+#
+# A stack is a (T, size**n) array of tables, one table per row, in the
+# smallest unsigned dtype of the carrier.  The kernels below evaluate a
+# characterization for every row at once by gathers through the meet and
+# join tables; single-table calls run them on a stack of one.
+
+
+class _Plan:
+    """Index arrays of the kernels for one lattice, arity and congruence set.
+
+    Each part is built on first use, so a plan used only to rebuild normal
+    forms never computes congruences.
+    """
+
+    def __init__(self, L: Lattice, n: int, mode: str):
+        if mode not in _CONGRUENCE_SETS:
+            raise ValueError(
+                f"unknown mode {mode!r}; use 'principal-only' or 'all'")
+        self.lattice, self.arity, self.mode = L, n, mode
+        self.dtype = row_dtype(L.size)
+        self.meet = L.meet_table.astype(self.dtype)
+        self.join = L.join_table.astype(self.dtype)
+        self.grid = input_grid(L.size, n)
+        self.strides = L.size ** np.arange(n - 1, -1, -1)
+
+    @cached_property
+    def pairs(self):
+        """Input pairs that one nontrivial congruence relates in one coordinate.
+
+        Per congruence and coordinate k, each input x is paired with x where
+        x_k moves to the least-numbered member of its class; congruent
+        outputs are transitive, so that covers every related pair.  Returns
+        the congruence index, the two input indices of each pair and the
+        class-equality table of each congruence.
+        """
+        L, grid = self.lattice, self.grid
+        classes = np.array([c.class_of for c in _CONGRUENCE_SETS[self.mode](L)
+                            if c.num_classes < L.size],
+                           dtype=np.intp).reshape(-1, L.size)
+        same = classes[:, :, None] == classes[:, None, :]
+        first = same.argmax(axis=2)
+        which, left, k = np.nonzero(first[:, grid] != grid)
+        x = grid[left, k]
+        right = left + (first[which, x] - x) * self.strides[k]
+        return which, left, right, same
+
+    @cached_property
+    def slices(self):
+        """(n, size**n) arrays: per coordinate k and input x, the index of x
+        with x_k at bottom, the index of x with x_k at top, and x_k."""
+        L, grid = self.lattice, self.grid
+        own = grid.T * self.strides[:, None]
+        base = np.arange(len(grid)) - own
+        return (base + L.bottom * self.strides[:, None],
+                base + L.top * self.strides[:, None], grid.T)
+
+    @cached_property
+    def vertices(self):
+        """Input index of the boolean vertex of each subset mask."""
+        L = self.lattice
+        bits = (np.arange(1 << self.arity)[:, None] >> np.arange(self.arity)) & 1
+        return np.where(bits, L.top, L.bottom) @ self.strides
+
+    @cached_property
+    def guarded_terms(self):
+        """(size, 2**n, size**n): c ^ (meet of the coordinates of x that
+        the mask selects), for every coefficient c, mask and input x.
+
+        The empty meet is top, so the empty mask gives c itself.
+        """
+        selected = np.empty((1 << self.arity, len(self.grid)), dtype=self.dtype)
+        selected[0] = self.lattice.top
+        for mask in range(1, 1 << self.arity):
+            low = (mask & -mask).bit_length() - 1
+            selected[mask] = self.meet[selected[mask & ~(1 << low)],
+                                       self.grid[:, low]]
+        return self.meet[:, selected]
+
+
+@lru_cache(maxsize=64)
+def _plan(L: Lattice, n: int, mode: str) -> _Plan:
+    return _Plan(L, n, mode)
+
+
+def _apply(table, a, b):
+    """``table[a, b]`` elementwise, as one flat gather (faster than
+    two-array fancy indexing); b must broadcast to the shape of a."""
+    index = np.multiply(a, table.shape[1], dtype=np.intp)
+    index += b
+    return table.ravel().take(index)
+
+
+def _compatible_rows(plan: _Plan, stack) -> np.ndarray:
+    """Per row: congruent inputs, one coordinate apart, give congruent outputs."""
+    which, left, right, same = plan.pairs
+    return same[which, stack[:, left], stack[:, right]].all(axis=1)
+
+
+def _median_rows(plan: _Plan, stack) -> np.ndarray:
+    """Per row: every slice is f(x) = med(f at x_k=bottom, x_k, f at x_k=top)."""
+    meet, join = plan.meet, plan.join
+    holds = np.ones(len(stack), dtype=bool)
+    for lows, highs, x in zip(*plan.slices):
+        f0, f1 = stack[:, lows], stack[:, highs]
+        med = _apply(meet, _apply(meet, _apply(join, f0, x), _apply(join, f1, x)),
+                     _apply(join, f1, f0))
+        holds &= (med == stack).all(axis=1)
+    return holds
+
+
+def _rebuild_rows(plan: _Plan, coefficients) -> np.ndarray:
+    """The tables of a stack of normal-form coefficient rows.
+
+    Join over masks of coefficient ^ (meet of the selected coordinates).
+    """
+    coefficients = np.asarray(coefficients)
+    if coefficients.size:
+        check_elements(plan.lattice.size,
+                       (coefficients.min(), coefficients.max()), "coefficient")
+    terms = plan.guarded_terms
+    out = np.full((len(coefficients), len(plan.grid)), plan.lattice.bottom,
+                  dtype=plan.dtype)
+    for mask in range(terms.shape[1]):
+        out = _apply(plan.join, out, terms[coefficients[:, mask], mask])
+    return out
+
+
+# --- the four characterizations, one table at a time ----------------------------
 
 
 def is_compatible(L: Lattice, f: FunctionTable, mode: str = "principal-only") -> bool:
@@ -53,25 +184,8 @@ def is_compatible(L: Lattice, f: FunctionTable, mode: str = "principal-only") ->
     full congruence lattice.
     """
     check_table(L, f)
-    n = f.arity
-    size = L.size
-    strides = [size ** (n - 1 - k) for k in range(n)]
-    grid = list(all_inputs(size, n))
-    vals = f.values
-    for cong in _congruence_set(L, mode):
-        cls = cong.class_of
-        if cong.num_classes == size:
-            continue
-        for idx, x in enumerate(grid):
-            fx = cls[vals[idx]]
-            for k in range(n):
-                xk = x[k]
-                ck = cls[xk]
-                stride = strides[k]
-                for y in range(xk + 1, size):
-                    if cls[y] == ck and cls[vals[idx + (y - xk) * stride]] != fx:
-                        return False
-    return True
+    plan = _plan(L, f.arity, mode)
+    return bool(_compatible_rows(plan, np.array([f.values], dtype=plan.dtype))[0])
 
 
 def median_decomposition_check(L: Lattice, f: FunctionTable) -> bool:
@@ -80,21 +194,15 @@ def median_decomposition_check(L: Lattice, f: FunctionTable) -> bool:
     f0 and f1 are f with coordinate k forced to bottom resp. top.
     """
     check_table(L, f)
-    n = f.arity
-    size = L.size
-    strides = [size ** (n - 1 - k) for k in range(n)]
-    vals = f.values
-    bottom, top = L.bottom, L.top
-    for idx, x in enumerate(all_inputs(size, n)):
-        fx = vals[idx]
-        for k in range(n):
-            stride = strides[k]
-            base = idx - x[k] * stride
-            f0 = vals[base + bottom * stride]
-            f1 = vals[base + top * stride]
-            if L.med(f0, x[k], f1) != fx:
-                return False
-    return True
+    plan = _plan(L, f.arity, "principal-only")
+    return bool(_median_rows(plan, np.array([f.values], dtype=plan.dtype))[0])
+
+
+def normal_form_table(L: Lattice, nf: NormalForm) -> FunctionTable:
+    """The table of the join-of-meets normal form of ``nf``."""
+    plan = _plan(L, nf.arity, "principal-only")
+    return FunctionTable(nf.arity, L.size,
+                         _rebuild_rows(plan, [nf.coefficients])[0].tolist())
 
 
 def synthesize(L: Lattice, f: FunctionTable) -> tuple[NormalForm, bool]:
@@ -106,9 +214,7 @@ def synthesize(L: Lattice, f: FunctionTable) -> tuple[NormalForm, bool]:
     if not is_monotone(L, f):
         raise NotMonotone("synthesis is defined for nondecreasing tables")
     nf = boolean_restriction(L, f)
-    verified = all(eval_normal_form(L, nf, x) == fx
-                   for x, fx in zip(all_inputs(L.size, f.arity), f.values))
-    return nf, verified
+    return nf, normal_form_table(L, nf) == f
 
 
 def enumerate_monotone_tables(L: Lattice, n: int, filter: str = "all",
@@ -122,35 +228,35 @@ def enumerate_monotone_tables(L: Lattice, n: int, filter: str = "all",
     if filter not in ("all", "aggregation"):
         raise ValueError(f"unknown filter {filter!r}")
     size = L.size
-    grid = list(all_inputs(size, n))
-    leq = L.leq_table
-
-    # For every input position, the earlier positions it must dominate or
-    # be dominated by.  Checking against all assigned comparables keeps the
-    # scan correct for any element numbering.
+    grid = input_grid(size, n)
+    # strictly[s, t]: input s lies under input t in every coordinate.
+    strictly = ~np.eye(len(grid), dtype=bool)
+    for column in grid.T:
+        strictly &= L.leq_table[np.ix_(column, column)]
+    # Each input checks only the maximal earlier inputs under it and the
+    # minimal earlier ones over it: the earlier values already keep order
+    # among themselves, for any element numbering.
     below, above = [], []
-    for t, x in enumerate(grid):
-        lows, highs = [], []
-        for s in range(t):
-            y = grid[s]
-            if all(leq[a, b] for a, b in zip(y, x)):
-                lows.append(s)
-            elif all(leq[b, a] for a, b in zip(y, x)):
-                highs.append(s)
-        below.append(tuple(lows))
-        above.append(tuple(highs))
+    for t in range(len(grid)):
+        lows = np.flatnonzero(strictly[:t, t])
+        below.append(lows[~strictly[np.ix_(lows, lows)].any(axis=1)].tolist())
+        highs = np.flatnonzero(strictly[t, :t])
+        above.append(highs[~strictly[np.ix_(highs, highs)].any(axis=0)].tolist())
 
     pinned = ()
     if filter == "aggregation":
         pinned = ((encode((L.bottom,) * n, size), L.bottom),
                   (encode((L.top,) * n, size), L.top))
 
-    for emitted, values in enumerate(
-            _monotone_assignments(L, below, above, pinned), start=1):
-        if emitted > budget:
-            raise BudgetExceeded(
-                f"monotone-table enumeration exceeded budget {budget}")
-        yield FunctionTable(n, size, values)
+    emitted = 0
+    for block in _monotone_blocks(L, below, above, pinned):
+        for row in block:
+            values = row.tolist()
+            emitted += 1
+            if emitted > budget:
+                raise BudgetExceeded(
+                    f"monotone-table enumeration exceeded budget {budget}")
+            yield FunctionTable(n, size, values)
 
 
 @dataclass(frozen=True)
@@ -207,7 +313,12 @@ def verify_equivalence_suite(L: Lattice, n: int, filter: str = "all",
     tables must have pairwise distinct boolean restrictions.  Compatible
     aggregation tables must be exactly the Sugeno integrals of capacities,
     in bijection via boolean restriction.
+
+    Tables and capacities are taken ``BLOCK`` at a time and checked as one
+    stack; only compatible or disagreeing rows are visited one by one.
     """
+    plan = _plan(L, n, "principal-only")
+    vertices = plan.vertices
     monotone = 0
     compatible = 0
     compatible_aggregation = 0
@@ -215,44 +326,51 @@ def verify_equivalence_suite(L: Lattice, n: int, filter: str = "all",
     collisions = []
     integral_violations = []
     seen_restrictions = {}
-    bottom_vertex = (L.bottom,) * n
-    top_vertex = (L.top,) * n
-    for f in enumerate_monotone_tables(L, n, filter=filter, budget=budget):
-        monotone += 1
-        comp = is_compatible(L, f)
-        med = median_decomposition_check(L, f)
-        nf, rebuilt = synthesize(L, f)
-        if not (comp == med == rebuilt):
-            equivalence_violations.append(
-                f"table {f.values}: compatible={comp} median={med} "
-                f"reconstructed={rebuilt}")
-            continue
-        if comp:
+    tables = enumerate_monotone_tables(L, n, filter=filter, budget=budget)
+    while block := [f.values for f in islice(tables, BLOCK)]:
+        monotone += len(block)
+        stack = np.array(block, dtype=plan.dtype)
+        comp = _compatible_rows(plan, stack)
+        med = _median_rows(plan, stack)
+        restrictions = stack[:, vertices]
+        rebuilt = (_rebuild_rows(plan, restrictions) == stack).all(axis=1)
+        agree = (comp == med) & (med == rebuilt)
+        # The integral of a table's capacity is the rebuild of its boolean
+        # restriction, so a compatible aggregation table is the integral of
+        # its own capacity exactly when it is rebuilt.
+        aggregation = (stack[:, vertices[0]] == L.bottom) \
+            & (stack[:, vertices[-1]] == L.top)
+        for r in np.flatnonzero(comp | ~agree).tolist():
+            values = block[r]
+            if not agree[r]:
+                equivalence_violations.append(
+                    f"table {values}: compatible={bool(comp[r])} "
+                    f"median={bool(med[r])} reconstructed={bool(rebuilt[r])}")
+                continue
             compatible += 1
-            clash = seen_restrictions.get(nf.coefficients)
+            key = tuple(restrictions[r].tolist())
+            clash = seen_restrictions.get(key)
             if clash is not None:
                 collisions.append(
-                    f"tables {clash} and {f.values} share boolean "
-                    f"restriction {nf.coefficients}")
-            seen_restrictions[nf.coefficients] = f.values
-            if f.value_at(bottom_vertex) == L.bottom \
-                    and f.value_at(top_vertex) == L.top:
-                compatible_aggregation += 1
-                m = capacity_from_function(L, f)
-                if sugeno_table(L, m) != f:
-                    integral_violations.append(
-                        f"aggregation table {f.values} is not the integral "
-                        f"of its own capacity {m.coefficients}")
+                    f"tables {clash} and {values} share boolean "
+                    f"restriction {key}")
+            seen_restrictions[key] = values
+            compatible_aggregation += bool(aggregation[r])
     capacity_count = 0
-    for m in enumerate_capacities(L, n):
-        capacity_count += 1
-        table = sugeno_table(L, m)
-        if not is_compatible(L, table):
-            integral_violations.append(
-                f"integral of capacity {m.coefficients} is not compatible")
-        if capacity_from_function(L, table) != m:
-            integral_violations.append(
-                f"capacity {m.coefficients} does not round-trip through its integral")
+    capacities = enumerate_capacities(L, n)
+    while block := [m.coefficients for m in islice(capacities, BLOCK)]:
+        capacity_count += len(block)
+        coefficients = np.array(block, dtype=plan.dtype)
+        integrals = _rebuild_rows(plan, coefficients)
+        comp = _compatible_rows(plan, integrals)
+        back = (integrals[:, vertices] == coefficients).all(axis=1)
+        for r in np.flatnonzero(~comp | ~back).tolist():
+            if not comp[r]:
+                integral_violations.append(
+                    f"integral of capacity {block[r]} is not compatible")
+            if not back[r]:
+                integral_violations.append(
+                    f"capacity {block[r]} does not round-trip through its integral")
     return EquivalenceReport(
         L.name or f"size-{L.size}", n, filter, monotone, compatible,
         capacity_count, compatible_aggregation, tuple(equivalence_violations),

@@ -95,6 +95,7 @@ def parse_lattice(text: str) -> Lattice:
     size = None
     covers = []
     labels = {}
+    label_lines = {}
     for lineno, tokens in _lines(text):
         key = tokens[0]
         if key == "lattice":
@@ -115,13 +116,19 @@ def parse_lattice(text: str) -> Lattice:
         elif key == "label":
             if len(tokens) < 3:
                 raise ParseError("expected: label <i> <text>", lineno)
-            labels[_int(tokens[1], lineno)] = " ".join(tokens[2:])
+            element = _int(tokens[1], lineno)
+            labels[element] = " ".join(tokens[2:])
+            label_lines[element] = lineno
         else:
             raise ParseError(f"unknown lattice keyword {key!r}", lineno)
     if name is None:
         raise ParseError("missing 'lattice <name>' line")
     if size is None:
         raise ParseError("missing 'elements <count>' line")
+    for element, lineno in label_lines.items():
+        if not 0 <= element < size:
+            raise ParseError(
+                f"label for {element} outside carrier of size {size}", lineno)
     return build_from_covers(size, covers, name=name, labels=labels or None)
 
 

@@ -15,7 +15,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CyclicCovers, NotALattice, NotBounded, UnknownName
+from .errors import CyclicCovers, ForeignElement, NotALattice, NotBounded, \
+    UnknownName
 
 Element = int
 
@@ -42,7 +43,8 @@ class Lattice:
 
         Redundant pairs are allowed; ``covers`` keeps only the true covers.
         Raises CyclicCovers, NotBounded, or NotALattice when the input does
-        not describe a finite bounded lattice.
+        not describe a finite bounded lattice, and ForeignElement for a
+        label of an element outside ``0..size-1``.
         """
         if size <= 0:
             raise NotBounded("a bounded lattice needs at least one element")
@@ -68,6 +70,9 @@ class Lattice:
         self.covers = _cover_pairs(leq, edges)
         self.name = name
         self.labels = dict(labels) if labels else {}
+        for a in self.labels:
+            if not 0 <= a < size:
+                raise ForeignElement(f"label for {a} outside carrier of size {size}")
         for arr in (self.leq_table, self.meet_table, self.join_table):
             arr.flags.writeable = False
 

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ArityMismatch, ForeignElement
 from .lattice import Lattice
-from .tables import FunctionTable, all_inputs, check_input, check_table, \
-    encode, vertex_input
+from .tables import FunctionTable, all_inputs, check_elements, check_input, \
+    check_table, encode, vertex_input
 
 
 @dataclass(frozen=True)
@@ -133,8 +135,11 @@ def eval_normal_form(L: Lattice, nf: NormalForm, x) -> int:
     x = check_input(L.size, nf.arity, x)
     meet, join = L.meet_table, L.join_table
     acc = L.bottom
-    for mask in range(1 << nf.arity):
-        term = nf.coefficients[mask]
+    for mask, term in enumerate(nf.coefficients):
+        # Range-tested in the loop it already runs: this evaluator is called
+        # once per point, and check_elements raises with the message.
+        if not 0 <= term < L.size:
+            check_elements(L.size, nf.coefficients, "coefficient")
         for i in range(nf.arity):
             if mask >> i & 1:
                 term = meet[term, x[i]]
@@ -181,37 +186,53 @@ def boolean_restriction(L: Lattice, f: FunctionTable) -> NormalForm:
     return NormalForm(f.arity, tuple(coeffs))
 
 
-def _monotone_assignments(L: Lattice, below, above, pinned=()):
+# Rows per block of the monotone enumerators; it bounds their memory.
+BLOCK = 1024
+
+
+def row_dtype(size: int):
+    """Smallest unsigned dtype that holds every element of a carrier."""
+    return np.uint8 if size <= 256 else np.uint16
+
+
+def _monotone_blocks(L: Lattice, below, above, pinned=()):
     """Every assignment of elements to positions 0, 1, ... that keeps order.
 
     The value at position t must dominate the values at the earlier
     positions ``below[t]`` and lie under those at ``above[t]``.  ``pinned``
     holds (position, value) pairs; two different values pinned to one
-    position leave nothing to assign.  Candidates are tried in element
-    order, so the value tuples come out lexicographically sorted.
+    position leave nothing to assign.  Yields ``(rows, len(below))`` arrays
+    of at most ``BLOCK`` rows; the rows come out lexicographically sorted.
+
+    Partial rows are extended one position at a time, a block at a time,
+    depth first: a ``(rows, size)`` mask of allowed values is gathered from
+    ``leq_table``, and each row is repeated once per allowed value, in
+    element order.
     """
-    total = len(below)
-    leq = L.leq_table
-    pins = {}
+    total, size = len(below), L.size
+    allowed = np.ones((total, size), dtype=bool)
     for t, v in pinned:
-        if pins.setdefault(t, v) != v:
-            return iter(())
-    values = [0] * total
-
-    def rec(t):
+        pin = np.zeros(size, dtype=bool)
+        pin[v] = True
+        allowed[t] &= pin
+    leq, geq = L.leq_table, L.leq_table.T
+    stack = [(0, np.zeros((1, total), dtype=row_dtype(size)))]
+    while stack:
+        t, rows = stack.pop()
         if t == total:
-            yield tuple(values)
-            return
-        lows, highs = below[t], above[t]
-        for v in (pins[t],) if t in pins else range(L.size):
-            # ``highs`` is always empty for masks; testing it before
-            # building a second all() keeps the mask enumerators fast.
-            if all(leq[values[s], v] for s in lows) and \
-                    (not highs or all(leq[v, values[s]] for s in highs)):
-                values[t] = v
-                yield from rec(t + 1)
-
-    return rec(0)
+            yield rows
+            continue
+        ok = np.repeat(allowed[t:t + 1], len(rows), axis=0)
+        for s in below[t]:
+            ok &= leq[rows[:, s]]
+        for s in above[t]:
+            ok &= geq[rows[:, s]]
+        parent, value = np.nonzero(ok)
+        grown = rows[parent]
+        grown[:, t] = value
+        # Pushed last block first, so the first block is extended first.
+        stack.extend((t + 1, grown[i:i + BLOCK])
+                     for i in reversed(range(0, len(grown), BLOCK)))
 
 
 def _submask_order(arity: int):
@@ -227,8 +248,9 @@ def _submask_order(arity: int):
 
 def enumerate_monotone_normal_forms(L: Lattice, arity: int):
     """All coefficient tables nondecreasing along subset inclusion."""
-    for coeffs in _monotone_assignments(L, *_submask_order(arity)):
-        yield NormalForm(arity, coeffs)
+    for block in _monotone_blocks(L, *_submask_order(arity)):
+        for coeffs in block.tolist():
+            yield NormalForm(arity, tuple(coeffs))
 
 
 def random_polynomial(rng, arity: int, lattice_size: int,

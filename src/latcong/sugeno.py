@@ -15,11 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ForeignElement, NotAChain, NotAggregation, ValidationError
+from .errors import NotAChain, NotAggregation, ValidationError
 from .lattice import Lattice
-from .polynomials import NormalForm, _monotone_assignments, _submask_order, \
+from .polynomials import NormalForm, _monotone_blocks, _submask_order, \
     boolean_restriction, eval_normal_form, is_monotone
-from .tables import FunctionTable, all_inputs, check_input, check_table
+from .tables import FunctionTable, all_inputs, check_elements, check_input, \
+    check_table
 
 
 @dataclass(frozen=True, init=False, slots=True)
@@ -41,10 +42,7 @@ class Capacity(NormalForm):
         if len(values) != 1 << arity or not values:
             raise ValidationError(
                 f"capacity needs 2^n entries, got {len(values)}")
-        for v in values:
-            if not 0 <= v < lattice.size:
-                raise ForeignElement(
-                    f"capacity value {v} outside lattice of size {lattice.size}")
+        check_elements(lattice.size, values, "capacity value")
         if values[0] != lattice.bottom:
             raise ValidationError(
                 f"capacity of the empty set must be bottom, got {values[0]}")
@@ -67,8 +65,9 @@ def enumerate_capacities(L: Lattice, n: int):
     """
     below, above = _submask_order(n)
     pinned = ((0, L.bottom), (len(below) - 1, L.top))
-    for values in _monotone_assignments(L, below, above, pinned):
-        yield Capacity(L, values)
+    for block in _monotone_blocks(L, below, above, pinned):
+        for values in block.tolist():
+            yield Capacity(L, values)
 
 
 # The subset expansion is the normal form with the capacity as coefficients.
@@ -105,8 +104,8 @@ def sugeno_eval_pointwise(L: Lattice, m: Capacity, u) -> int:
 
 def sugeno_table(L: Lattice, m: Capacity) -> FunctionTable:
     """Lower the integral to an explicit function table."""
-    return FunctionTable.from_callable(L.size, m.arity,
-                                       lambda u: sugeno_eval(L, m, u))
+    from .compat import normal_form_table  # compat imports this module
+    return normal_form_table(L, m)
 
 
 def capacity_from_function(L: Lattice, A: FunctionTable) -> Capacity:

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
+
 from .errors import ArityMismatch, ForeignElement
 
 
@@ -27,20 +29,23 @@ def all_inputs(size: int, arity: int):
     return itertools.product(range(size), repeat=arity)
 
 
+def input_grid(size: int, arity: int):
+    """Every input as a row of a ``(size**arity, arity)`` array, in encoding order."""
+    return np.indices((size,) * arity).reshape(arity, size ** arity).T
+
+
 class FunctionTable:
     """Total function L^n -> L stored as a flat value tuple."""
 
     __slots__ = ("arity", "size", "values")
 
     def __init__(self, arity: int, size: int, values):
-        values = tuple(int(v) for v in values)
+        values = tuple(map(int, values))
         if len(values) != size ** arity:
             raise ArityMismatch(
                 f"expected {size ** arity} entries for arity {arity}, "
                 f"got {len(values)}")
-        for v in values:
-            if not 0 <= v < size:
-                raise ForeignElement(f"output {v} outside carrier of size {size}")
+        check_elements(size, values, "output")
         self.arity = arity
         self.size = size
         self.values = values
@@ -74,6 +79,19 @@ def check_input(size: int, arity: int, x) -> tuple[int, ...]:
         if not 0 <= v < size:
             raise ForeignElement(f"input {v} outside carrier of size {size}")
     return x
+
+
+def check_elements(size: int, values, what: str) -> None:
+    """Raise ForeignElement unless every value lies in ``0..size-1``.
+
+    The message names the smallest value if it is negative, else the
+    largest; a stack is checked by passing its minimum and maximum.
+    """
+    if len(values):
+        low, high = min(values), max(values)
+        if low < 0 or high >= size:
+            raise ForeignElement(f"{what} {low if low < 0 else high} "
+                                 f"outside carrier of size {size}")
 
 
 def check_table(L, f: FunctionTable) -> None:

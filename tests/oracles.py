@@ -168,3 +168,47 @@ def join_irreducible_count(L):
                         if not any(z != y and L.leq(y, z) for z in below)]
         count += len(lower_covers) == 1
     return count
+
+
+def bottom_of(L):
+    """The element under every element, found by scanning ``leq``."""
+    return next(b for b in range(L.size) if all(L.leq(b, c) for c in range(L.size)))
+
+
+def top_of(L):
+    return next(t for t in range(L.size) if all(L.leq(c, t) for c in range(L.size)))
+
+
+def median_by_bounds(L, a, b, c):
+    """(a v b) ^ (b v c) ^ (c v a), each bound found by the bound scans."""
+    ab, bc, ca = least_upper_bound(L, a, b), least_upper_bound(L, b, c), \
+        least_upper_bound(L, c, a)
+    return greatest_lower_bound(L, greatest_lower_bound(L, ab, bc), ca)
+
+
+def median_decomposition_holds(L, table):
+    """Every coordinate slice: f(x) = med(f(x, x_k := bottom), x_k, f(x, x_k := top))."""
+    bottom, top = bottom_of(L), top_of(L)
+    for x in itertools.product(range(L.size), repeat=table.arity):
+        for k in range(table.arity):
+            low = table.value_at(x[:k] + (bottom,) + x[k + 1:])
+            high = table.value_at(x[:k] + (top,) + x[k + 1:])
+            if median_by_bounds(L, low, x[k], high) != table.value_at(x):
+                return False
+    return True
+
+
+def vertex_values(L, table):
+    """Values at the boolean vertices, indexed by mask (bit i = coordinate i)."""
+    bottom, top = bottom_of(L), top_of(L)
+    return tuple(
+        table.value_at(tuple(top if mask >> i & 1 else bottom
+                             for i in range(table.arity)))
+        for mask in range(1 << table.arity))
+
+
+def subset_expansion_table(L, coefficients, arity):
+    """Values of the join-of-meets expansion of ``coefficients`` at every
+    input, in ``itertools.product`` order."""
+    return tuple(sugeno_by_subsets(L, coefficients, x)
+                 for x in itertools.product(range(L.size), repeat=arity))

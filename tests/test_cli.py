@@ -29,6 +29,8 @@ def files(tmp_path_factory):
     write("negative.cap", "capacity x\nn -1\n")
     write("negative.fn", "function f\nn -1\n")
     write("huge.lat", "lattice huge\nelements 1000000000\ncover 0 1\n")
+    write("ghost.lat", "lattice g\nelements 2\ncover 0 1\nlabel 7 ghost\n")
+    write("neg.lat", "lattice g\nelements 2\ncover 0 1\nlabel -1 neg\n")
     write("huge.cap", "capacity x\nn 100000000\n")
     write("huge.fn", "function f\nn 100000000\n")
     deep = "(var 0)"
@@ -192,6 +194,15 @@ def test_oversized_lattice_exits_2(files, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: line 2: element count 1000000000 exceeds")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, element", [("ghost.lat", 7), ("neg.lat", -1)])
+def test_label_outside_carrier_exits_2(files, capsys, key, element):
+    code, out, err = run(capsys, "congruences", "--lattice", files[key])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: line 4: label for {element} outside carrier")
     assert "Traceback" not in err
 
 

@@ -43,6 +43,11 @@ def test_principal_mode_matches_all_mode_and_oracle(name, n):
         assert principal == oracles.is_compatible_all_tuples(L, f)
 
 
+def test_unknown_congruence_mode_rejected(c3):
+    with pytest.raises(ValueError, match="unknown mode 'some'"):
+        is_compatible(c3, BENT, mode="some")
+
+
 def test_median_decomposition_examples(c3):
     assert not median_decomposition_check(c3, BENT)
     assert c3.med(BENT.values[0], 1, BENT.values[2]) == 1  # but f(1) = 2
@@ -229,6 +234,30 @@ def test_equivalence_scan_chain3_ternary(c3):
     nf_count = sum(1 for _ in enumerate_monotone_normal_forms(c3, 3))
     assert report.compatible_count == nf_count == 168
     assert report.capacity_count == 129
+
+
+@pytest.mark.parametrize("n, dedekind", [(4, 168), (5, 7581)])
+def test_equivalence_scan_chain2_dedekind(c2, monkeypatch, n, dedekind):
+    """Monotone tables chain(2)^n -> chain(2) are the monotone boolean
+    functions, counted by the Dedekind number M(n).  chain(2) has only the
+    trivial congruences, so every table is compatible.  The capacities are
+    the M(n) - 2 nonconstant ones, and so are the compatible aggregation
+    tables.
+
+    The capacities are checked in blocks: the rebuild kernel runs once per
+    block of tables or capacities, not once per capacity.
+    """
+    from latcong import compat
+    rebuilds = []
+    kernel = compat._rebuild_rows
+    monkeypatch.setattr(compat, "_rebuild_rows",
+                        lambda plan, rows: rebuilds.append(len(rows)) or kernel(plan, rows))
+    report = verify_equivalence_suite(c2, n)
+    assert report.ok
+    assert report.monotone_count == report.compatible_count == dedekind
+    assert report.compatible_aggregation_count == report.capacity_count == dedekind - 2
+    assert sum(rebuilds) == 2 * dedekind - 2
+    assert len(rebuilds) == -(-dedekind // compat.BLOCK) + -(-(dedekind - 2) // compat.BLOCK)
 
 
 @pytest.mark.parametrize("check", [

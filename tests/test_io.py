@@ -39,6 +39,19 @@ def test_parse_lattice_with_labels():
     assert L.labels == {0: "zero", 2: "two words"}
 
 
+@pytest.mark.parametrize("element", [3, 7, -1])
+def test_label_outside_carrier_is_a_parse_error(element):
+    """The error names the label line, wherever the elements line is."""
+    text = C3_TEXT + f"label 0 zero\nlabel {element} ghost\n"
+    with pytest.raises(ParseError, match=f"line 7: label for {element} outside "
+                                         "carrier of size 3"):
+        io.parse_lattice(text)
+    moved = f"label {element} ghost\n" + C3_TEXT
+    with pytest.raises(ParseError) as err:
+        io.parse_lattice(moved)
+    assert err.value.line == 1
+
+
 def test_lattice_round_trip_all_catalogue():
     for name in ("chain(5)", "boolean(3)", "M3", "N5"):
         L = catalogue(name)

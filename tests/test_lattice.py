@@ -6,7 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from conftest import CATALOGUE_NAMES, DISTRIBUTIVE_NAMES, relabelled
-from latcong.errors import CyclicCovers, NotALattice, NotBounded, UnknownName
+from latcong.errors import CyclicCovers, ForeignElement, NotALattice, NotBounded, \
+    UnknownName
 from latcong.lattice import MAX_SIZE, build_from_covers, catalogue, \
     is_isomorphic, med_dual_check
 
@@ -88,6 +89,16 @@ def test_catalogue_size_guard():
 def test_out_of_range_cover_rejected():
     with pytest.raises(NotALattice):
         build_from_covers(2, [(0, 5)])
+
+
+@pytest.mark.parametrize("element", [2, 7, -1])
+def test_label_outside_carrier_rejected(element):
+    """A label names an element; one outside 0..size-1 used to be kept and
+    serialized back out."""
+    with pytest.raises(ForeignElement, match=f"label for {element} outside"):
+        build_from_covers(2, [(0, 1)], labels={element: "ghost"})
+    L = build_from_covers(2, [(0, 1)], labels={0: "low", 1: "high"})
+    assert L.labels == {0: "low", 1: "high"}
 
 
 def test_catalogue_entries():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 import oracles
-from latcong.compat import is_compatible
+from latcong.compat import is_compatible, normal_form_table
 from latcong.errors import ArityMismatch, ForeignElement
 from latcong.lattice import catalogue
 from latcong.polynomials import (
@@ -93,6 +93,17 @@ def test_all_bottom_coefficients_give_bottom(c3):
 def test_eval_normal_form_worked_example(c3):
     nf = NormalForm(2, (0, 1, 1, 2))
     assert eval_normal_form(c3, nf, (2, 0)) == 1
+
+
+@pytest.mark.parametrize("coefficient", [-1, 3, 9])
+def test_coefficient_outside_carrier_is_foreign(c3, coefficient):
+    """A negative coefficient used to wrap around the meet table and 9 to
+    raise a raw numpy IndexError."""
+    nf = NormalForm(1, (0, coefficient))
+    with pytest.raises(ForeignElement, match=f"coefficient {coefficient} outside"):
+        eval_normal_form(c3, nf, (2,))
+    with pytest.raises(ForeignElement, match=f"coefficient {coefficient} outside"):
+        normal_form_table(c3, nf)
 
 
 def test_normal_form_shape_checked():

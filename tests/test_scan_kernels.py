@@ -1,0 +1,181 @@
+"""The table-stack kernels and the blocked scan, row by row against the oracles.
+
+Every expected verdict, table and report here comes from ``tests/oracles.py``
+(bound scans, partition filtering, the literal subset expansion and
+brute-force monotone maps), never from the production code under test.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+import oracles
+from conftest import relabelled
+from latcong import compat, polynomials
+from latcong.compat import EquivalenceReport, verify_equivalence_suite
+from latcong.lattice import catalogue
+from latcong.tables import FunctionTable
+
+C3, N5 = catalogue("chain(3)"), catalogue("N5")
+LATTICES = {name: catalogue(name)
+            for name in ("chain(1)", "chain(2)", "chain(3)", "boolean(2)", "N5", "M3")}
+LATTICES.update({
+    "chain(3) reversed": relabelled(C3, None),
+    "chain(3) shuffled": relabelled(C3, 6),
+    "N5 reversed": relabelled(N5, None),
+    "N5 shuffled": relabelled(N5, 3),
+})
+# (lattice, arity): every monotone table of each is checked.
+CASES = [("chain(1)", 0), ("chain(1)", 1), ("chain(1)", 2),
+         ("chain(3)", 0), ("chain(3)", 1), ("chain(3)", 2),
+         ("chain(3) reversed", 1), ("chain(3) reversed", 2),
+         ("chain(3) shuffled", 1), ("chain(3) shuffled", 2),
+         ("boolean(2)", 0), ("boolean(2)", 1),
+         ("N5", 0), ("N5", 1), ("M3", 0), ("M3", 1),
+         ("N5 reversed", 1), ("N5 shuffled", 1)]
+
+
+def test_relabellings_move_the_bounds():
+    """The renumbered chains and pentagons are not in numeric order."""
+    for name in ("chain(3) reversed", "chain(3) shuffled",
+                 "N5 reversed", "N5 shuffled"):
+        L = LATTICES[name]
+        assert (oracles.bottom_of(L), oracles.top_of(L)) != (0, L.size - 1)
+
+
+def _points(L, n):
+    return list(itertools.product(range(L.size), repeat=n))
+
+
+def _monotone(L, n, pinned=()):
+    return oracles.monotone_maps(
+        L, _points(L, n), lambda x, y: all(L.leq(a, b) for a, b in zip(x, y)),
+        pinned)
+
+
+def _kernel_verdicts(L, n, rows, mode="principal-only"):
+    plan = compat._plan(L, n, mode)
+    stack = np.array(rows, dtype=plan.dtype).reshape(len(rows), L.size ** n)
+    restrictions = stack[:, plan.vertices]
+    return (compat._compatible_rows(plan, stack), compat._median_rows(plan, stack),
+            restrictions, compat._rebuild_rows(plan, restrictions))
+
+
+@pytest.mark.parametrize("name,n", CASES)
+def test_kernels_match_oracles_on_monotone_tables(name, n):
+    L = LATTICES[name]
+    rows = _monotone(L, n)
+    comp, med, restrictions, rebuilt = _kernel_verdicts(L, n, rows)
+    comp_all = _kernel_verdicts(L, n, rows, mode="all")[0]
+    for r, values in enumerate(rows):
+        f = FunctionTable(n, L.size, values)
+        compatible = oracles.is_compatible_all_tuples(L, f)
+        assert comp[r] == comp_all[r] == compatible, values
+        assert med[r] == oracles.median_decomposition_holds(L, f), values
+        vertices = oracles.vertex_values(L, f)
+        assert tuple(restrictions[r].tolist()) == vertices
+        assert tuple(rebuilt[r].tolist()) == \
+            oracles.subset_expansion_table(L, vertices, n)
+
+
+@pytest.mark.parametrize("name", ["N5", "N5 shuffled", "M3"])
+def test_kernels_on_a_stack_longer_than_a_block(name):
+    """Every unary table, monotone or not: 5^5 = 3125 rows in one stack."""
+    L = LATTICES[name]
+    rows = list(itertools.product(range(L.size), repeat=L.size))
+    assert len(rows) > polynomials.BLOCK
+    comp, med, _, _ = _kernel_verdicts(L, 1, rows)
+    for r, values in enumerate(rows):
+        f = FunctionTable(1, L.size, values)
+        assert comp[r] == oracles.is_compatible_all_tuples(L, f), values
+        assert med[r] == oracles.median_decomposition_holds(L, f), values
+
+
+@pytest.mark.parametrize("name,n", [("chain(3)", 2), ("chain(3) shuffled", 2),
+                                    ("N5 reversed", 1), ("boolean(2)", 2)])
+def test_rebuild_of_arbitrary_coefficients(name, n):
+    """The expansion of any coefficient table, monotone in the masks or not."""
+    L = LATTICES[name]
+    rows = list(itertools.product(range(L.size), repeat=1 << n))
+    plan = compat._plan(L, n, "principal-only")
+    rebuilt = compat._rebuild_rows(plan, np.array(rows))
+    for r, coefficients in enumerate(rows):
+        assert tuple(rebuilt[r].tolist()) == \
+            oracles.subset_expansion_table(L, coefficients, n)
+
+
+def oracle_report(L, n, filter="all"):
+    """The EquivalenceReport of the scan, assembled from the oracles alone."""
+    bottom, top = oracles.bottom_of(L), oracles.top_of(L)
+    points = _points(L, n)
+    ends = (points.index((bottom,) * n), points.index((top,) * n))
+    pinned = ((ends[0], bottom), (ends[1], top)) if filter == "aggregation" else ()
+    monotone = _monotone(L, n, pinned)
+    violations, collisions, integral = [], [], []
+    seen = {}
+    compatible = aggregation = 0
+    for values in monotone:
+        f = FunctionTable(n, L.size, values)
+        vertices = oracles.vertex_values(L, f)
+        expansion = oracles.subset_expansion_table(L, vertices, n)
+        comp = oracles.is_compatible_all_tuples(L, f)
+        med = oracles.median_decomposition_holds(L, f)
+        rebuilt = expansion == values
+        if not comp == med == rebuilt:
+            violations.append(f"table {values}: compatible={comp} median={med} "
+                              f"reconstructed={rebuilt}")
+            continue
+        if comp:
+            compatible += 1
+            if vertices in seen:
+                collisions.append(f"tables {seen[vertices]} and {values} share "
+                                  f"boolean restriction {vertices}")
+            seen[vertices] = values
+            if values[ends[0]] == bottom and values[ends[1]] == top:
+                aggregation += 1
+                if expansion != values:
+                    integral.append(f"aggregation table {values} is not the "
+                                    f"integral of its own capacity {vertices}")
+    full = (1 << n) - 1
+    capacities = oracles.monotone_maps(L, list(range(1 << n)),
+                                       lambda a, b: a & b == a,
+                                       ((0, bottom), (full, top)))
+    for capacity in capacities:
+        table = FunctionTable(n, L.size,
+                              oracles.subset_expansion_table(L, capacity, n))
+        if not oracles.is_compatible_all_tuples(L, table):
+            integral.append(f"integral of capacity {capacity} is not compatible")
+        if oracles.vertex_values(L, table) != capacity:
+            integral.append(f"capacity {capacity} does not round-trip "
+                            "through its integral")
+    return EquivalenceReport(L.name, n, filter, len(monotone), compatible,
+                             len(capacities), aggregation, tuple(violations),
+                             tuple(collisions), tuple(integral))
+
+
+REPORT_CASES = [(name, n, "all") for name, n in CASES] + [
+    ("chain(2)", 2, "aggregation"), ("chain(3)", 2, "aggregation"),
+    ("chain(3) shuffled", 2, "aggregation"), ("N5", 1, "aggregation")]
+
+
+@pytest.mark.parametrize("block", [None, 7])
+@pytest.mark.parametrize("name,n,filter", REPORT_CASES)
+def test_scan_report_matches_oracles(monkeypatch, name, n, filter, block):
+    """With ``block`` set, the enumerator and the scan work in blocks of 7
+    rows, so consecutive tables fall into different blocks."""
+    if block is not None:
+        monkeypatch.setattr(polynomials, "BLOCK", block)
+        monkeypatch.setattr(compat, "BLOCK", block)
+    L = LATTICES[name]
+    assert verify_equivalence_suite(L, n, filter=filter) == \
+        oracle_report(L, n, filter)
+
+
+@pytest.mark.parametrize("name", ["N5", "M3", "N5 shuffled"])
+def test_reports_off_distributivity_carry_violations(name):
+    """The string comparison above is not vacuous: off distributive lattices
+    the three verdicts disagree on some tables."""
+    report = oracle_report(LATTICES[name], 1)
+    assert report.equivalence_violations
+    assert not report.ok
