@@ -22,7 +22,7 @@ from .compat import (
 from .congruences import all_congruences, principal_congruence, \
     principal_congruence_oracle
 from .constructions import direct_product, horizontal_sum
-from .errors import LatcongError
+from .errors import ArityMismatch, LatcongError
 from .lattice import Lattice
 from .polynomials import to_table
 from .sugeno import capacity_from_function, compare_formulations, sugeno_eval
@@ -134,6 +134,8 @@ def cmd_sugeno(args):
 
 
 def cmd_sugeno_compare(args):
+    if args.max_arity < 1:
+        raise ArityMismatch(f"--max-arity must be at least 1, got {args.max_arity}")
     L = _load_lattice(args)
     reports = [compare_formulations(L, n)
                for n in range(1, args.max_arity + 1)]

@@ -121,6 +121,33 @@ class _Plan:
                                        self.grid[:, low]]
         return self.meet[:, selected]
 
+    @cached_property
+    def level_masks(self):
+        """(size, size**n): the mask {i : t <= x_i} per threshold t and input x."""
+        return self.lattice.leq_table[:, self.grid] @ (1 << np.arange(self.arity))
+
+    @cached_property
+    def pointwise_masks(self):
+        """(n, size**n): the mask {j : x_i <= x_j} per coordinate i and input x."""
+        g, leq = self.grid, self.lattice.leq_table
+        return (leq[g[:, :, None], g[:, None, :]] @ (1 << np.arange(self.arity))).T
+
+    @cached_property
+    def monotone_pairs(self):
+        """Input index pairs (x, x with one coordinate moved up a cover)."""
+        low, high = np.array(self.lattice.covers, dtype=np.intp).reshape(-1, 2).T
+        x, k, c = np.nonzero(self.grid[:, :, None] == low)
+        return x, x + (high[c] - low[c]) * self.strides[k]
+
+    @cached_property
+    def comonotone(self):
+        """Index pairs of comonotone inputs x, y (never x_i < x_j while
+        y_j < y_i), and the index of x v y for each pair."""
+        L, g = self.lattice, self.grid
+        up = (L.leq_table & ~np.eye(L.size, dtype=bool))[g[:, :, None], g[:, None, :]]
+        x, y = np.nonzero(~(up[:, None] & up.transpose(0, 2, 1)[None]).any(axis=(2, 3)))
+        return x, y, L.join_table[g[x], g[y]] @ self.strides
+
 
 @lru_cache(maxsize=64)
 def _plan(L: Lattice, n: int, mode: str) -> _Plan:
@@ -167,6 +194,24 @@ def _rebuild_rows(plan: _Plan, coefficients) -> np.ndarray:
                   dtype=plan.dtype)
     for mask in range(terms.shape[1]):
         out = _apply(plan.join, out, terms[coefficients[:, mask], mask])
+    return out
+
+
+def _level_rows(plan: _Plan, coefficients) -> np.ndarray:
+    """The level-set form of coefficient rows: join over t of t ^ c[x >= t]."""
+    out = np.full((len(coefficients), len(plan.grid)), plan.lattice.bottom,
+                  dtype=plan.dtype)
+    for t, masks in enumerate(plan.level_masks):
+        out = _apply(plan.join, out, plan.meet[t].take(coefficients[:, masks]))
+    return out
+
+
+def _pointwise_rows(plan: _Plan, coefficients) -> np.ndarray:
+    """The pointwise form of coefficient rows: join over i of x_i ^ c[x >= x_i]."""
+    out = np.full((len(coefficients), len(plan.grid)), plan.lattice.bottom,
+                  dtype=plan.dtype)
+    for x, masks in zip(plan.grid.T, plan.pointwise_masks):
+        out = _apply(plan.join, out, _apply(plan.meet, coefficients[:, masks], x))
     return out
 
 

@@ -38,7 +38,7 @@ class ProductLattice(Lattice):
         covers = [(i, i + (c - x[k]) * strides[k])
                   for i, x in enumerate(tuples)
                   for k, f in enumerate(factors)
-                  for c in f.upper_covers(x[k])]
+                  for a, c in f.covers if a == x[k]]
         names = [f.name or f"size-{f.size}" for f in factors]
         super().__init__(len(tuples), covers, name="*".join(names))
         self.factors = factors

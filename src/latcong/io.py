@@ -61,6 +61,8 @@ def _parse_keyed(text, kind, entry, parse_entry, slots):
         elif key == "n":
             if len(tokens) != 2:
                 raise ParseError("expected: n <arity>", lineno)
+            if n is not None:
+                raise ParseError("the 'n <arity>' line is given twice", lineno)
             n = _int(tokens[1], lineno, "arity")
             if n < 0:
                 raise ParseError(f"arity must be non-negative, got {n}", lineno)

@@ -75,6 +75,8 @@ class Lattice:
                 raise ForeignElement(f"label for {a} outside carrier of size {size}")
         for arr in (self.leq_table, self.meet_table, self.join_table):
             arr.flags.writeable = False
+        # Every plan and cache lookup hashes the lattice; the order is fixed.
+        self._hash = hash((size, leq.tobytes()))
 
     # --- basic queries ---------------------------------------------------
 
@@ -92,16 +94,6 @@ class Lattice:
         j = self.join_table
         m = self.meet_table
         return int(m[m[j[x, y], j[y, z]], j[z, x]])
-
-    def upper_covers(self, a: Element) -> tuple[Element, ...]:
-        return self._upper_cover_lists[a]
-
-    @cached_property
-    def _upper_cover_lists(self):
-        out = [[] for _ in range(self.size)]
-        for a, b in self.covers:
-            out[a].append(b)
-        return tuple(tuple(lst) for lst in out)
 
     @cached_property
     def is_distributive(self) -> bool:
@@ -132,7 +124,7 @@ class Lattice:
         )
 
     def __hash__(self):
-        return hash((self.size, self.leq_table.tobytes()))
+        return self._hash
 
     def __repr__(self):
         tag = self.name or f"{self.size} elements"

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArityMismatch, ForeignElement
+from .errors import ArityMismatch
 from .lattice import Lattice
-from .tables import FunctionTable, all_inputs, check_elements, check_input, \
+from .tables import FunctionTable, check_elements, check_input, \
     check_table, encode, vertex_input
 
 
@@ -81,9 +81,7 @@ def _eval_node(L, node, x):
     if isinstance(node, Projection):
         return x[node.index]
     if isinstance(node, Constant):
-        if not 0 <= node.value < L.size:
-            raise ForeignElement(
-                f"constant {node.value} outside lattice of size {L.size}")
+        check_elements(L.size, (node.value,), "constant")
         return node.value
     if isinstance(node, Meet):
         return L.meet(_eval_node(L, node.left, x), _eval_node(L, node.right, x))
@@ -91,8 +89,22 @@ def _eval_node(L, node, x):
 
 
 def to_table(L: Lattice, p: WeightedPolynomial) -> FunctionTable:
-    """Lower a polynomial to its explicit table."""
-    return FunctionTable.from_callable(L.size, p.arity, lambda x: evaluate(L, p, x))
+    """Lower a polynomial to its table: one gather per node over all inputs."""
+    from .compat import _apply, _plan  # compat imports this module
+    plan = _plan(L, p.arity, "principal-only")
+
+    def lower(node):
+        if isinstance(node, Projection):
+            return plan.grid[:, node.index]
+        if isinstance(node, Constant):
+            check_elements(L.size, (node.value,), "constant")
+            return node.value
+        table = plan.meet if isinstance(node, Meet) else plan.join
+        return _apply(table, lower(node.left), lower(node.right))
+
+    # A term without projections lowers to one value; fill the table with it.
+    return FunctionTable(p.arity, L.size,
+                         np.full(len(plan.grid), lower(p.root)).tolist())
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,13 +122,9 @@ class NormalForm:
 
     def is_monotone_in_masks(self, L: Lattice) -> bool:
         """Coefficient table nondecreasing along subset inclusion."""
-        g = self.coefficients
-        leq = L.leq_table
-        for mask in range(1 << self.arity):
-            for i in range(self.arity):
-                if mask >> i & 1 and not leq[g[mask & ~(1 << i)], g[mask]]:
-                    return False
-        return True
+        g, leq = self.coefficients, L.leq_table
+        return all(leq[g[mask & ~(1 << i)], g[mask]] for mask in range(1 << self.arity)
+                   for i in range(self.arity) if mask >> i & 1)
 
 
 def to_normal_form(L: Lattice, p: WeightedPolynomial) -> NormalForm:
@@ -133,13 +141,10 @@ def eval_normal_form(L: Lattice, nf: NormalForm, x) -> int:
     unguarded.
     """
     x = check_input(L.size, nf.arity, x)
+    check_elements(L.size, nf.coefficients, "coefficient")
     meet, join = L.meet_table, L.join_table
     acc = L.bottom
     for mask, term in enumerate(nf.coefficients):
-        # Range-tested in the loop it already runs: this evaluator is called
-        # once per point, and check_elements raises with the message.
-        if not 0 <= term < L.size:
-            check_elements(L.size, nf.coefficients, "coefficient")
         for i in range(nf.arity):
             if mask >> i & 1:
                 term = meet[term, x[i]]
@@ -164,18 +169,11 @@ def normal_form_to_polynomial(nf: NormalForm) -> WeightedPolynomial:
 
 def is_monotone(L: Lattice, f: FunctionTable) -> bool:
     """Nondecreasing in each coordinate, checked over cover-adjacent inputs."""
+    from .compat import _plan  # compat imports this module
     check_table(L, f)
-    n = f.arity
-    strides = [L.size ** (n - 1 - k) for k in range(n)]
-    leq = L.leq_table
-    vals = f.values
-    for idx, x in enumerate(all_inputs(L.size, n)):
-        fx = vals[idx]
-        for k in range(n):
-            for upper in L.upper_covers(x[k]):
-                if not leq[fx, vals[idx + (upper - x[k]) * strides[k]]]:
-                    return False
-    return True
+    low, high = _plan(L, f.arity, "principal-only").monotone_pairs
+    values = np.array(f.values)
+    return bool(L.leq_table[values[low], values[high]].all())
 
 
 def boolean_restriction(L: Lattice, f: FunctionTable) -> NormalForm:

@@ -14,13 +14,15 @@ against it empirically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
-from .errors import NotAChain, NotAggregation, ValidationError
+import numpy as np
+
+from .errors import ArityMismatch, NotAChain, NotAggregation, ValidationError
 from .lattice import Lattice
-from .polynomials import NormalForm, _monotone_blocks, _submask_order, \
+from .polynomials import BLOCK, NormalForm, _monotone_blocks, _submask_order, \
     boolean_restriction, eval_normal_form, is_monotone
-from .tables import FunctionTable, all_inputs, check_elements, check_input, \
-    check_table
+from .tables import FunctionTable, check_elements, check_input, check_table
 
 
 @dataclass(frozen=True, init=False, slots=True)
@@ -77,28 +79,20 @@ sugeno_eval = eval_normal_form
 def sugeno_eval_levels(L: Lattice, m: Capacity, u) -> int:
     """Level-set form with the threshold ranging over all lattice elements."""
     u = check_input(L.size, m.arity, u)
-    meet, join, leq = L.meet_table, L.join_table, L.leq_table
     acc = L.bottom
     for t in range(L.size):
-        mask = 0
-        for i in range(m.arity):
-            if leq[t, u[i]]:
-                mask |= 1 << i
-        acc = join[acc, meet[t, m.coefficients[mask]]]
+        mask = sum(1 << i for i in range(m.arity) if L.leq_table[t, u[i]])
+        acc = L.join_table[acc, L.meet_table[t, m.coefficients[mask]]]
     return int(acc)
 
 
 def sugeno_eval_pointwise(L: Lattice, m: Capacity, u) -> int:
     """Pointwise form: join over i of u_i ^ m({j : u_j >= u_i})."""
     u = check_input(L.size, m.arity, u)
-    meet, join, leq = L.meet_table, L.join_table, L.leq_table
     acc = L.bottom
     for i in range(m.arity):
-        mask = 0
-        for j in range(m.arity):
-            if leq[u[i], u[j]]:
-                mask |= 1 << j
-        acc = join[acc, meet[u[i], m.coefficients[mask]]]
+        mask = sum(1 << j for j in range(m.arity) if L.leq_table[u[i], u[j]])
+        acc = L.join_table[acc, L.meet_table[u[i], m.coefficients[mask]]]
     return int(acc)
 
 
@@ -123,53 +117,43 @@ def capacity_from_function(L: Lattice, A: FunctionTable) -> Capacity:
 
 
 # --- axiomatic property checks (exhaustive at desk scale) ------------------
+#
+# Each law is a gather on the table of a capacity's integral, or of any table
+# of L passed instead.
 
 
-def check_idempotent(L: Lattice, m: Capacity) -> bool:
+def _values(L: Lattice, m: Capacity | FunctionTable):
+    """The table's values as an array, and the plan of L at its arity."""
+    from .compat import _plan  # compat imports this module
+    f = m if isinstance(m, FunctionTable) else sugeno_table(L, m)
+    check_table(L, f)
+    return np.array(f.values), _plan(L, f.arity, "principal-only")
+
+
+def check_idempotent(L: Lattice, m: Capacity | FunctionTable) -> bool:
     """Integral of a constant vector is that constant."""
-    return all(sugeno_eval(L, m, (c,) * m.arity) == c for c in range(L.size))
+    values, plan = _values(L, m)
+    c = np.arange(L.size)
+    return bool((values[c * plan.strides.sum()] == c).all())
 
 
-def check_min_homogeneous(L: Lattice, m: Capacity) -> bool:
+def check_min_homogeneous(L: Lattice, m: Capacity | FunctionTable) -> bool:
     """Integral of c ^ u equals c ^ integral of u, for every c and u."""
-    meet = L.meet_table
-    for u in all_inputs(L.size, m.arity):
-        su = sugeno_eval(L, m, u)
-        for c in range(L.size):
-            lowered = tuple(int(meet[c, v]) for v in u)
-            if sugeno_eval(L, m, lowered) != meet[c, su]:
-                return False
-    return True
+    values, plan = _values(L, m)
+    lowered = L.meet_table[:, plan.grid] @ plan.strides
+    return bool((values[lowered] == L.meet_table[:, values]).all())
 
 
-def _comonotone(leq, u, v):
-    n = len(u)
-    for i in range(n):
-        for j in range(n):
-            if leq[u[i], u[j]] and u[i] != u[j] \
-                    and leq[v[j], v[i]] and v[i] != v[j]:
-                return False
-    return True
-
-
-def check_comonotone_maxitive(L: Lattice, m: Capacity) -> bool:
+def check_comonotone_maxitive(L: Lattice, m: Capacity | FunctionTable) -> bool:
     """Integral of u v v splits as a join, for comonotone u, v (chains only)."""
     if not L.is_chain:
         raise NotAChain("comonotonicity is only defined on chain lattices here")
-    join, leq = L.join_table, L.leq_table
-    grid = list(all_inputs(L.size, m.arity))
-    cached = {u: sugeno_eval(L, m, u) for u in grid}
-    for u in grid:
-        for v in grid:
-            if not _comonotone(leq, u, v):
-                continue
-            merged = tuple(int(join[a, b]) for a, b in zip(u, v))
-            if cached[merged] != join[cached[u], cached[v]]:
-                return False
-    return True
+    values, plan = _values(L, m)
+    u, v, merged = plan.comonotone
+    return bool((values[merged] == L.join_table[values[u], values[v]]).all())
 
 
-def check_horizontally_maxitive(L: Lattice, m: Capacity) -> bool:
+def check_horizontally_maxitive(L: Lattice, m: Capacity | FunctionTable) -> bool:
     """Integral splits at every level c into the capped and the excess part.
 
     The excess part zeroes out coordinates at or below c and keeps the rest;
@@ -177,15 +161,11 @@ def check_horizontally_maxitive(L: Lattice, m: Capacity) -> bool:
     """
     if not L.is_chain:
         raise NotAChain("horizontal splitting is only checked on chains here")
-    meet, join, leq = L.meet_table, L.join_table, L.leq_table
-    for u in all_inputs(L.size, m.arity):
-        su = sugeno_eval(L, m, u)
-        for c in range(L.size):
-            capped = tuple(int(meet[c, v]) for v in u)
-            excess = tuple(L.bottom if leq[v, c] else v for v in u)
-            if su != join[sugeno_eval(L, m, capped), sugeno_eval(L, m, excess)]:
-                return False
-    return True
+    values, plan = _values(L, m)
+    capped = L.meet_table[:, plan.grid] @ plan.strides
+    excess = np.where(L.leq_table[plan.grid].transpose(2, 0, 1), L.bottom,
+                      plan.grid) @ plan.strides
+    return bool((L.join_table[values[capped], values[excess]] == values).all())
 
 
 # --- formulation comparison -------------------------------------------------
@@ -228,17 +208,26 @@ class FormulationReport:
 
 
 def compare_formulations(L: Lattice, n: int) -> FormulationReport:
-    """Evaluate all three formulations over every capacity and input."""
+    """Evaluate all three formulations over every capacity and input.
+
+    Capacities are evaluated as stacks of ``BLOCK``; only the (capacity,
+    input) cells where the forms disagree are visited one by one.
+    """
+    from .compat import _level_rows, _plan, _pointwise_rows, _rebuild_rows
+    if n < 0:
+        raise ArityMismatch(f"arity must be non-negative, got {n}")
+    plan = _plan(L, n, "principal-only")
     found = []
     count = 0
-    grid = list(all_inputs(L.size, n))
-    for m in enumerate_capacities(L, n):
-        count += 1
-        for u in grid:
-            lv = sugeno_eval_levels(L, m, u)
-            pw = sugeno_eval_pointwise(L, m, u)
-            sub = sugeno_eval(L, m, u)
-            if not (lv == pw == sub):
-                found.append(Disagreement(m.coefficients, u, lv, pw, sub))
+    capacities = enumerate_capacities(L, n)
+    while block := [m.coefficients for m in islice(capacities, BLOCK)]:
+        count += len(block)
+        coefficients = np.array(block, dtype=plan.dtype)
+        forms = [rows(plan, coefficients)
+                 for rows in (_level_rows, _pointwise_rows, _rebuild_rows)]
+        apart = (forms[0] != forms[1]) | (forms[1] != forms[2])
+        found.extend(Disagreement(block[r], tuple(plan.grid[x].tolist()),
+                                  *(int(form[r, x]) for form in forms))
+                     for r, x in zip(*np.nonzero(apart)))
     return FormulationReport(L.name or f"size-{L.size}", n, count,
-                             len(grid), tuple(found))
+                             len(plan.grid), tuple(found))

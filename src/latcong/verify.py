@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import io
-from .compat import verify_equivalence_suite
+from .compat import is_compatible, verify_equivalence_suite
 from .congruences import (
     all_congruences,
     all_congruences_bruteforce,
@@ -45,7 +45,6 @@ from .sugeno import (
     enumerate_capacities,
     sugeno_table,
 )
-from .compat import is_compatible
 
 RANDOM_SEED = 367368
 

@@ -11,6 +11,7 @@ import itertools
 from functools import lru_cache
 
 from latcong.congruences import Congruence
+from latcong.polynomials import Constant, Meet, Projection
 
 
 class Order:
@@ -140,6 +141,67 @@ def sugeno_by_subsets(L, capacity_values, u):
                 term = L.meet(term, u[i])
             best = L.join(best, term)
     return best
+
+
+def sugeno_by_levels(L, capacity_values, u):
+    """Level-set form: join over every threshold t of t ^ m({i : t <= u_i})."""
+    best = L.bottom
+    for t in range(L.size):
+        mask = 0
+        for i, v in enumerate(u):
+            if L.leq(t, v):
+                mask |= 1 << i
+        best = L.join(best, L.meet(t, capacity_values[mask]))
+    return best
+
+
+def sugeno_by_pointwise(L, capacity_values, u):
+    """Pointwise form: join over i of u_i ^ m({j : u_i <= u_j})."""
+    best = L.bottom
+    for v in u:
+        mask = 0
+        for j, w in enumerate(u):
+            if L.leq(v, w):
+                mask |= 1 << j
+        best = L.join(best, L.meet(v, capacity_values[mask]))
+    return best
+
+
+def evaluate_term(L, node, x):
+    """A term's value at x, by recursion over the tree."""
+    if isinstance(node, Projection):
+        return x[node.index]
+    if isinstance(node, Constant):
+        return node.value
+    left, right = evaluate_term(L, node.left, x), evaluate_term(L, node.right, x)
+    return L.meet(left, right) if isinstance(node, Meet) else L.join(left, right)
+
+
+def chain_laws(L, table):
+    """The four laws AC09 checks, as literal loops over a table's inputs:
+    idempotency, min-homogeneity, comonotone maxitivity and horizontal
+    maxitivity, in that order."""
+    n, f = table.arity, table.value_at
+    grid = list(itertools.product(range(L.size), repeat=n))
+    bottom = bottom_of(L)
+
+    def lower(x, y):
+        return L.leq(x, y) and x != y
+
+    idempotent = all(f((c,) * n) == c for c in range(L.size))
+    homogeneous = all(
+        f(tuple(L.meet(c, v) for v in x)) == L.meet(c, f(x))
+        for x in grid for c in range(L.size))
+    comonotone = all(
+        f(tuple(L.join(a, b) for a, b in zip(x, y))) == L.join(f(x), f(y))
+        for x in grid for y in grid
+        if not any(lower(x[i], x[j]) and lower(y[j], y[i])
+                   for i in range(n) for j in range(n)))
+    horizontal = all(
+        f(x) == L.join(f(tuple(L.meet(c, v) for v in x)),
+                       f(tuple(bottom if L.leq(v, c) else v for v in x)))
+        for x in grid for c in range(L.size))
+    return idempotent, homogeneous, comonotone, horizontal
 
 
 def monotone_maps(L, points, precedes, pinned=()):

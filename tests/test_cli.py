@@ -132,6 +132,16 @@ def test_sugeno_compare(files, capsys):
     assert "0 disagreements" in out
 
 
+@pytest.mark.parametrize("arity", ["0", "-1"])
+def test_sugeno_compare_rejects_arity_below_one(files, capsys, arity):
+    """It used to print nothing and exit 0."""
+    code, out, err = run(capsys, "sugeno-compare", "--lattice", files["c3.lat"],
+                         "--max-arity", arity)
+    assert (code, out) == (2, "")
+    assert f"--max-arity must be at least 1, got {arity}" in err
+    assert "Traceback" not in err
+
+
 def test_product_emits_parseable_lattice(files, capsys):
     code, out, _ = run(capsys, "product", files["c2.lat"], files["c3.lat"])
     assert code == 0

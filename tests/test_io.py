@@ -223,3 +223,13 @@ def test_polynomial_parse_errors():
         with pytest.raises(ParseError):
             io.parse_polynomial(bad)
 
+
+@pytest.mark.parametrize("parse,text", [
+    (io.parse_capacity, "capacity x\nn 2\nm {1,2} 2\nn 1\nm {} 0\n"),
+    (io.parse_function_table, "function f\nn 1\nf 2 -> 2\nn 0\n"),
+])
+def test_repeated_arity_line_rejected(parse, text):
+    """A second 'n' line used to change the slot count after entries were
+    read, and the entry lookup raised a raw KeyError."""
+    with pytest.raises(ParseError, match="line 4: the 'n <arity>' line is given twice"):
+        parse(text, catalogue("chain(3)"))

@@ -222,6 +222,16 @@ def test_structural_equality(c3):
     assert hash(again) == hash(c3)
 
 
+@pytest.mark.parametrize("name", CATALOGUE_NAMES)
+def test_hash_is_the_order_hash_kept_from_construction(name):
+    """The hash is computed once, and it is still the hash of the size and
+    the order bytes, so equal lattices hash alike under any name."""
+    L = catalogue(name)
+    for M in (L, relabelled(L, 5), build_from_covers(L.size, L.covers, name="x")):
+        assert hash(M) == hash(M) == hash((M.size, M.leq_table.tobytes()))
+    assert hash(build_from_covers(L.size, L.covers)) == hash(L)
+
+
 def test_tables_are_read_only(c3):
     with pytest.raises(ValueError):
         c3.leq_table[0, 0] = False

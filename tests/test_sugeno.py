@@ -141,6 +141,13 @@ def test_pointwise_form_disagrees_on_boolean_cube():
     assert not report.agree
 
 
+@pytest.mark.parametrize("n", [-1, -5])
+def test_compare_formulations_rejects_negative_arity(c3, n):
+    """It used to raise a raw ValueError from itertools.product."""
+    with pytest.raises(ArityMismatch, match=f"arity must be non-negative, got {n}"):
+        compare_formulations(c3, n)
+
+
 def test_comparator_report_is_deterministic(b2):
     first = compare_formulations(b2, 2)
     second = compare_formulations(b2, 2)
