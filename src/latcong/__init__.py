@@ -16,6 +16,7 @@ from .errors import (
     NotMonotone,
     ParseError,
     SizeMismatch,
+    TooLarge,
     UnknownName,
     ValidationError,
 )

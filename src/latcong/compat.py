@@ -24,8 +24,8 @@ from .lattice import Lattice
 from .polynomials import BLOCK, NormalForm, _monotone_blocks, \
     boolean_restriction, is_monotone, row_dtype
 from .sugeno import enumerate_capacities
-from .tables import FunctionTable, check_elements, check_table, encode, \
-    input_grid
+from .tables import FunctionTable, check_arity, check_elements, \
+    check_entries, check_table, encode, fits, input_grid
 
 __all__ = [
     "FunctionTable",
@@ -262,46 +262,103 @@ def synthesize(L: Lattice, f: FunctionTable) -> tuple[NormalForm, bool]:
     return nf, normal_form_table(L, nf) == f
 
 
+def _pointwise_order(order, rows):
+    """The order of index rows into a poset, coordinate by coordinate."""
+    out = np.ones((len(rows), len(rows)), dtype=bool)
+    for column in rows.T:
+        out &= order[np.ix_(column, column)]
+    return out
+
+
+def _earlier_neighbours(order):
+    """Per position t, in index order: the maximal positions before t that
+    lie strictly under it, and the minimal ones strictly over it.
+
+    The values at earlier positions already keep order among themselves,
+    for any numbering, so only these need checking.
+    """
+    strictly = order & ~np.eye(len(order), dtype=bool)
+    below, above = [], []
+    for t in range(len(order)):
+        lows = np.flatnonzero(strictly[:t, t])
+        below.append(lows[~strictly[np.ix_(lows, lows)].any(axis=1)].tolist())
+        highs = np.flatnonzero(strictly[t, :t])
+        above.append(highs[~strictly[np.ix_(highs, highs)].any(axis=0)].tolist())
+    return below, above
+
+
+def _next_level(order, neighbours):
+    """Index rows of the monotone maps from L into the poset ``order``, or
+    None once their own order matrix would exceed ``tables.MAX_ENTRIES``."""
+    blocks, count = [], 0
+    allowed = np.ones((len(neighbours[0]), len(order)), dtype=bool)
+    for block in _monotone_blocks(order, *neighbours, allowed):
+        count += len(block)
+        if not fits(count ** 2):
+            return None
+        blocks.append(block)
+    return np.concatenate(blocks)
+
+
+def _table_blocks(L: Lattice, n: int, filter: str):
+    """The monotone tables L^n -> L as blocks of value rows, in value-tuple
+    order; see ``enumerate_monotone_tables``.
+
+    Curried in coordinate 0, a monotone table is a monotone map from L into
+    the poset M_{n-1} of monotone (n-1)-ary tables under the pointwise
+    order, and M_0 is L.  The levels M_1, M_2, ... are built whole as index
+    rows into the level before; the rows come out lexicographically
+    sorted, so every level lists its tables in value-tuple order.  A level
+    whose order matrix would exceed ``tables.MAX_ENTRIES`` is not built:
+    the tables are then maps from L^j into the last level built, M_{n-j},
+    with the inputs of L^j as positions.  This last step is streamed, and a
+    block of index rows becomes a block of tables by one gather of the
+    value rows of M_{n-j}.
+    """
+    check_arity(n)
+    if filter not in ("all", "aggregation"):
+        raise ValueError(f"unknown filter {filter!r}")
+    size = L.size
+    values, order = np.arange(size, dtype=row_dtype(size))[:, None], L.leq_table
+    neighbours = _earlier_neighbours(L.leq_table)
+    curried = 0
+    while curried < n - 1 and (rows := _next_level(order, neighbours)) is not None:
+        values = values.take(rows, axis=0).reshape(len(rows), -1)
+        order = _pointwise_order(order, rows)
+        curried += 1
+
+    # The last step maps the inputs of L^j into M_{n-j}.
+    j = n - curried
+    grid = input_grid(size, j)
+    check_entries(len(grid) ** 2, f"the order of the inputs of arity {j}")
+    positions = _earlier_neighbours(_pointwise_order(L.leq_table, grid))
+    allowed = np.ones((len(grid), len(values)), dtype=bool)
+    if filter == "aggregation":
+        for end in (L.bottom, L.top):
+            allowed[encode((end,) * j, size)] &= \
+                values[:, encode((end,) * curried, size)] == end
+    for rows in _monotone_blocks(order, *positions, allowed):
+        yield values.take(rows, axis=0).reshape(len(rows), -1)
+
+
 def enumerate_monotone_tables(L: Lattice, n: int, filter: str = "all",
                               budget: int = 10 ** 6):
     """Yield every nondecreasing table L^n -> L, in value-tuple order.
 
     filter='aggregation' additionally pins the all-bottom input to bottom
-    and the all-top input to top.  Raises BudgetExceeded when more than
-    ``budget`` tables would be emitted.
+    and the all-top input to top.  Raises BudgetExceeded once ``budget``
+    tables have been yielded and another would follow.  Each block of
+    tables is range-checked once, so the tables themselves skip validation.
     """
-    if filter not in ("all", "aggregation"):
-        raise ValueError(f"unknown filter {filter!r}")
-    size = L.size
-    grid = input_grid(size, n)
-    # strictly[s, t]: input s lies under input t in every coordinate.
-    strictly = ~np.eye(len(grid), dtype=bool)
-    for column in grid.T:
-        strictly &= L.leq_table[np.ix_(column, column)]
-    # Each input checks only the maximal earlier inputs under it and the
-    # minimal earlier ones over it: the earlier values already keep order
-    # among themselves, for any element numbering.
-    below, above = [], []
-    for t in range(len(grid)):
-        lows = np.flatnonzero(strictly[:t, t])
-        below.append(lows[~strictly[np.ix_(lows, lows)].any(axis=1)].tolist())
-        highs = np.flatnonzero(strictly[t, :t])
-        above.append(highs[~strictly[np.ix_(highs, highs)].any(axis=0)].tolist())
-
-    pinned = ()
-    if filter == "aggregation":
-        pinned = ((encode((L.bottom,) * n, size), L.bottom),
-                  (encode((L.top,) * n, size), L.top))
-
     emitted = 0
-    for block in _monotone_blocks(L, below, above, pinned):
-        for row in block:
-            values = row.tolist()
-            emitted += 1
-            if emitted > budget:
-                raise BudgetExceeded(
-                    f"monotone-table enumeration exceeded budget {budget}")
-            yield FunctionTable(n, size, values)
+    for block in _table_blocks(L, n, filter):
+        check_elements(L.size, (block.min(), block.max()), "output")
+        for row in map(tuple, block[:budget - emitted].tolist()):
+            yield FunctionTable._unchecked(n, L.size, row)
+        emitted += len(block)
+        if emitted > budget:
+            raise BudgetExceeded(
+                f"monotone-table enumeration exceeded budget {budget}")
 
 
 @dataclass(frozen=True)
@@ -362,6 +419,7 @@ def verify_equivalence_suite(L: Lattice, n: int, filter: str = "all",
     Tables and capacities are taken ``BLOCK`` at a time and checked as one
     stack; only compatible or disagreeing rows are visited one by one.
     """
+    check_arity(n)
     plan = _plan(L, n, "principal-only")
     vertices = plan.vertices
     monotone = 0

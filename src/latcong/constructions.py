@@ -13,10 +13,12 @@ from __future__ import annotations
 import itertools
 import math
 
+import numpy as np
+
 from .errors import NotDistributive, ValidationError
 from .lattice import Lattice
-from .sugeno import Capacity, sugeno_eval
-from .tables import all_inputs
+from .sugeno import Capacity, sugeno_table
+from .tables import input_grid
 
 
 class ProductLattice(Lattice):
@@ -117,19 +119,27 @@ def project_capacity(P: ProductLattice, m: Capacity, k: int) -> Capacity:
     return Capacity(P.factors[k], [P.component(v, k) for v in m.coefficients])
 
 
+def _image_inputs(images, part_size: int, grid):
+    """Per input x (a row of ``grid``), the index of the input
+    ``(images[x_0], ..., images[x_{n-1}])`` of a part with ``part_size`` elements."""
+    return images[grid] @ part_size ** np.arange(grid.shape[1] - 1, -1, -1)
+
+
 def product_decomposition_check(P: ProductLattice, m: Capacity) -> bool:
     """Whether the integral on the product works coordinatewise.
 
     For every input vector, coordinate k of the integral must equal the
     integral on factor k of the projected capacity and projected inputs.
+    Both sides are whole tables, compared by gathers.
     """
-    projected = [project_capacity(P, m, k) for k in range(len(P.factors))]
-    for u in all_inputs(P.size, m.arity):
-        whole = P.tuples[sugeno_eval(P, m, u)]
-        for k, factor in enumerate(P.factors):
-            uk = tuple(P.component(v, k) for v in u)
-            if whole[k] != sugeno_eval(factor, projected[k], uk):
-                return False
+    coordinates = np.array(P.tuples).reshape(P.size, len(P.factors))
+    whole = coordinates[np.array(sugeno_table(P, m).values)]
+    grid = input_grid(P.size, m.arity)
+    for k, factor in enumerate(P.factors):
+        part = np.array(sugeno_table(factor, project_capacity(P, m, k)).values)
+        at = _image_inputs(coordinates[:, k], factor.size, grid)
+        if (whole[:, k] != part[at]).any():
+            return False
     return True
 
 
@@ -150,14 +160,12 @@ def horizontal_sum_decomposition_check(H: HorizontalSumLattice, m: Capacity,
         raise NotDistributive(
             "the horizontal-sum splitting is only claimed for distributive "
             "sums; rerun with report_only=True to record the outcome")
-    split = [split_capacity(H, m, k) for k in range(len(H.summands))]
-    for u in all_inputs(H.size, m.arity):
-        whole = sugeno_eval(H, m, u)
-        parts = H.bottom
-        for k, summand in enumerate(H.summands):
-            uk = tuple(H.to_summand(v, k) for v in u)
-            part = sugeno_eval(summand, split[k], uk)
-            parts = H.join(parts, H.embeddings[k][part])
-        if parts != whole:
-            return False
-    return True
+    grid = input_grid(H.size, m.arity)
+    parts = np.full(len(grid), H.bottom)
+    for k, summand in enumerate(H.summands):
+        part = np.array(sugeno_table(summand, split_capacity(H, m, k)).values)
+        images = np.array([H.to_summand(v, k) for v in range(H.size)])
+        embedding = np.array([H.embeddings[k][v] for v in range(summand.size)])
+        at = _image_inputs(images, summand.size, grid)
+        parts = H.join_table[parts, embedding[part[at]]]
+    return bool((parts == sugeno_table(H, m).values).all())

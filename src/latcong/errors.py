@@ -53,6 +53,10 @@ class BudgetExceeded(LatcongError):
     """Enumeration would emit more objects than the configured budget."""
 
 
+class TooLarge(LatcongError):
+    """An array the request needs has more entries than the package allows."""
+
+
 class ValidationError(LatcongError):
     """A parsed object failed its invariants."""
 

@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import ArityMismatch
 from .lattice import Lattice
-from .tables import FunctionTable, check_elements, check_input, \
-    check_table, encode, vertex_input
+from .tables import FunctionTable, check_arity, check_elements, \
+    check_input, check_table, encode, vertex_input
 
 
 @dataclass(frozen=True)
@@ -189,32 +189,26 @@ BLOCK = 1024
 
 
 def row_dtype(size: int):
-    """Smallest unsigned dtype that holds every element of a carrier."""
-    return np.uint8 if size <= 256 else np.uint16
+    """Smallest unsigned dtype that holds every index below ``size``."""
+    return np.min_scalar_type(size - 1)
 
 
-def _monotone_blocks(L: Lattice, below, above, pinned=()):
-    """Every assignment of elements to positions 0, 1, ... that keeps order.
+def _monotone_blocks(order, below, above, allowed):
+    """Every assignment of codomain elements to positions 0, 1, ... that keeps order.
 
-    The value at position t must dominate the values at the earlier
-    positions ``below[t]`` and lie under those at ``above[t]``.  ``pinned``
-    holds (position, value) pairs; two different values pinned to one
-    position leave nothing to assign.  Yields ``(rows, len(below))`` arrays
-    of at most ``BLOCK`` rows; the rows come out lexicographically sorted.
+    ``order[a, b]`` says a <= b in the codomain.  The value at position t
+    must be allowed by the row ``allowed[t]``, dominate the values at the
+    earlier positions ``below[t]`` and lie under those at ``above[t]``.
+    Yields ``(rows, len(below))`` arrays of codomain indices, at most
+    ``BLOCK`` rows each; the rows come out lexicographically sorted.
 
     Partial rows are extended one position at a time, a block at a time,
-    depth first: a ``(rows, size)`` mask of allowed values is gathered from
-    ``leq_table``, and each row is repeated once per allowed value, in
-    element order.
+    depth first: a ``(rows, codomain)`` mask of allowed values is gathered
+    from ``order``, and each row is repeated once per allowed value, in
+    index order.
     """
-    total, size = len(below), L.size
-    allowed = np.ones((total, size), dtype=bool)
-    for t, v in pinned:
-        pin = np.zeros(size, dtype=bool)
-        pin[v] = True
-        allowed[t] &= pin
-    leq, geq = L.leq_table, L.leq_table.T
-    stack = [(0, np.zeros((1, total), dtype=row_dtype(size)))]
+    total, geq = len(below), order.T
+    stack = [(0, np.zeros((1, total), dtype=row_dtype(len(order))))]
     while stack:
         t, rows = stack.pop()
         if t == total:
@@ -222,7 +216,7 @@ def _monotone_blocks(L: Lattice, below, above, pinned=()):
             continue
         ok = np.repeat(allowed[t:t + 1], len(rows), axis=0)
         for s in below[t]:
-            ok &= leq[rows[:, s]]
+            ok &= order[rows[:, s]]
         for s in above[t]:
             ok &= geq[rows[:, s]]
         parent, value = np.nonzero(ok)
@@ -246,7 +240,9 @@ def _submask_order(arity: int):
 
 def enumerate_monotone_normal_forms(L: Lattice, arity: int):
     """All coefficient tables nondecreasing along subset inclusion."""
-    for block in _monotone_blocks(L, *_submask_order(arity)):
+    check_arity(arity)
+    everything = np.ones((1 << arity, L.size), dtype=bool)
+    for block in _monotone_blocks(L.leq_table, *_submask_order(arity), everything):
         for coeffs in block.tolist():
             yield NormalForm(arity, tuple(coeffs))
 

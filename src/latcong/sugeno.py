@@ -22,7 +22,8 @@ from .errors import ArityMismatch, NotAChain, NotAggregation, ValidationError
 from .lattice import Lattice
 from .polynomials import BLOCK, NormalForm, _monotone_blocks, _submask_order, \
     boolean_restriction, eval_normal_form, is_monotone
-from .tables import FunctionTable, check_elements, check_input, check_table
+from .tables import FunctionTable, check_arity, check_elements, check_input, \
+    check_table
 
 
 @dataclass(frozen=True, init=False, slots=True)
@@ -65,9 +66,12 @@ def enumerate_capacities(L: Lattice, n: int):
     For n = 0 the empty set is also the full set, so only a one-element
     lattice has a capacity.
     """
-    below, above = _submask_order(n)
-    pinned = ((0, L.bottom), (len(below) - 1, L.top))
-    for block in _monotone_blocks(L, below, above, pinned):
+    check_arity(n)
+    elements = np.arange(L.size)
+    allowed = np.ones((1 << n, L.size), dtype=bool)
+    allowed[0] &= elements == L.bottom
+    allowed[-1] &= elements == L.top
+    for block in _monotone_blocks(L.leq_table, *_submask_order(n), allowed):
         for values in block.tolist():
             yield Capacity(L, values)
 

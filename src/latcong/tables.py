@@ -14,7 +14,10 @@ import itertools
 
 import numpy as np
 
-from .errors import ArityMismatch, ForeignElement
+from .errors import ArityMismatch, ForeignElement, TooLarge
+
+# The most entries an input grid or an enumerator's order matrix may have.
+MAX_ENTRIES = 1 << 24
 
 
 def encode(x, size: int) -> int:
@@ -30,7 +33,11 @@ def all_inputs(size: int, arity: int):
 
 
 def input_grid(size: int, arity: int):
-    """Every input as a row of a ``(size**arity, arity)`` array, in encoding order."""
+    """Every input as a row of a ``(size**arity, arity)`` array, in encoding order.
+
+    Raises TooLarge, before allocating, for a grid above ``MAX_ENTRIES``.
+    """
+    check_entries(size ** arity * arity, f"the input grid of arity {arity}")
     return np.indices((size,) * arity).reshape(arity, size ** arity).T
 
 
@@ -51,6 +58,13 @@ class FunctionTable:
         self.values = values
 
     @classmethod
+    def _unchecked(cls, arity: int, size: int, values: tuple) -> "FunctionTable":
+        """A table from a tuple of ints already known to fit; no validation."""
+        table = cls.__new__(cls)
+        table.arity, table.size, table.values = arity, size, values
+        return table
+
+    @classmethod
     def from_callable(cls, size: int, arity: int, fn) -> "FunctionTable":
         return cls(arity, size, [fn(x) for x in all_inputs(size, arity)])
 
@@ -68,6 +82,24 @@ class FunctionTable:
 
     def __repr__(self):
         return f"FunctionTable(arity={self.arity}, size={self.size})"
+
+
+def check_arity(n: int) -> None:
+    """Raise ArityMismatch for a negative arity."""
+    if n < 0:
+        raise ArityMismatch(f"arity must be nonnegative, got {n}")
+
+
+def fits(entries: int) -> bool:
+    """Whether an array of ``entries`` entries stays within ``MAX_ENTRIES``."""
+    return entries <= MAX_ENTRIES
+
+
+def check_entries(entries: int, what: str) -> None:
+    """Raise TooLarge unless an array of ``entries`` entries fits."""
+    if not fits(entries):
+        raise TooLarge(f"{what} would have {entries} entries; "
+                       f"the limit is {MAX_ENTRIES}")
 
 
 def check_input(size: int, arity: int, x) -> tuple[int, ...]:

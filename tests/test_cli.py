@@ -25,6 +25,7 @@ def files(tmp_path_factory):
     write("su.fn", io.serialize_function_table(sugeno_table(C3, m), "su"))
     write("bent.fn", "function bent\nn 1\nf 0 -> 0\nf 1 -> 2\nf 2 -> 2\n")
     write("p.poly", "(join (meet (const 1) (var 0)) (var 1))\n")
+    write("wide.poly", "(join (var 0) (var 30))\n")
     write("broken.cap", "capacity x\nn 2\nm {} 1\nm {1} 1\nm {2} 1\nm {1,2} 2\n")
     write("negative.cap", "capacity x\nn -1\n")
     write("negative.fn", "function f\nn -1\n")
@@ -196,6 +197,16 @@ def test_deep_polynomial_exits_2(files, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: polynomial nested deeper than")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["compat", "median-check", "synthesize"])
+def test_polynomial_of_too_many_inputs_exits_2(files, capsys, command):
+    code, out, err = run(capsys, command, "--poly", files["wide.poly"],
+                         "--lattice", files["c3.lat"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: the input grid of arity 31 would have")
     assert "Traceback" not in err
 
 

@@ -2,7 +2,9 @@ import itertools
 
 import pytest
 
+import oracles
 from conftest import relabelled
+from latcong import constructions
 from latcong.constructions import (
     direct_product,
     horizontal_sum,
@@ -226,3 +228,80 @@ def test_constructed_lattices_serialize():
         back = io.parse_lattice(io.serialize_lattice(L))
         assert back == L
         assert back.name == L.name
+
+
+def _product_splits(P, m, source):
+    """Oracle: the product check point by point through the subset oracle,
+    with the factor capacities projected from ``source``."""
+    for u in itertools.product(range(P.size), repeat=m.arity):
+        whole = P.tuples[oracles.sugeno_by_subsets(P, m.coefficients, u)]
+        for k, factor in enumerate(P.factors):
+            projected = [P.tuples[v][k] for v in source.coefficients]
+            uk = tuple(P.tuples[v][k] for v in u)
+            if whole[k] != oracles.sugeno_by_subsets(factor, projected, uk):
+                return False
+    return True
+
+
+def _sum_splits(H, m, source):
+    """Oracle: the horizontal-sum check point by point through the subset
+    oracle, with the summand capacities split from ``source``."""
+    for u in itertools.product(range(H.size), repeat=m.arity):
+        parts = H.bottom
+        for k, summand in enumerate(H.summands):
+            back = H.preimages[k]
+            split = [back.get(v, summand.bottom) for v in source.coefficients]
+            uk = tuple(back.get(v, summand.bottom) for v in u)
+            part = oracles.sugeno_by_subsets(summand, split, uk)
+            parts = H.join(parts, H.embeddings[k][part])
+        if parts != oracles.sugeno_by_subsets(H, m.coefficients, u):
+            return False
+    return True
+
+
+PRODUCTS = [(("chain(2)", "chain(3)"), 2), (("N5", "chain(2)"), 2),
+            (("chain(2)", "chain(2)"), 3)]
+# The splitting was seen to hold on these non-distributive sums too.
+SUMS = [("chain(3)", "chain(3)"), ("chain(4)", "chain(4)"), ("chain(4)", "M3")]
+
+
+@pytest.mark.parametrize("names,n", PRODUCTS)
+def test_product_check_matches_oracle(names, n):
+    P = direct_product([relabelled(catalogue(name), 3) for name in names])
+    for m in enumerate_capacities(P, n):
+        assert product_decomposition_check(P, m) == _product_splits(P, m, m)
+
+
+@pytest.mark.parametrize("names", SUMS)
+def test_sum_check_matches_oracle(names):
+    H = horizontal_sum([relabelled(catalogue(name), 3) for name in names])
+    for m in enumerate_capacities(H, 2):
+        assert horizontal_sum_decomposition_check(H, m, report_only=True) \
+            == _sum_splits(H, m, m)
+
+
+@pytest.mark.parametrize("names,n", PRODUCTS[:2])
+def test_product_check_catches_a_wrong_projection(monkeypatch, names, n):
+    """Factor integrals of another capacity: both verdicts, as the oracle says."""
+    P = direct_product([relabelled(catalogue(name), 3) for name in names])
+    capacities = list(enumerate_capacities(P, n))
+    other = capacities[len(capacities) // 2]
+    monkeypatch.setattr(constructions, "project_capacity",
+                        lambda P, m, k: project_capacity(P, other, k))
+    verdicts = [product_decomposition_check(P, m) for m in capacities]
+    assert verdicts == [_product_splits(P, m, other) for m in capacities]
+    assert set(verdicts) == {True, False}
+
+
+@pytest.mark.parametrize("names", SUMS)
+def test_sum_check_catches_a_wrong_split(monkeypatch, names):
+    """Summand integrals of another capacity: both verdicts, as the oracle says."""
+    H = horizontal_sum([relabelled(catalogue(name), 3) for name in names])
+    capacities = list(enumerate_capacities(H, 2))
+    other = capacities[len(capacities) // 2]
+    monkeypatch.setattr(constructions, "split_capacity",
+                        lambda H, m, k: split_capacity(H, other, k))
+    verdicts = [horizontal_sum_decomposition_check(H, m, report_only=True)
+                for m in capacities]
+    assert verdicts == [_sum_splits(H, m, other) for m in capacities]
+    assert set(verdicts) == {True, False}

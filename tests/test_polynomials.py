@@ -4,7 +4,8 @@ import pytest
 
 import oracles
 from latcong.compat import is_compatible, normal_form_table
-from latcong.errors import ArityMismatch, ForeignElement
+from latcong import tables
+from latcong.errors import ArityMismatch, ForeignElement, TooLarge
 from latcong.lattice import catalogue
 from latcong.polynomials import (
     Constant,
@@ -22,7 +23,7 @@ from latcong.polynomials import (
     to_normal_form,
     to_table,
 )
-from latcong.tables import FunctionTable, all_inputs
+from latcong.tables import FunctionTable, all_inputs, input_grid
 
 
 def test_projection_and_constant(c3):
@@ -177,3 +178,19 @@ def test_monotone_normal_forms_evaluate_monotone(c3, b2):
             table = FunctionTable.from_callable(
                 L.size, 2, lambda x: eval_normal_form(L, nf, x))
             assert is_monotone(L, table)
+
+
+def test_to_table_refuses_a_grid_over_the_limit():
+    """3 ** 31 inputs: numpy could not allocate this grid either."""
+    p = WeightedPolynomial(31, Join(Projection(0), Projection(30)))
+    with pytest.raises(TooLarge, match="input grid of arity 31"):
+        to_table(catalogue("chain(3)"), p)
+
+
+def test_input_grid_limit_counts_entries(monkeypatch):
+    monkeypatch.setattr(tables, "MAX_ENTRIES", 18)
+    assert input_grid(3, 2).shape == (9, 2)  # 18 entries
+    with pytest.raises(TooLarge):
+        input_grid(2, 5)  # 32 inputs of 5 coordinates
+    with pytest.raises(TooLarge):
+        input_grid(19, 1)
