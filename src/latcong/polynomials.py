@@ -15,8 +15,12 @@ import numpy as np
 
 from .errors import ArityMismatch
 from .lattice import Lattice
-from .tables import FunctionTable, check_arity, check_elements, \
-    check_input, check_table, encode, vertex_input
+from .tables import FunctionTable, _apply, _join_rows, _map_blocks, _plan, \
+    check_elements, check_input, check_table, vertex_input
+
+# The two-element chain: input k of its n-th power, in encoding order, lies
+# under input k' exactly when the subset mask k lies in the mask k'.
+_CHAIN2 = Lattice(2, [(0, 1)])
 
 
 @dataclass(frozen=True)
@@ -90,8 +94,7 @@ def _eval_node(L, node, x):
 
 def to_table(L: Lattice, p: WeightedPolynomial) -> FunctionTable:
     """Lower a polynomial to its table: one gather per node over all inputs."""
-    from .compat import _apply, _plan  # compat imports this module
-    plan = _plan(L, p.arity, "principal-only")
+    plan = _plan(L, p.arity)
 
     def lower(node):
         if isinstance(node, Projection):
@@ -169,9 +172,8 @@ def normal_form_to_polynomial(nf: NormalForm) -> WeightedPolynomial:
 
 def is_monotone(L: Lattice, f: FunctionTable) -> bool:
     """Nondecreasing in each coordinate, checked over cover-adjacent inputs."""
-    from .compat import _plan  # compat imports this module
     check_table(L, f)
-    low, high = _plan(L, f.arity, "principal-only").monotone_pairs
+    low, high = _plan(L, f.arity).monotone_pairs
     values = np.array(f.values)
     return bool(L.leq_table[values[low], values[high]].all())
 
@@ -179,70 +181,33 @@ def is_monotone(L: Lattice, f: FunctionTable) -> bool:
 def boolean_restriction(L: Lattice, f: FunctionTable) -> NormalForm:
     """Coefficient table read off the boolean vertices of f."""
     check_table(L, f)
-    coeffs = [f.values[encode(vertex_input(L, f.arity, mask), L.size)]
-              for mask in range(1 << f.arity)]
+    coeffs = [f.values[x] for x in _plan(L, f.arity).vertices.tolist()]
     return NormalForm(f.arity, tuple(coeffs))
 
 
-# Rows per block of the monotone enumerators; it bounds their memory.
-BLOCK = 1024
+def _rebuild_rows(plan, coefficients) -> np.ndarray:
+    """The tables of a stack of normal-form coefficient rows.
 
-
-def row_dtype(size: int):
-    """Smallest unsigned dtype that holds every index below ``size``."""
-    return np.min_scalar_type(size - 1)
-
-
-def _monotone_blocks(order, below, above, allowed):
-    """Every assignment of codomain elements to positions 0, 1, ... that keeps order.
-
-    ``order[a, b]`` says a <= b in the codomain.  The value at position t
-    must be allowed by the row ``allowed[t]``, dominate the values at the
-    earlier positions ``below[t]`` and lie under those at ``above[t]``.
-    Yields ``(rows, len(below))`` arrays of codomain indices, at most
-    ``BLOCK`` rows each; the rows come out lexicographically sorted.
-
-    Partial rows are extended one position at a time, a block at a time,
-    depth first: a ``(rows, codomain)`` mask of allowed values is gathered
-    from ``order``, and each row is repeated once per allowed value, in
-    index order.
+    Join over masks of coefficient ^ (meet of the selected coordinates).
     """
-    total, geq = len(below), order.T
-    stack = [(0, np.zeros((1, total), dtype=row_dtype(len(order))))]
-    while stack:
-        t, rows = stack.pop()
-        if t == total:
-            yield rows
-            continue
-        ok = np.repeat(allowed[t:t + 1], len(rows), axis=0)
-        for s in below[t]:
-            ok &= order[rows[:, s]]
-        for s in above[t]:
-            ok &= geq[rows[:, s]]
-        parent, value = np.nonzero(ok)
-        grown = rows[parent]
-        grown[:, t] = value
-        # Pushed last block first, so the first block is extended first.
-        stack.extend((t + 1, grown[i:i + BLOCK])
-                     for i in reversed(range(0, len(grown), BLOCK)))
+    coefficients = np.asarray(coefficients)
+    if coefficients.size:
+        check_elements(plan.lattice.size,
+                       (coefficients.min(), coefficients.max()), "coefficient")
+    guarded = plan.guarded_terms
+    terms = (guarded[coefficients[:, mask], mask] for mask in range(guarded.shape[1]))
+    return _join_rows(plan, len(coefficients), terms)
 
 
-def _submask_order(arity: int):
-    """below/above lists for masks in numeric order.
-
-    Numeric order fills every submask before its supermasks, so each mask
-    only has to dominate the masks one element smaller.
-    """
-    below = [tuple(mask & ~(1 << i) for i in range(arity) if mask >> i & 1)
-             for mask in range(1 << arity)]
-    return below, [()] * len(below)
+def normal_form_table(L: Lattice, nf: NormalForm) -> FunctionTable:
+    """The table of the join-of-meets normal form of ``nf``."""
+    rows = _rebuild_rows(_plan(L, nf.arity), [nf.coefficients])
+    return FunctionTable(nf.arity, L.size, rows[0].tolist())
 
 
 def enumerate_monotone_normal_forms(L: Lattice, arity: int):
     """All coefficient tables nondecreasing along subset inclusion."""
-    check_arity(arity)
-    everything = np.ones((1 << arity, L.size), dtype=bool)
-    for block in _monotone_blocks(L.leq_table, *_submask_order(arity), everything):
+    for block in _map_blocks(_CHAIN2, arity, L):
         for coeffs in block.tolist():
             yield NormalForm(arity, tuple(coeffs))
 

@@ -20,10 +20,10 @@ import numpy as np
 
 from .errors import ArityMismatch, NotAChain, NotAggregation, ValidationError
 from .lattice import Lattice
-from .polynomials import BLOCK, NormalForm, _monotone_blocks, _submask_order, \
-    boolean_restriction, eval_normal_form, is_monotone
-from .tables import FunctionTable, check_arity, check_elements, check_input, \
-    check_table
+from .polynomials import _CHAIN2, NormalForm, _rebuild_rows, boolean_restriction, \
+    eval_normal_form, is_monotone, normal_form_table
+from .tables import BLOCK, FunctionTable, _apply, _join_rows, _map_blocks, \
+    _plan, check_elements, check_input, check_table
 
 
 @dataclass(frozen=True, init=False, slots=True)
@@ -66,12 +66,7 @@ def enumerate_capacities(L: Lattice, n: int):
     For n = 0 the empty set is also the full set, so only a one-element
     lattice has a capacity.
     """
-    check_arity(n)
-    elements = np.arange(L.size)
-    allowed = np.ones((1 << n, L.size), dtype=bool)
-    allowed[0] &= elements == L.bottom
-    allowed[-1] &= elements == L.top
-    for block in _monotone_blocks(L.leq_table, *_submask_order(n), allowed):
+    for block in _map_blocks(_CHAIN2, n, L, pinned=True):
         for values in block.tolist():
             yield Capacity(L, values)
 
@@ -102,7 +97,6 @@ def sugeno_eval_pointwise(L: Lattice, m: Capacity, u) -> int:
 
 def sugeno_table(L: Lattice, m: Capacity) -> FunctionTable:
     """Lower the integral to an explicit function table."""
-    from .compat import normal_form_table  # compat imports this module
     return normal_form_table(L, m)
 
 
@@ -128,10 +122,9 @@ def capacity_from_function(L: Lattice, A: FunctionTable) -> Capacity:
 
 def _values(L: Lattice, m: Capacity | FunctionTable):
     """The table's values as an array, and the plan of L at its arity."""
-    from .compat import _plan  # compat imports this module
     f = m if isinstance(m, FunctionTable) else sugeno_table(L, m)
     check_table(L, f)
-    return np.array(f.values), _plan(L, f.arity, "principal-only")
+    return np.array(f.values), _plan(L, f.arity)
 
 
 def check_idempotent(L: Lattice, m: Capacity | FunctionTable) -> bool:
@@ -173,6 +166,20 @@ def check_horizontally_maxitive(L: Lattice, m: Capacity | FunctionTable) -> bool
 
 
 # --- formulation comparison -------------------------------------------------
+
+
+def _level_rows(plan, coefficients) -> np.ndarray:
+    """The level-set form of coefficient rows: join over t of t ^ c[x >= t]."""
+    terms = (plan.meet[t].take(coefficients[:, masks])
+             for t, masks in enumerate(plan.level_masks))
+    return _join_rows(plan, len(coefficients), terms)
+
+
+def _pointwise_rows(plan, coefficients) -> np.ndarray:
+    """The pointwise form of coefficient rows: join over i of x_i ^ c[x >= x_i]."""
+    terms = (_apply(plan.meet, coefficients[:, masks], x)
+             for x, masks in zip(plan.grid.T, plan.pointwise_masks))
+    return _join_rows(plan, len(coefficients), terms)
 
 
 @dataclass(frozen=True)
@@ -217,10 +224,9 @@ def compare_formulations(L: Lattice, n: int) -> FormulationReport:
     Capacities are evaluated as stacks of ``BLOCK``; only the (capacity,
     input) cells where the forms disagree are visited one by one.
     """
-    from .compat import _level_rows, _plan, _pointwise_rows, _rebuild_rows
     if n < 0:
         raise ArityMismatch(f"arity must be non-negative, got {n}")
-    plan = _plan(L, n, "principal-only")
+    plan = _plan(L, n)
     found = []
     count = 0
     capacities = enumerate_capacities(L, n)

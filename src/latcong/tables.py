@@ -5,16 +5,20 @@ flat tuple indexed by the mixed-radix encoding of the input (coordinate 0
 is the most significant digit, matching ``itertools.product`` order).
 Tables are the common currency between the polynomial, Sugeno, and
 compatibility modules: everything is lowered to a table before it is
-cross-checked.
+cross-checked.  The table-stack layer under those modules lives here too:
+the plan of index arrays per lattice and arity, and ``_map_blocks``, the
+one enumerator of tables, normal forms and capacities.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import ArityMismatch, ForeignElement, TooLarge
+from .lattice import Lattice
 
 # The most entries an input grid or an enumerator's order matrix may have.
 MAX_ENTRIES = 1 << 24
@@ -90,14 +94,9 @@ def check_arity(n: int) -> None:
         raise ArityMismatch(f"arity must be nonnegative, got {n}")
 
 
-def fits(entries: int) -> bool:
-    """Whether an array of ``entries`` entries stays within ``MAX_ENTRIES``."""
-    return entries <= MAX_ENTRIES
-
-
 def check_entries(entries: int, what: str) -> None:
     """Raise TooLarge unless an array of ``entries`` entries fits."""
-    if not fits(entries):
+    if entries > MAX_ENTRIES:
         raise TooLarge(f"{what} would have {entries} entries; "
                        f"the limit is {MAX_ENTRIES}")
 
@@ -136,3 +135,232 @@ def check_table(L, f: FunctionTable) -> None:
 def vertex_input(L, arity: int, mask: int) -> tuple[int, ...]:
     """Boolean vertex for a subset mask: top at set bits, bottom elsewhere."""
     return tuple(L.top if mask >> i & 1 else L.bottom for i in range(arity))
+
+
+# --- table stacks -------------------------------------------------------------
+#
+# A stack is a (T, size**n) array of tables, one table per row, in the
+# smallest unsigned dtype of the carrier.  The kernels evaluate a
+# characterization for every row at once by gathers through the meet and
+# join tables; single-table calls run them on a stack of one.
+
+# Rows per block of the monotone enumerators; it bounds their memory.
+BLOCK = 1024
+
+
+def row_dtype(size: int):
+    """Smallest unsigned dtype that holds every index below ``size``."""
+    return np.min_scalar_type(size - 1)
+
+
+class _Plan:
+    """Index arrays of the kernels for one lattice and arity; each part
+    beyond the input grid is built on first use."""
+
+    def __init__(self, L: Lattice, n: int):
+        self.lattice, self.arity = L, n
+        self.dtype = row_dtype(L.size)
+        self.meet = L.meet_table.astype(self.dtype)
+        self.join = L.join_table.astype(self.dtype)
+        self.grid = input_grid(L.size, n)
+        self.strides = L.size ** np.arange(n - 1, -1, -1)
+
+    @cached_property
+    def slices(self):
+        """(n, size**n) arrays: per coordinate k and input x, the index of x
+        with x_k at bottom, the index of x with x_k at top, and x_k."""
+        L, grid = self.lattice, self.grid
+        own = grid.T * self.strides[:, None]
+        base = np.arange(len(grid)) - own
+        return (base + L.bottom * self.strides[:, None],
+                base + L.top * self.strides[:, None], grid.T)
+
+    @cached_property
+    def vertices(self):
+        """Input index of the boolean vertex of each subset mask."""
+        L = self.lattice
+        bits = (np.arange(1 << self.arity)[:, None] >> np.arange(self.arity)) & 1
+        return np.where(bits, L.top, L.bottom) @ self.strides
+
+    @cached_property
+    def guarded_terms(self):
+        """(size, 2**n, size**n): c ^ (meet of the coordinates of x that
+        the mask selects), for every coefficient c, mask and input x.
+
+        The empty meet is top, so the empty mask gives c itself.
+        """
+        check_entries(self.lattice.size * (1 << self.arity) * len(self.grid),
+                      f"the guarded terms of arity {self.arity}")
+        selected = np.empty((1 << self.arity, len(self.grid)), dtype=self.dtype)
+        selected[0] = self.lattice.top
+        for mask in range(1, 1 << self.arity):
+            low = (mask & -mask).bit_length() - 1
+            selected[mask] = self.meet[selected[mask & ~(1 << low)],
+                                       self.grid[:, low]]
+        return self.meet[:, selected]
+
+    @cached_property
+    def level_masks(self):
+        """(size, size**n): the mask {i : t <= x_i} per threshold t and input x."""
+        return self.lattice.leq_table[:, self.grid] @ (1 << np.arange(self.arity))
+
+    @cached_property
+    def pointwise_masks(self):
+        """(n, size**n): the mask {j : x_i <= x_j} per coordinate i and input x."""
+        g, leq = self.grid, self.lattice.leq_table
+        return (leq[g[:, :, None], g[:, None, :]] @ (1 << np.arange(self.arity))).T
+
+    @cached_property
+    def monotone_pairs(self):
+        """Input index pairs (x, x with one coordinate moved up a cover)."""
+        low, high = np.array(self.lattice.covers, dtype=np.intp).reshape(-1, 2).T
+        x, k, c = np.nonzero(self.grid[:, :, None] == low)
+        return x, x + (high[c] - low[c]) * self.strides[k]
+
+    @cached_property
+    def comonotone(self):
+        """Index pairs of comonotone inputs x, y (never x_i < x_j while
+        y_j < y_i), and the index of x v y for each pair."""
+        L, g = self.lattice, self.grid
+        check_entries((len(g) * self.arity) ** 2,
+                      f"the comonotone pairs of arity {self.arity}")
+        up = (L.leq_table & ~np.eye(L.size, dtype=bool))[g[:, :, None], g[:, None, :]]
+        x, y = np.nonzero(~(up[:, None] & up.transpose(0, 2, 1)[None]).any(axis=(2, 3)))
+        return x, y, L.join_table[g[x], g[y]] @ self.strides
+
+
+@lru_cache(maxsize=64)
+def _plan(L: Lattice, n: int) -> _Plan:
+    return _Plan(L, n)
+
+
+def _apply(table, a, b):
+    """``table[a, b]`` elementwise, as one flat gather (faster than
+    two-array fancy indexing); b must broadcast to the shape of a."""
+    index = np.multiply(a, table.shape[1], dtype=np.intp)
+    index += b
+    return table.ravel().take(index)
+
+
+def _join_rows(plan: _Plan, count: int, terms):
+    """Per input, the join of a (count, size**n) stack of terms; bottom if none."""
+    out = np.full((count, len(plan.grid)), plan.lattice.bottom, dtype=plan.dtype)
+    for term in terms:
+        out = _apply(plan.join, out, term)
+    return out
+
+
+# --- the monotone enumerator ----------------------------------------------------
+
+
+def _monotone_blocks(order, below, above, allowed):
+    """Every assignment of codomain elements to positions 0, 1, ... that keeps order.
+
+    ``order[a, b]`` says a <= b in the codomain.  The value at position t
+    must be allowed by the row ``allowed[t]``, dominate the values at the
+    earlier positions ``below[t]`` and lie under those at ``above[t]``.
+    Yields ``(rows, len(below))`` arrays of codomain indices, at most
+    ``BLOCK`` rows each; the rows come out lexicographically sorted.
+
+    Partial rows are extended one position at a time, a block at a time,
+    depth first: a ``(rows, codomain)`` mask of allowed values is gathered
+    from ``order``, and each row is repeated once per allowed value, in
+    index order.
+    """
+    total, geq = len(below), order.T
+    stack = [(0, np.zeros((1, total), dtype=row_dtype(len(order))))]
+    while stack:
+        t, rows = stack.pop()
+        if t == total:
+            yield rows
+            continue
+        ok = np.repeat(allowed[t:t + 1], len(rows), axis=0)
+        for s in below[t]:
+            ok &= order[rows[:, s]]
+        for s in above[t]:
+            ok &= geq[rows[:, s]]
+        parent, value = np.nonzero(ok)
+        grown = rows[parent]
+        grown[:, t] = value
+        # Pushed last block first, so the first block is extended first.
+        stack.extend((t + 1, grown[i:i + BLOCK])
+                     for i in reversed(range(0, len(grown), BLOCK)))
+
+
+def _pointwise_order(order, rows):
+    """The order of index rows into a poset, coordinate by coordinate."""
+    out = np.ones((len(rows), len(rows)), dtype=bool)
+    for column in rows.T:
+        out &= order[np.ix_(column, column)]
+    return out
+
+
+def _earlier_neighbours(order):
+    """Per position t, in index order: the maximal positions before t that
+    lie strictly under it, and the minimal ones strictly over it.
+
+    The values at earlier positions already keep order among themselves,
+    for any numbering, so only these need checking.
+    """
+    strictly = order & ~np.eye(len(order), dtype=bool)
+    below, above = [], []
+    for t in range(len(order)):
+        lows = np.flatnonzero(strictly[:t, t])
+        below.append(lows[~strictly[np.ix_(lows, lows)].any(axis=1)].tolist())
+        highs = np.flatnonzero(strictly[t, :t])
+        above.append(highs[~strictly[np.ix_(highs, highs)].any(axis=0)].tolist())
+    return below, above
+
+
+def _next_level(order, neighbours):
+    """Index rows of the monotone maps from P into the poset ``order``, or
+    None once their own order matrix would exceed ``MAX_ENTRIES``."""
+    blocks, count = [], 0
+    allowed = np.ones((len(neighbours[0]), len(order)), dtype=bool)
+    for block in _monotone_blocks(order, *neighbours, allowed):
+        count += len(block)
+        if count ** 2 > MAX_ENTRIES:
+            return None
+        blocks.append(block)
+    return np.concatenate(blocks)
+
+
+def _map_blocks(P: Lattice, n: int, L: Lattice, pinned: bool = False):
+    """The monotone maps P^n -> L as blocks of value rows, in value-tuple order.
+
+    A row lists the values at the inputs of P^n in encoding order.  With
+    ``pinned``, the all-bottom input goes to L.bottom and the all-top input
+    to L.top.
+
+    Curried in coordinate 0, a monotone map is a monotone map from P into
+    the poset M_{n-1} of monotone maps P^{n-1} -> L under the pointwise
+    order, and M_0 is L.  The levels M_1, M_2, ... are built whole as index
+    rows into the level before; the rows come out lexicographically
+    sorted, so every level lists its maps in value-tuple order.  A level
+    whose order matrix would exceed ``MAX_ENTRIES`` is not built: the maps
+    are then maps from P^j into the last level built, M_{n-j}, with the
+    inputs of P^j as positions.  This last step is streamed, and a block of
+    index rows becomes a block of maps by one gather of the value rows of
+    M_{n-j}.
+    """
+    check_arity(n)
+    values, order = np.arange(L.size, dtype=row_dtype(L.size))[:, None], L.leq_table
+    neighbours = _earlier_neighbours(P.leq_table)
+    curried = 0
+    while curried < n - 1 and (rows := _next_level(order, neighbours)) is not None:
+        values = values.take(rows, axis=0).reshape(len(rows), -1)
+        order = _pointwise_order(order, rows)
+        curried += 1
+
+    # The last step maps the inputs of P^j into M_{n-j}.
+    j = n - curried
+    grid = input_grid(P.size, j)
+    check_entries(len(grid) ** 2, f"the order of the inputs of arity {j}")
+    positions = _earlier_neighbours(_pointwise_order(P.leq_table, grid))
+    allowed = np.ones((len(grid), len(values)), dtype=bool)
+    if pinned:
+        for end, image in ((P.bottom, L.bottom), (P.top, L.top)):
+            allowed[encode((end,) * j, P.size)] &= \
+                values[:, encode((end,) * curried, P.size)] == image
+    for rows in _monotone_blocks(order, *positions, allowed):
+        yield values.take(rows, axis=0).reshape(len(rows), -1)

@@ -1,6 +1,6 @@
 import pytest
 
-from latcong import io
+from latcong import io, tables
 from latcong.cli import main
 from latcong.lattice import catalogue
 from latcong.sugeno import Capacity, sugeno_table
@@ -26,6 +26,7 @@ def files(tmp_path_factory):
     write("bent.fn", "function bent\nn 1\nf 0 -> 0\nf 1 -> 2\nf 2 -> 2\n")
     write("p.poly", "(join (meet (const 1) (var 0)) (var 1))\n")
     write("wide.poly", "(join (var 0) (var 30))\n")
+    write("ternary.poly", "(join (var 0) (var 2))\n")
     write("broken.cap", "capacity x\nn 2\nm {} 1\nm {1} 1\nm {2} 1\nm {1,2} 2\n")
     write("negative.cap", "capacity x\nn -1\n")
     write("negative.fn", "function f\nn -1\n")
@@ -207,6 +208,20 @@ def test_polynomial_of_too_many_inputs_exits_2(files, capsys, command):
     assert code == 2
     assert out == ""
     assert err.startswith("error: the input grid of arity 31 would have")
+    assert "Traceback" not in err
+
+
+def test_guarded_terms_over_the_limit_exit_2(files, capsys, monkeypatch):
+    """Under this limit the grid of a ternary term over chain(2) fits (24
+    entries) but its guarded terms (2 * 8 * 8) do not; the plan cache is
+    cleared so that no part built under the real limit is reused."""
+    monkeypatch.setattr(tables, "MAX_ENTRIES", 64)
+    tables._plan.cache_clear()
+    code, out, err = run(capsys, "synthesize", "--poly", files["ternary.poly"],
+                         "--lattice", files["c2.lat"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: the guarded terms of arity 3 would have 128")
     assert "Traceback" not in err
 
 

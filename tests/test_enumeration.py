@@ -9,11 +9,10 @@ import pytest
 import oracles
 from conftest import relabelled
 from latcong import tables
-from latcong.compat import _table_blocks, enumerate_monotone_tables, \
-    verify_equivalence_suite
+from latcong.compat import enumerate_monotone_tables, verify_equivalence_suite
 from latcong.errors import ArityMismatch, BudgetExceeded, TooLarge
 from latcong.lattice import build_from_covers, catalogue
-from latcong.polynomials import enumerate_monotone_normal_forms
+from latcong.polynomials import _CHAIN2, enumerate_monotone_normal_forms
 from latcong.sugeno import enumerate_capacities
 
 NAMES = ("chain(1)", "chain(3)", "boolean(2)", "N5", "M3")
@@ -70,6 +69,13 @@ def _enumerated(L, kind, n):
     return [m.coefficients for m in enumerate_capacities(L, n)]
 
 
+def _blocks(L, kind, n):
+    """The blocks of value rows that the enumerator of ``kind`` consumes."""
+    domain = L if kind.endswith("tables") else _CHAIN2
+    pinned = kind in ("aggregation tables", "capacities")
+    return tables._map_blocks(domain, n, L, pinned)
+
+
 @pytest.mark.parametrize("name,kind,n", list(_cases()))
 def test_enumerator_matches_oracle(name, kind, n):
     L = LATTICES[name]
@@ -111,6 +117,34 @@ def test_enumerator_without_room_for_every_level(monkeypatch, name, seed, n,
     assert _enumerated(L, kind, n) == _oracle(L, kind, n)
 
 
+# The same for the subset masks, the inputs of the 2-chain's n-th power:
+# the last level built is M_1 for chain(3) at n = 3, and M_0 = L for
+# chain(3) and boolean(2) at n = 2, where every mask is a position.
+MASK_FALLBACKS = [("chain(3)", None, 3, 40), ("chain(3)", 5, 3, 40),
+                  ("chain(3)", 5, 2, 30), ("boolean(2)", None, 2, 80)]
+
+
+@pytest.mark.parametrize("name,seed,n,limit", MASK_FALLBACKS)
+@pytest.mark.parametrize("kind", ["normal forms", "capacities"])
+def test_mask_enumerator_without_room_for_every_level(monkeypatch, name, seed,
+                                                      n, limit, kind):
+    L = catalogue(name) if seed is None else relabelled(catalogue(name), seed)
+    monkeypatch.setattr(tables, "MAX_ENTRIES", limit)
+    assert _enumerated(L, kind, n) == _oracle(L, kind, n)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_small_blocks_keep_the_sequences(monkeypatch, kind):
+    """With ``tables.BLOCK`` patched down, every enumerator works in several
+    blocks of at most that many rows and still yields the oracle's maps."""
+    L, n = catalogue("chain(3)"), 2
+    monkeypatch.setattr(tables, "BLOCK", 2)
+    blocks = list(_blocks(L, kind, n))
+    assert len(blocks) > 1
+    assert max(map(len, blocks)) <= 2
+    assert _enumerated(L, kind, n) == _oracle(L, kind, n)
+
+
 def test_enumerator_refuses_positions_over_the_limit(monkeypatch):
     monkeypatch.setattr(tables, "MAX_ENTRIES", 80)  # L^2 has 9 ** 2 pairs
     with pytest.raises(TooLarge):
@@ -140,7 +174,7 @@ def test_chain5_binary_count_is_macmahons_box_formula():
     for i, j, k in itertools.product(range(1, 6), range(1, 6), range(1, 5)):
         box *= Fraction(i + j + k - 1, i + j + k - 2)
     assert box == 16818516
-    blocks = _table_blocks(catalogue("chain(5)"), 2, "all")
+    blocks = _blocks(catalogue("chain(5)"), "tables", 2)
     assert sum(len(block) for block in blocks) == box
 
 

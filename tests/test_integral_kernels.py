@@ -14,7 +14,7 @@ import pytest
 
 import oracles
 from conftest import relabelled
-from latcong import compat, polynomials, sugeno
+from latcong import polynomials, sugeno, tables
 from latcong.constructions import direct_product
 from latcong.errors import ForeignElement, NotAChain
 from latcong.lattice import catalogue
@@ -64,10 +64,10 @@ def _oracle_forms(name, n, rows):
 
 
 def _kernel_forms(L, n, rows):
-    plan = compat._plan(L, n, "principal-only")
+    plan = tables._plan(L, n)
     stack = np.array(rows, dtype=plan.dtype).reshape(len(rows), 1 << n)
     return [kernel(plan, stack).tolist() for kernel in
-            (compat._level_rows, compat._pointwise_rows, compat._rebuild_rows)]
+            (sugeno._level_rows, sugeno._pointwise_rows, polynomials._rebuild_rows)]
 
 
 def _arbitrary_rows(L, n, count=40):
@@ -120,7 +120,7 @@ REPORT_CASES = [("chain(3)", 0), ("chain(3)", 1), ("chain(3)", 2), ("chain(3)", 
 def test_formulation_report_matches_oracles(monkeypatch, name, n, block):
     """With ``block`` set, capacities come in stacks of 7 rows."""
     if block is not None:
-        monkeypatch.setattr(polynomials, "BLOCK", block)
+        monkeypatch.setattr(tables, "BLOCK", block)
         monkeypatch.setattr(sugeno, "BLOCK", block)
     L = LATTICES[name]
     assert compare_formulations(L, n) == oracle_formulation_report(L, name, n)

@@ -194,3 +194,18 @@ def test_input_grid_limit_counts_entries(monkeypatch):
         input_grid(2, 5)  # 32 inputs of 5 coordinates
     with pytest.raises(TooLarge):
         input_grid(19, 1)
+
+
+def test_plan_parts_are_bounded_before_they_allocate(monkeypatch):
+    """chain(2) at n = 3: the grid has 8 * 3 = 24 entries, the guarded
+    terms 2 * 8 * 8 = 128 and the comonotone pairs (8 * 3) ** 2 = 576."""
+    monkeypatch.setattr(tables, "MAX_ENTRIES", 128)
+    plan = tables._Plan(catalogue("chain(2)"), 3)
+    assert plan.grid.shape == (8, 3)
+    assert plan.guarded_terms.shape == (2, 8, 8)
+    with pytest.raises(TooLarge, match="comonotone pairs of arity 3 would have 576"):
+        plan.comonotone
+    monkeypatch.setattr(tables, "MAX_ENTRIES", 127)
+    plan = tables._Plan(catalogue("chain(2)"), 3)
+    with pytest.raises(TooLarge, match="guarded terms of arity 3 would have 128"):
+        plan.guarded_terms

@@ -12,7 +12,7 @@ import pytest
 
 import oracles
 from conftest import relabelled
-from latcong import compat, polynomials
+from latcong import compat, polynomials, tables
 from latcong.compat import EquivalenceReport, verify_equivalence_suite
 from latcong.lattice import catalogue
 from latcong.tables import FunctionTable
@@ -55,11 +55,12 @@ def _monotone(L, n, pinned=()):
 
 
 def _kernel_verdicts(L, n, rows, mode="principal-only"):
-    plan = compat._plan(L, n, mode)
+    plan = tables._plan(L, n)
     stack = np.array(rows, dtype=plan.dtype).reshape(len(rows), L.size ** n)
     restrictions = stack[:, plan.vertices]
-    return (compat._compatible_rows(plan, stack), compat._median_rows(plan, stack),
-            restrictions, compat._rebuild_rows(plan, restrictions))
+    return (compat._compatible_rows(compat._pairs(L, n, mode), stack),
+            compat._median_rows(plan, stack),
+            restrictions, polynomials._rebuild_rows(plan, restrictions))
 
 
 @pytest.mark.parametrize("name,n", CASES)
@@ -84,7 +85,7 @@ def test_kernels_on_a_stack_longer_than_a_block(name):
     """Every unary table, monotone or not: 5^5 = 3125 rows in one stack."""
     L = LATTICES[name]
     rows = list(itertools.product(range(L.size), repeat=L.size))
-    assert len(rows) > polynomials.BLOCK
+    assert len(rows) > tables.BLOCK
     comp, med, _, _ = _kernel_verdicts(L, 1, rows)
     for r, values in enumerate(rows):
         f = FunctionTable(1, L.size, values)
@@ -98,8 +99,8 @@ def test_rebuild_of_arbitrary_coefficients(name, n):
     """The expansion of any coefficient table, monotone in the masks or not."""
     L = LATTICES[name]
     rows = list(itertools.product(range(L.size), repeat=1 << n))
-    plan = compat._plan(L, n, "principal-only")
-    rebuilt = compat._rebuild_rows(plan, np.array(rows))
+    plan = tables._plan(L, n)
+    rebuilt = polynomials._rebuild_rows(plan, np.array(rows))
     for r, coefficients in enumerate(rows):
         assert tuple(rebuilt[r].tolist()) == \
             oracles.subset_expansion_table(L, coefficients, n)
@@ -165,7 +166,7 @@ def test_scan_report_matches_oracles(monkeypatch, name, n, filter, block):
     """With ``block`` set, the enumerator and the scan work in blocks of 7
     rows, so consecutive tables fall into different blocks."""
     if block is not None:
-        monkeypatch.setattr(polynomials, "BLOCK", block)
+        monkeypatch.setattr(tables, "BLOCK", block)
         monkeypatch.setattr(compat, "BLOCK", block)
     L = LATTICES[name]
     assert verify_equivalence_suite(L, n, filter=filter) == \
