@@ -118,9 +118,7 @@ def cmd_synthesize(args):
     table = _load_function(args, L)
     nf, verified = synthesize(L, table)
     for mask in range(1 << nf.arity):
-        subset = "{" + ",".join(str(i + 1) for i in range(nf.arity)
-                                if mask >> i & 1) + "}"
-        print(f"g {subset} {nf.coefficients[mask]}")
+        print(f"g {io._subset_token(mask, nf.arity)} {nf.coefficients[mask]}")
     print(f"verified {'true' if verified else 'false'}")
     return 0 if verified else 1
 

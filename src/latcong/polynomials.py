@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import ArityMismatch
 from .lattice import Lattice
-from .tables import FunctionTable, _apply, _join_rows, _map_blocks, _plan, \
-    check_elements, check_input, check_table, vertex_input
+from .tables import FunctionTable, _Plan, _apply, _join_rows, _map_blocks, \
+    _plan, _vertex_rows, check_elements, check_input, check_table
 
 # The two-element chain: input k of its n-th power, in encoding order, lies
 # under input k' exactly when the subset mask k lies in the mask k'.
@@ -78,36 +78,29 @@ class WeightedPolynomial:
 
 def evaluate(L: Lattice, p: WeightedPolynomial, x) -> int:
     """Evaluate the term at an input vector via the lattice tables."""
-    return _eval_node(L, p.root, check_input(L.size, p.arity, x))
+    plan = _Plan(L, [check_input(L.size, p.arity, x)])
+    return int(_term_rows(plan, p)[0])
 
 
-def _eval_node(L, node, x):
-    if isinstance(node, Projection):
-        return x[node.index]
-    if isinstance(node, Constant):
-        check_elements(L.size, (node.value,), "constant")
-        return node.value
-    if isinstance(node, Meet):
-        return L.meet(_eval_node(L, node.left, x), _eval_node(L, node.right, x))
-    return L.join(_eval_node(L, node.left, x), _eval_node(L, node.right, x))
-
-
-def to_table(L: Lattice, p: WeightedPolynomial) -> FunctionTable:
-    """Lower a polynomial to its table: one gather per node over all inputs."""
-    plan = _plan(L, p.arity)
+def _term_rows(plan, p: WeightedPolynomial) -> np.ndarray:
+    """The term's value at each input of the plan: one gather per node."""
 
     def lower(node):
         if isinstance(node, Projection):
             return plan.grid[:, node.index]
         if isinstance(node, Constant):
-            check_elements(L.size, (node.value,), "constant")
+            check_elements(plan.lattice.size, (node.value,), "constant")
             return node.value
         table = plan.meet if isinstance(node, Meet) else plan.join
         return _apply(table, lower(node.left), lower(node.right))
 
-    # A term without projections lowers to one value; fill the table with it.
-    return FunctionTable(p.arity, L.size,
-                         np.full(len(plan.grid), lower(p.root)).tolist())
+    # A term without projections lowers to one value; fill the rows with it.
+    return np.full(len(plan.grid), lower(p.root))
+
+
+def to_table(L: Lattice, p: WeightedPolynomial) -> FunctionTable:
+    """Lower a polynomial to its table over all inputs."""
+    return FunctionTable(p.arity, L.size, _term_rows(_plan(L, p.arity), p).tolist())
 
 
 @dataclass(frozen=True, slots=True)
@@ -132,9 +125,15 @@ class NormalForm:
 
 def to_normal_form(L: Lattice, p: WeightedPolynomial) -> NormalForm:
     """Read the coefficients off the boolean vertices."""
-    coeffs = [evaluate(L, p, vertex_input(L, p.arity, mask))
-              for mask in range(1 << p.arity)]
-    return NormalForm(p.arity, tuple(coeffs))
+    plan = _Plan(L, _vertex_rows(L, p.arity))
+    return NormalForm(p.arity, tuple(_term_rows(plan, p).tolist()))
+
+
+def _at_point(rows, L: Lattice, nf: NormalForm, x) -> int:
+    """A kernel over coefficient rows, run on nf and a plan of the one input x."""
+    plan = _Plan(L, [check_input(L.size, nf.arity, x)])
+    check_elements(L.size, nf.coefficients, "coefficient")
+    return int(rows(plan, np.array([nf.coefficients]))[0, 0])
 
 
 def eval_normal_form(L: Lattice, nf: NormalForm, x) -> int:
@@ -143,16 +142,7 @@ def eval_normal_form(L: Lattice, nf: NormalForm, x) -> int:
     The empty meet is top, so the empty mask contributes its coefficient
     unguarded.
     """
-    x = check_input(L.size, nf.arity, x)
-    check_elements(L.size, nf.coefficients, "coefficient")
-    meet, join = L.meet_table, L.join_table
-    acc = L.bottom
-    for mask, term in enumerate(nf.coefficients):
-        for i in range(nf.arity):
-            if mask >> i & 1:
-                term = meet[term, x[i]]
-        acc = join[acc, term]
-    return int(acc)
+    return _at_point(_rebuild_rows, L, nf, x)
 
 
 def normal_form_to_polynomial(nf: NormalForm) -> WeightedPolynomial:
@@ -186,22 +176,19 @@ def boolean_restriction(L: Lattice, f: FunctionTable) -> NormalForm:
 
 
 def _rebuild_rows(plan, coefficients) -> np.ndarray:
-    """The tables of a stack of normal-form coefficient rows.
-
-    Join over masks of coefficient ^ (meet of the selected coordinates).
-    """
-    coefficients = np.asarray(coefficients)
-    if coefficients.size:
-        check_elements(plan.lattice.size,
-                       (coefficients.min(), coefficients.max()), "coefficient")
-    guarded = plan.guarded_terms
-    terms = (guarded[coefficients[:, mask], mask] for mask in range(guarded.shape[1]))
+    """The normal forms of coefficient rows (values in L) at the plan's
+    inputs: join over masks of coefficient ^ (meet of the selected
+    coordinates)."""
+    terms = (plan.meet[:, selected].take(coefficients[:, mask], axis=0)
+             for mask, selected in enumerate(plan.selected))
     return _join_rows(plan, len(coefficients), terms)
 
 
 def normal_form_table(L: Lattice, nf: NormalForm) -> FunctionTable:
     """The table of the join-of-meets normal form of ``nf``."""
-    rows = _rebuild_rows(_plan(L, nf.arity), [nf.coefficients])
+    plan = _plan(L, nf.arity)
+    check_elements(L.size, nf.coefficients, "coefficient")
+    rows = _rebuild_rows(plan, np.array([nf.coefficients]))
     return FunctionTable(nf.arity, L.size, rows[0].tolist())
 
 

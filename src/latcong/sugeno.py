@@ -18,12 +18,12 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import ArityMismatch, NotAChain, NotAggregation, ValidationError
+from .errors import NotAChain, NotAggregation, ValidationError
 from .lattice import Lattice
-from .polynomials import _CHAIN2, NormalForm, _rebuild_rows, boolean_restriction, \
-    eval_normal_form, is_monotone, normal_form_table
+from .polynomials import _CHAIN2, NormalForm, _at_point, _rebuild_rows, \
+    boolean_restriction, eval_normal_form, is_monotone, normal_form_table
 from .tables import BLOCK, FunctionTable, _apply, _join_rows, _map_blocks, \
-    _plan, check_elements, check_input, check_table
+    _plan, check_arity, check_elements, check_table
 
 
 @dataclass(frozen=True, init=False, slots=True)
@@ -77,22 +77,12 @@ sugeno_eval = eval_normal_form
 
 def sugeno_eval_levels(L: Lattice, m: Capacity, u) -> int:
     """Level-set form with the threshold ranging over all lattice elements."""
-    u = check_input(L.size, m.arity, u)
-    acc = L.bottom
-    for t in range(L.size):
-        mask = sum(1 << i for i in range(m.arity) if L.leq_table[t, u[i]])
-        acc = L.join_table[acc, L.meet_table[t, m.coefficients[mask]]]
-    return int(acc)
+    return _at_point(_level_rows, L, m, u)
 
 
 def sugeno_eval_pointwise(L: Lattice, m: Capacity, u) -> int:
     """Pointwise form: join over i of u_i ^ m({j : u_j >= u_i})."""
-    u = check_input(L.size, m.arity, u)
-    acc = L.bottom
-    for i in range(m.arity):
-        mask = sum(1 << j for j in range(m.arity) if L.leq_table[u[i], u[j]])
-        acc = L.join_table[acc, L.meet_table[u[i], m.coefficients[mask]]]
-    return int(acc)
+    return _at_point(_pointwise_rows, L, m, u)
 
 
 def sugeno_table(L: Lattice, m: Capacity) -> FunctionTable:
@@ -224,8 +214,7 @@ def compare_formulations(L: Lattice, n: int) -> FormulationReport:
     Capacities are evaluated as stacks of ``BLOCK``; only the (capacity,
     input) cells where the forms disagree are visited one by one.
     """
-    if n < 0:
-        raise ArityMismatch(f"arity must be non-negative, got {n}")
+    check_arity(n)
     plan = _plan(L, n)
     found = []
     count = 0

@@ -6,7 +6,7 @@ is the most significant digit, matching ``itertools.product`` order).
 Tables are the common currency between the polynomial, Sugeno, and
 compatibility modules: everything is lowered to a table before it is
 cross-checked.  The table-stack layer under those modules lives here too:
-the plan of index arrays per lattice and arity, and ``_map_blocks``, the
+the plan of index arrays per lattice and input stack, and ``_map_blocks``, the
 one enumerator of tables, normal forms and capacities.
 """
 
@@ -91,7 +91,7 @@ class FunctionTable:
 def check_arity(n: int) -> None:
     """Raise ArityMismatch for a negative arity."""
     if n < 0:
-        raise ArityMismatch(f"arity must be nonnegative, got {n}")
+        raise ArityMismatch(f"arity must be non-negative, got {n}")
 
 
 def check_entries(entries: int, what: str) -> None:
@@ -137,12 +137,20 @@ def vertex_input(L, arity: int, mask: int) -> tuple[int, ...]:
     return tuple(L.top if mask >> i & 1 else L.bottom for i in range(arity))
 
 
+def _vertex_rows(L, arity: int):
+    """The ``(2**arity, arity)`` stack of boolean vertices, one per subset mask."""
+    check_entries((1 << arity) * arity, f"the boolean vertices of arity {arity}")
+    bits = (np.arange(1 << arity)[:, None] >> np.arange(arity)) & 1
+    return np.where(bits, L.top, L.bottom)
+
+
 # --- table stacks -------------------------------------------------------------
 #
-# A stack is a (T, size**n) array of tables, one table per row, in the
-# smallest unsigned dtype of the carrier.  The kernels evaluate a
-# characterization for every row at once by gathers through the meet and
-# join tables; single-table calls run them on a stack of one.
+# A stack is a (T, k) array of tables, one per row, in the smallest unsigned
+# dtype of the carrier, valued at the k inputs of a plan (all of L^n, or
+# one point).  The kernels evaluate a characterization for every row at once
+# by gathers through the meet and join tables; single calls run them on a
+# stack of one.
 
 # Rows per block of the monotone enumerators; it bounds their memory.
 BLOCK = 1024
@@ -153,22 +161,34 @@ def row_dtype(size: int):
     return np.min_scalar_type(size - 1)
 
 
-class _Plan:
-    """Index arrays of the kernels for one lattice and arity; each part
-    beyond the input grid is built on first use."""
+@lru_cache(maxsize=64)
+def _typed_tables(L: Lattice):
+    """The meet and join tables in the row dtype, shared by every plan of L."""
+    dtype = row_dtype(L.size)
+    return L.meet_table.astype(dtype), L.join_table.astype(dtype)
 
-    def __init__(self, L: Lattice, n: int):
-        self.lattice, self.arity = L, n
+
+class _Plan:
+    """Index arrays of the kernels for one lattice over a ``(k, n)`` stack of
+    inputs (the full grid, or a single point); each part beyond the inputs
+    is built on first use."""
+
+    def __init__(self, L: Lattice, grid):
+        self.lattice, self.grid = L, np.asarray(grid, dtype=np.intp)
+        self.arity = self.grid.shape[1]
         self.dtype = row_dtype(L.size)
-        self.meet = L.meet_table.astype(self.dtype)
-        self.join = L.join_table.astype(self.dtype)
-        self.grid = input_grid(L.size, n)
-        self.strides = L.size ** np.arange(n - 1, -1, -1)
+        self.meet, self.join = _typed_tables(L)
+
+    @cached_property
+    def strides(self):
+        """The mixed-radix place value of each coordinate (full grid only)."""
+        return self.lattice.size ** np.arange(self.arity - 1, -1, -1)
 
     @cached_property
     def slices(self):
         """(n, size**n) arrays: per coordinate k and input x, the index of x
-        with x_k at bottom, the index of x with x_k at top, and x_k."""
+        with x_k at bottom, the index of x with x_k at top, and x_k; they
+        index a whole table, so only the full-grid plan has them."""
         L, grid = self.lattice, self.grid
         own = grid.T * self.strides[:, None]
         base = np.arange(len(grid)) - own
@@ -177,42 +197,37 @@ class _Plan:
 
     @cached_property
     def vertices(self):
-        """Input index of the boolean vertex of each subset mask."""
-        L = self.lattice
-        bits = (np.arange(1 << self.arity)[:, None] >> np.arange(self.arity)) & 1
-        return np.where(bits, L.top, L.bottom) @ self.strides
+        """Input index of the boolean vertex of each subset mask (full grid only)."""
+        return _vertex_rows(self.lattice, self.arity) @ self.strides
 
     @cached_property
-    def guarded_terms(self):
-        """(size, 2**n, size**n): c ^ (meet of the coordinates of x that
-        the mask selects), for every coefficient c, mask and input x.
-
-        The empty meet is top, so the empty mask gives c itself.
-        """
-        check_entries(self.lattice.size * (1 << self.arity) * len(self.grid),
-                      f"the guarded terms of arity {self.arity}")
-        selected = np.empty((1 << self.arity, len(self.grid)), dtype=self.dtype)
-        selected[0] = self.lattice.top
-        for mask in range(1, 1 << self.arity):
-            low = (mask & -mask).bit_length() - 1
-            selected[mask] = self.meet[selected[mask & ~(1 << low)],
-                                       self.grid[:, low]]
-        return self.meet[:, selected]
+    def selected(self):
+        """(2**n, k): per subset mask and input x, the meet of the
+        coordinates of x that the mask selects; the empty meet is top.  The
+        masks with bit i set are the masks below ``1 << i`` met with x_i."""
+        check_entries((1 << self.arity) * len(self.grid),
+                      f"the selected meets of arity {self.arity}")
+        out = np.empty((1 << self.arity, len(self.grid)), dtype=self.dtype)
+        out[0] = self.lattice.top
+        for i, column in enumerate(self.grid.T):
+            out[1 << i:2 << i] = _apply(self.meet, out[:1 << i], column)
+        return out
 
     @cached_property
     def level_masks(self):
-        """(size, size**n): the mask {i : t <= x_i} per threshold t and input x."""
+        """(size, k): the mask {i : t <= x_i} per threshold t and input x."""
         return self.lattice.leq_table[:, self.grid] @ (1 << np.arange(self.arity))
 
     @cached_property
     def pointwise_masks(self):
-        """(n, size**n): the mask {j : x_i <= x_j} per coordinate i and input x."""
+        """(n, k): the mask {j : x_i <= x_j} per coordinate i and input x."""
         g, leq = self.grid, self.lattice.leq_table
         return (leq[g[:, :, None], g[:, None, :]] @ (1 << np.arange(self.arity))).T
 
     @cached_property
     def monotone_pairs(self):
-        """Input index pairs (x, x with one coordinate moved up a cover)."""
+        """Input index pairs (x, x with one coordinate moved up a cover);
+        full grid only."""
         low, high = np.array(self.lattice.covers, dtype=np.intp).reshape(-1, 2).T
         x, k, c = np.nonzero(self.grid[:, :, None] == low)
         return x, x + (high[c] - low[c]) * self.strides[k]
@@ -220,7 +235,7 @@ class _Plan:
     @cached_property
     def comonotone(self):
         """Index pairs of comonotone inputs x, y (never x_i < x_j while
-        y_j < y_i), and the index of x v y for each pair."""
+        y_j < y_i), and the index of x v y for each pair; full grid only."""
         L, g = self.lattice, self.grid
         check_entries((len(g) * self.arity) ** 2,
                       f"the comonotone pairs of arity {self.arity}")
@@ -231,7 +246,8 @@ class _Plan:
 
 @lru_cache(maxsize=64)
 def _plan(L: Lattice, n: int) -> _Plan:
-    return _Plan(L, n)
+    """The plan over the full input grid of arity n."""
+    return _Plan(L, input_grid(L.size, n))
 
 
 def _apply(table, a, b):
@@ -243,7 +259,7 @@ def _apply(table, a, b):
 
 
 def _join_rows(plan: _Plan, count: int, terms):
-    """Per input, the join of a (count, size**n) stack of terms; bottom if none."""
+    """Per input, the join of a (count, k) stack of terms; bottom if none."""
     out = np.full((count, len(plan.grid)), plan.lattice.bottom, dtype=plan.dtype)
     for term in terms:
         out = _apply(plan.join, out, term)

@@ -211,17 +211,17 @@ def test_polynomial_of_too_many_inputs_exits_2(files, capsys, command):
     assert "Traceback" not in err
 
 
-def test_guarded_terms_over_the_limit_exit_2(files, capsys, monkeypatch):
+def test_selected_meets_over_the_limit_exit_2(files, capsys, monkeypatch):
     """Under this limit the grid of a ternary term over chain(2) fits (24
-    entries) but its guarded terms (2 * 8 * 8) do not; the plan cache is
-    cleared so that no part built under the real limit is reused."""
-    monkeypatch.setattr(tables, "MAX_ENTRIES", 64)
+    entries) but its selected meets (8 masks * 8 inputs) do not; the plan
+    cache is cleared so that no part built under the real limit is reused."""
+    monkeypatch.setattr(tables, "MAX_ENTRIES", 63)
     tables._plan.cache_clear()
     code, out, err = run(capsys, "synthesize", "--poly", files["ternary.poly"],
                          "--lattice", files["c2.lat"])
     assert code == 2
     assert out == ""
-    assert err.startswith("error: the guarded terms of arity 3 would have 128")
+    assert err.startswith("error: the selected meets of arity 3 would have 64")
     assert "Traceback" not in err
 
 

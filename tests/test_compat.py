@@ -80,7 +80,8 @@ def test_synthesize_on_compatible_table(c3):
     assert verified
     assert nf.coefficients == (0, 1, 1, 2)
     for x in all_inputs(3, 2):
-        assert eval_normal_form(c3, nf, x) == su.value_at(x)
+        assert eval_normal_form(c3, nf, x) == su.value_at(x) \
+            == oracles.sugeno_by_subsets(c3, nf.coefficients, x)
 
 
 def test_synthesize_requires_monotone(c3):

@@ -18,11 +18,13 @@ from latcong import polynomials, sugeno, tables
 from latcong.constructions import direct_product
 from latcong.errors import ForeignElement, NotAChain
 from latcong.lattice import catalogue
-from latcong.polynomials import Constant, Join, Meet, Projection, \
-    WeightedPolynomial, is_monotone, random_polynomial, to_table
+from latcong.polynomials import Constant, Join, Meet, NormalForm, Projection, \
+    WeightedPolynomial, eval_normal_form, evaluate, is_monotone, \
+    random_polynomial, to_table
 from latcong.sugeno import Disagreement, FormulationReport, \
     check_comonotone_maxitive, check_horizontally_maxitive, check_idempotent, \
-    check_min_homogeneous, compare_formulations
+    check_min_homogeneous, compare_formulations, enumerate_capacities, \
+    sugeno_eval, sugeno_eval_levels, sugeno_eval_pointwise
 from latcong.tables import FunctionTable
 
 BASE = ("chain(3)", "chain(4)", "boolean(2)", "boolean(3)", "N5", "M3")
@@ -162,6 +164,48 @@ def test_to_table_matches_recursive_evaluation(name):
 def test_to_table_rejects_foreign_constants(term):
     with pytest.raises(ForeignElement):
         to_table(catalogue("chain(3)"), WeightedPolynomial(1, term))
+
+
+# --- single points ----------------------------------------------------------------
+
+POINT_LATTICES = {name: catalogue(name)
+                  for name in ("chain(1)", "chain(3)", "boolean(2)", "N5", "M3")}
+POINT_LATTICES["boolean(2) relabelled"] = relabelled(catalogue("boolean(2)"), 3)
+
+
+def _point_terms(L, n, rng, count=6):
+    """Random terms of arity n; at n = 0, terms of constants only."""
+    if n == 0:
+        def c():
+            return Constant(rng.randrange(L.size))
+        return [WeightedPolynomial(0, Meet(Join(c(), c()), c())) for _ in range(count)]
+    return [random_polynomial(rng, n, L.size, max_depth=rng.randint(0, 4))
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+@pytest.mark.parametrize("name", sorted(POINT_LATTICES))
+def test_point_evaluators_match_oracles(name, n):
+    """The point evaluators run the stack kernels on a stack of one input,
+    so the literal formulas of the oracles are their only independent check."""
+    L = POINT_LATTICES[name]
+    rng = random.Random(f"{name} {n}")
+    points = _grid(L, n)
+    for p in _point_terms(L, n, rng):
+        for x in points:
+            assert evaluate(L, p, x) == oracles.evaluate_term(L, p.root, x), (p, x)
+    for row in _arbitrary_rows(L, n, count=6):
+        for x in points:
+            assert eval_normal_form(L, NormalForm(n, row), x) \
+                == oracles.sugeno_by_subsets(L, row, x), (row, x)
+    capacities = list(enumerate_capacities(L, n))
+    for m in rng.sample(capacities, min(6, len(capacities))):
+        for x in points:
+            assert (sugeno_eval(L, m, x), sugeno_eval_levels(L, m, x),
+                    sugeno_eval_pointwise(L, m, x)) == (
+                oracles.sugeno_by_subsets(L, m.coefficients, x),
+                oracles.sugeno_by_levels(L, m.coefficients, x),
+                oracles.sugeno_by_pointwise(L, m.coefficients, x)), (m, x)
 
 
 # --- monotonicity ----------------------------------------------------------------

@@ -23,6 +23,7 @@ from latcong.polynomials import (
     to_normal_form,
     to_table,
 )
+from latcong.sugeno import Capacity, sugeno_eval
 from latcong.tables import FunctionTable, all_inputs, input_grid
 
 
@@ -119,7 +120,8 @@ def test_normal_form_to_polynomial_round_trip(c3):
             p = normal_form_to_polynomial(nf)
             assert to_normal_form(c3, p) == nf
             for x in all_inputs(3, arity):
-                assert evaluate(c3, p, x) == eval_normal_form(c3, nf, x)
+                assert evaluate(c3, p, x) == eval_normal_form(c3, nf, x) \
+                    == oracles.evaluate_term(c3, p.root, x)
 
 
 def test_normal_form_mask_monotonicity_flag(c3):
@@ -197,15 +199,42 @@ def test_input_grid_limit_counts_entries(monkeypatch):
 
 
 def test_plan_parts_are_bounded_before_they_allocate(monkeypatch):
-    """chain(2) at n = 3: the grid has 8 * 3 = 24 entries, the guarded
-    terms 2 * 8 * 8 = 128 and the comonotone pairs (8 * 3) ** 2 = 576."""
-    monkeypatch.setattr(tables, "MAX_ENTRIES", 128)
-    plan = tables._Plan(catalogue("chain(2)"), 3)
+    """chain(2) at n = 3: the grid has 8 * 3 = 24 entries, the selected
+    meets 8 * 8 = 64 and the comonotone pairs (8 * 3) ** 2 = 576."""
+    monkeypatch.setattr(tables, "MAX_ENTRIES", 64)
+    plan = tables._Plan(catalogue("chain(2)"), input_grid(2, 3))
     assert plan.grid.shape == (8, 3)
-    assert plan.guarded_terms.shape == (2, 8, 8)
+    assert plan.selected.shape == (8, 8)
     with pytest.raises(TooLarge, match="comonotone pairs of arity 3 would have 576"):
         plan.comonotone
-    monkeypatch.setattr(tables, "MAX_ENTRIES", 127)
-    plan = tables._Plan(catalogue("chain(2)"), 3)
-    with pytest.raises(TooLarge, match="guarded terms of arity 3 would have 128"):
-        plan.guarded_terms
+    monkeypatch.setattr(tables, "MAX_ENTRIES", 63)
+    plan = tables._Plan(catalogue("chain(2)"), input_grid(2, 3))
+    with pytest.raises(TooLarge, match="selected meets of arity 3 would have 64"):
+        plan.selected
+
+
+def test_to_normal_form_bounds_its_vertex_stack(monkeypatch):
+    """The 2 ** 3 boolean vertices of 3 coordinates are 24 entries."""
+    L = catalogue("chain(2)")
+    p = WeightedPolynomial(3, Meet(Projection(0), Projection(2)))
+    monkeypatch.setattr(tables, "MAX_ENTRIES", 24)
+    assert to_normal_form(L, p).coefficients == (0, 0, 0, 0, 0, 1, 0, 1)
+    monkeypatch.setattr(tables, "MAX_ENTRIES", 23)
+    with pytest.raises(TooLarge, match="boolean vertices of arity 3 would have 24"):
+        to_normal_form(L, p)
+
+
+def test_a_point_never_builds_a_full_grid(monkeypatch):
+    """chain(3) at n = 3: a point selects 2 ** 3 = 8 meets, which fit, while
+    size * 2 ** 3 = 24 entries and the full grid's 27 * 3 = 81 do not.  The
+    plan cache is cleared so that no full-grid plan built under the real
+    limit is reused."""
+    L = catalogue("chain(3)")
+    m = Capacity(L, (0, 0, 1, 1, 1, 2, 1, 2))
+    monkeypatch.setattr(tables, "MAX_ENTRIES", 8)
+    tables._plan.cache_clear()
+    with pytest.raises(TooLarge, match="input grid of arity 3"):
+        tables._plan(L, 3)
+    for x in [(2, 1, 0), (1, 1, 2), (0, 2, 2)]:
+        want = oracles.sugeno_by_subsets(L, m.coefficients, x)
+        assert eval_normal_form(L, m, x) == sugeno_eval(L, m, x) == want

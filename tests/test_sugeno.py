@@ -90,6 +90,18 @@ def test_inputs_outside_the_carrier_are_foreign(c3, m_c3, call, u):
         call(c3, m_c3, u)
 
 
+@pytest.mark.parametrize("call", [sugeno_eval, sugeno_eval_levels,
+                                  sugeno_eval_pointwise],
+                         ids=["sugeno_eval", "levels", "pointwise"])
+def test_capacity_values_outside_the_carrier_are_foreign(c3, call):
+    """A boolean(2) capacity used on chain(3): the level and pointwise forms
+    used to raise a raw IndexError on its value 3."""
+    m = Capacity(catalogue("boolean(2)"), (0, 1, 2, 3))
+    with pytest.raises(ForeignElement,
+                       match="^coefficient 3 outside carrier of size 3$"):
+        call(c3, m, (2, 1))
+
+
 @pytest.mark.parametrize("name,n", [("chain(3)", 1), ("chain(3)", 2),
                                     ("boolean(2)", 2), ("M3", 1), ("N5", 2)])
 def test_subset_expansion_matches_combination_oracle(name, n):
