@@ -89,8 +89,6 @@ def cmd_congruences(args):
 def cmd_principal(args):
     L = _load_lattice(args)
     a, b = args.a, args.b
-    if not (0 <= a < L.size and 0 <= b < L.size):
-        raise LatcongError(f"elements ({a}, {b}) out of range for size {L.size}")
     oracle = principal_congruence_oracle(L, a, b)
     if L.is_distributive:
         formula = principal_congruence(L, a, b)

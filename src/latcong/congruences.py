@@ -1,19 +1,27 @@
 """Congruences of finite lattices represented as normalized partitions.
 
-A congruence is an equivalence relation that respects meet and join.  Two
+A congruence is an equivalence relation that respects meet and join.  Three
 routes compute the least congruence collapsing a pair: the closed-form
 characterization on distributive lattices (x ~ y iff b v x = b v y and
-a ^ x = a ^ y for a <= b), and an iterative closure that works on any
-lattice and serves as the independent oracle for the first.  The whole
-congruence lattice is generated by the closures of the covering pairs.
+a ^ x = a ^ y for a <= b), a numpy fixpoint over the meet and join tables
+that works on any lattice, and a pair-by-pair Python closure kept as the
+independent reference for both.  The whole congruence lattice is generated
+by con(j_*, j) for the join-irreducible elements j and their unique lower
+covers j_*: these are the join-irreducible congruences, and every cover
+principal con(a, b) equals one of them, so they are the distinct cover
+principals.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import BudgetExceeded, NotDistributive, SizeMismatch
+import numpy as np
+
+from .errors import BudgetExceeded, ForeignElement, NotDistributive, \
+    SizeMismatch
 from .lattice import Lattice
 
 
@@ -116,13 +124,22 @@ def is_congruence(L: Lattice, partition) -> bool:
     return True
 
 
+def _check_pair(L: Lattice, a: int, b: int) -> None:
+    """Raise ForeignElement unless a and b lie in ``0..size-1``."""
+    for e in (a, b):
+        if not 0 <= e < L.size:
+            raise ForeignElement(f"element {e} outside carrier of size {L.size}")
+
+
 def formula_relation(L: Lattice, a: int, b: int) -> Congruence:
     """Partition relating x, y iff b v x = b v y and a ^ x = a ^ y (a <= b).
 
     On a distributive lattice this is exactly the least congruence collapsing
     a and b; elsewhere it is just an equivalence whose behaviour is reported,
-    not assumed.
+    not assumed.  Raises ForeignElement for an element outside the carrier
+    and ValueError unless a <= b.
     """
+    _check_pair(L, a, b)
     if not L.leq(a, b):
         raise ValueError(f"expected a <= b, got ({a}, {b})")
     keys = {}
@@ -143,6 +160,7 @@ def principal_congruence(L: Lattice, a: int, b: int) -> Congruence:
     Only valid on distributive lattices.  An arbitrary pair is first replaced
     by (a ^ b, a v b): any congruence collapsing one collapses the other.
     """
+    _check_pair(L, a, b)
     if not L.is_distributive:
         raise NotDistributive(
             "closed-form principal congruences need distributivity; "
@@ -173,6 +191,7 @@ def principal_congruence_oracle(L: Lattice, a: int, b: int) -> Congruence:
     Works on any lattice: merge the pair, then keep merging the images of
     merged pairs under one-sided meets and joins until a fixpoint.
     """
+    _check_pair(L, a, b)
     n = L.size
     parent = list(range(n))
     meet, join = L.meet_table, L.join_table
@@ -186,6 +205,46 @@ def principal_congruence_oracle(L: Lattice, a: int, b: int) -> Congruence:
                 if _union(parent, p, q):
                     queue.append((p, q))
     return Congruence.from_class_of([_find(parent, x) for x in range(n)])
+
+
+def principal_congruence_fixpoint(L: Lattice, a: int, b: int) -> Congruence:
+    """Least congruence collapsing a and b, by one numpy fixpoint.
+
+    Works on any lattice.  ``label[x]`` is the smallest member of x's class.
+    Each round takes every translation pair (x v c, rep(x) v c) and
+    (x ^ c, rep(x) ^ c) at once and merges the classes the crossing ones
+    join, until no pair crosses a class.
+    """
+    _check_pair(L, a, b)
+    n = L.size
+    meet, join = L.meet_table, L.join_table
+    label = np.arange(n)
+    label[max(a, b)] = min(a, b)
+    while True:
+        moved = np.flatnonzero(label != np.arange(n))
+        reps = label[moved]
+        p = label[np.stack([join[moved], meet[moved]])].ravel()
+        q = label[np.stack([join[reps], meet[reps]])].ravel()
+        crossing = p != q
+        if not crossing.any():
+            return Congruence.from_class_of(label.tolist())
+        label = _merge(label, p[crossing], q[crossing])
+
+
+def _merge(label, p, q):
+    """Flat labels after joining the classes of each pair (p[i], q[i]):
+    min-label propagation between class roots, then pointer jumping, until
+    both ends of every pair point at one root."""
+    while True:
+        rp, rq = label[p], label[q]
+        apart = rp != rq
+        if not apart.any():
+            return label
+        low = np.minimum(rp[apart], rq[apart])
+        np.minimum.at(label, rp[apart], low)
+        np.minimum.at(label, rq[apart], low)
+        while not np.array_equal(label[label], label):
+            label = label[label]
 
 
 def congruence_join(L: Lattice, theta: Congruence, psi: Congruence) -> Congruence:
@@ -212,10 +271,16 @@ def congruence_join(L: Lattice, theta: Congruence, psi: Congruence) -> Congruenc
 def principal_congruences(L: Lattice) -> tuple[Congruence, ...]:
     """Distinct principal congruences con(a, b) of the covering pairs a < b.
 
-    Every congruence of a finite lattice is the join of the cover principals
-    it contains, so these generate Con L.  The identity is not among them.
+    Only the join-irreducible cover principals con(j_*, j) are closed, one
+    for each element j with exactly one lower cover j_*: they are the
+    join-irreducible congruences, and every cover principal equals one of
+    them (take j minimal with j <= b, j not <= a; then (j_*, j) is
+    perspective to (a, b)).  So the set they form is the set of distinct
+    cover principals, and it generates Con L.  The identity is not among them.
     """
-    found = {principal_congruence_oracle(L, a, b) for a, b in L.covers}
+    lower_covers = Counter(j for _, j in L.covers)
+    found = {principal_congruence_fixpoint(L, a, j)
+             for a, j in L.covers if lower_covers[j] == 1}
     return tuple(sorted(found, key=lambda c: c.class_of))
 
 

@@ -95,13 +95,47 @@ def all_congruences_two_pair(L):
     return sorted(out, key=lambda c: c.class_of)
 
 
+# Largest carrier whose congruences are found by filtering all partitions
+# (Bell(7) = 877); larger ones take the pair closure below.
+PARTITION_LIMIT = 7
+
+
 def least_congruence_containing(L, a, b):
-    """Intersection of every congruence relating the pair."""
+    """Intersection of every congruence relating the pair, or above
+    ``PARTITION_LIMIT`` elements the least relation closed under the
+    congruence rules."""
+    if L.size > PARTITION_LIMIT:
+        return two_pair_closure(L, a, b)
     keepers = [c for c in all_congruences_two_pair(L) if c.relates(a, b)]
     assert keepers, "the total partition always qualifies"
     class_of = [tuple(c.class_of[x] for c in keepers) for x in range(L.size)]
     return Congruence.from_class_of(
         [sorted(set(class_of)).index(key) for key in class_of])
+
+
+def two_pair_closure(L, a, b):
+    """The least relation holding (a, b) that is reflexive, symmetric,
+    transitive and takes related pairs (x, y), (u, v) to related joins and
+    meets, grown as a set of pairs: each round combines the new pairs with
+    every pair so far."""
+    rel = {(x, x) for x in range(L.size)}
+    fresh = {(a, b)} - rel
+    while fresh:
+        rel |= fresh
+        step = set()
+        for x, y in fresh:
+            step.add((y, x))
+            for u, v in rel:
+                step.add((L.join(x, u), L.join(y, v)))
+                step.add((L.meet(x, u), L.meet(y, v)))
+                if y == u:
+                    step.add((x, v))
+                if v == x:
+                    step.add((u, y))
+        fresh = step - rel
+    classes = [frozenset(y for y in range(L.size) if (x, y) in rel)
+               for x in range(L.size)]
+    return Congruence.from_class_of(classes)
 
 
 def is_monotone_all_pairs(L, table):

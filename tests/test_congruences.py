@@ -13,11 +13,13 @@ from latcong.congruences import (
     formula_relation_is_congruence,
     is_congruence,
     principal_congruence,
+    principal_congruence_fixpoint,
     principal_congruence_oracle,
     principal_congruences,
 )
-from latcong.constructions import direct_product
-from latcong.errors import BudgetExceeded, NotDistributive, SizeMismatch
+from latcong.constructions import direct_product, horizontal_sum
+from latcong.errors import BudgetExceeded, ForeignElement, NotDistributive, \
+    SizeMismatch
 from latcong.lattice import catalogue
 
 
@@ -82,7 +84,6 @@ def test_oracle_is_least_congruence(name):
 
 
 def test_oracle_is_least_congruence_on_product():
-    from latcong.constructions import direct_product
     P = direct_product([catalogue("chain(2)"), catalogue("chain(3)")])
     for a, b in itertools.combinations(range(P.size), 2):
         assert principal_congruence_oracle(P, a, b) == \
@@ -108,6 +109,17 @@ def test_formula_matches_oracle_on_distributive(name):
             if L.leq(a, b):
                 assert formula_relation(L, a, b) == \
                     principal_congruence_oracle(L, a, b)
+
+
+@pytest.mark.parametrize("a,b", [(-1, 0), (0, -1), (3, 0), (0, 3), (-1, 3)])
+@pytest.mark.parametrize("closure", [principal_congruence_oracle,
+                                     principal_congruence_fixpoint,
+                                     principal_congruence, formula_relation])
+def test_pair_outside_carrier_rejected(c3, closure, a, b):
+    """A negative element must not wrap around; a large one must not reach
+    the tables."""
+    with pytest.raises(ForeignElement, match="outside carrier of size 3"):
+        closure(c3, a, b)
 
 
 def test_formula_relation_needs_comparable_pair(b2):
@@ -218,9 +230,53 @@ def test_joins_of_congruences_are_members(name):
     assert_joins_are_members(catalogue(name))
 
 
-@pytest.mark.parametrize("name", ["chain(1)", "chain(4)", "boolean(3)", "M3", "N5"])
+def _product(names):
+    return direct_product([catalogue(n) for n in names])
+
+
+# Catalogue lattices, relabelled products with a non-distributive factor and
+# horizontal sums, one of them over a relabelled summand.
+GATE_LATTICES = {
+    "chain(1)": lambda: catalogue("chain(1)"),
+    "chain(4)": lambda: catalogue("chain(4)"),
+    "boolean(3)": lambda: catalogue("boolean(3)"),
+    "N5": lambda: catalogue("N5"),
+    "M3": lambda: catalogue("M3"),
+    "N5*M3 relabelled": lambda: relabelled(_product(["N5", "M3"]), 5),
+    "M3*chain(5) relabelled": lambda: relabelled(_product(["M3", "chain(5)"]), None),
+    "chain(3)+boolean(2)+chain(2)": lambda: horizontal_sum(
+        [catalogue("chain(3)"), catalogue("boolean(2)"), catalogue("chain(2)")]),
+    "N5+M3 relabelled": lambda: horizontal_sum([catalogue("N5"),
+                                                relabelled(catalogue("M3"), 3)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GATE_LATTICES))
+def test_fixpoint_matches_oracle_on_every_ordered_pair(name):
+    """The numpy fixpoint and the Python closure agree on every pair,
+    including a == b and a above b."""
+    L = GATE_LATTICES[name]()
+    for a, b in itertools.product(range(L.size), repeat=2):
+        assert principal_congruence_fixpoint(L, a, b) == \
+            principal_congruence_oracle(L, a, b)
+
+
+@pytest.mark.parametrize("name", ["chain(4)", "boolean(2)", "M3", "N5",
+                                  "N5+M3 relabelled"])
+def test_pair_closure_oracle_matches_partition_filter(name):
+    """The two routes of ``oracles.least_congruence_containing`` agree."""
+    L = GATE_LATTICES.get(name, lambda: catalogue(name))()
+    for a, b in itertools.product(range(L.size), repeat=2):
+        keepers = [c for c in oracles.all_congruences_two_pair(L) if c.relates(a, b)]
+        least = oracles.two_pair_closure(L, a, b)
+        assert least in keepers
+        assert all(least.relates(x, y) <= c.relates(x, y) for c in keepers
+                   for x, y in itertools.product(range(L.size), repeat=2))
+
+
+@pytest.mark.parametrize("name", sorted(GATE_LATTICES))
 def test_principal_congruences_are_the_cover_principals(name):
-    L = catalogue(name)
+    L = GATE_LATTICES[name]()
     covers = {oracles.least_congruence_containing(L, a, b) for a, b in L.covers}
     assert principal_congruences(L) == tuple(sorted(covers, key=lambda c: c.class_of))
     assert Congruence.identity(L.size) not in principal_congruences(L)
@@ -232,10 +288,6 @@ def test_principal_cache_is_bounded():
     for k in range(1, maxsize + 3):
         principal_congruences(catalogue(f"chain({k})"))
     assert principal_congruences.cache_info().currsize <= maxsize
-
-
-def _product(names):
-    return direct_product([catalogue(n) for n in names])
 
 
 DISTRIBUTIVE_EXTENTS = {
@@ -254,6 +306,24 @@ def test_distributive_congruence_count(name, seed):
         L = relabelled(L, seed)
     assert L.is_distributive
     assert len(all_congruences(L)) == 2 ** oracles.join_irreducible_count(L)
+
+
+@pytest.mark.parametrize("seed", [None, 5])
+def test_boolean8_congruence_count(seed):
+    """Con(boolean(8)) has 2^8 members, from 8 generators."""
+    L = catalogue("boolean(8)")
+    if seed is not None:
+        L = relabelled(L, seed)
+    assert len(principal_congruences(L)) == 8
+    assert len(all_congruences(L)) == 2 ** oracles.join_irreducible_count(L) == 256
+
+
+@pytest.mark.parametrize("seed", [None, 5])
+def test_boolean9_congruence_count(seed):
+    L = catalogue("boolean(9)")
+    if seed is not None:
+        L = relabelled(L, seed)
+    assert len(all_congruences(L)) == 2 ** oracles.join_irreducible_count(L) == 512
 
 
 @pytest.mark.parametrize("seed", [None, 5])

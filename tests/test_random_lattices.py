@@ -9,6 +9,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import assert_joins_are_members, relabelled
@@ -19,6 +20,7 @@ from latcong.congruences import (
     formula_relation,
     is_congruence,
     principal_congruence,
+    principal_congruence_fixpoint,
     principal_congruence_oracle,
 )
 from latcong.errors import LatcongError
@@ -89,6 +91,43 @@ def test_principal_closure_is_least(idx):
     for a, b in itertools.combinations(range(L.size), 2):
         assert principal_congruence_oracle(L, a, b) == \
             oracles.least_congruence_containing(L, a, b)
+
+
+@pytest.mark.parametrize("seed", [None, 3])
+@pytest.mark.parametrize("idx", range(len(LATTICES)))
+def test_fixpoint_matches_oracle(idx, seed):
+    L = relabelled(LATTICES[idx], seed)
+    for a, b in itertools.product(range(L.size), repeat=2):
+        assert principal_congruence_fixpoint(L, a, b) == \
+            principal_congruence_oracle(L, a, b)
+
+
+@st.composite
+def closure_systems(draw):
+    """The lattice of an intersection-closed family of subsets of a 4-point
+    set, in a random numbering (every finite lattice arises this way on a
+    large enough set)."""
+    family = {0b1111, *draw(st.lists(st.integers(0, 0b1111), max_size=6))}
+    while True:
+        grown = family | {s & t for s in family for t in family}
+        if grown == family:
+            break
+        family = grown
+    sets = sorted(family)
+    number = draw(st.permutations(range(len(sets))))
+    covers = [(number[i], number[j])
+              for i, s in enumerate(sets) for j, t in enumerate(sets)
+              if s != t and s & t == s
+              and not any(u not in (s, t) and s & u == s and u & t == u for u in sets)]
+    return build_from_covers(len(sets), covers)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(closure_systems())
+def test_fixpoint_matches_oracle_on_closure_systems(L):
+    for a, b in itertools.product(range(L.size), repeat=2):
+        assert principal_congruence_fixpoint(L, a, b) == \
+            principal_congruence_oracle(L, a, b)
 
 
 @pytest.mark.parametrize("idx", range(len(LATTICES)))
