@@ -7,6 +7,7 @@ from .errors import (
     BudgetExceeded,
     CyclicCovers,
     ForeignElement,
+    InvalidArgument,
     LatcongError,
     NotAChain,
     NotAggregation,
@@ -34,7 +35,7 @@ from .congruences import (
     principal_congruence_oracle,
     principal_congruences,
 )
-from .tables import FunctionTable, all_inputs, vertex_input
+from .tables import FunctionTable, all_inputs
 from .polynomials import (
     Constant,
     Join,

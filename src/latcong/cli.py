@@ -20,7 +20,7 @@ from .compat import (
     synthesize,
 )
 from .congruences import all_congruences, principal_congruence, \
-    principal_congruence_oracle
+    principal_congruence_fixpoint
 from .constructions import direct_product, horizontal_sum
 from .errors import ArityMismatch, LatcongError
 from .lattice import Lattice
@@ -89,13 +89,10 @@ def cmd_congruences(args):
 def cmd_principal(args):
     L = _load_lattice(args)
     a, b = args.a, args.b
-    oracle = principal_congruence_oracle(L, a, b)
-    if L.is_distributive:
-        formula = principal_congruence(L, a, b)
-        if formula != oracle:
-            raise LatcongError(
-                "closed form and closure disagree; this is a bug")
-    print(oracle)
+    closure = principal_congruence_fixpoint(L, a, b)
+    if L.is_distributive and principal_congruence(L, a, b) != closure:
+        raise LatcongError("closed form and closure disagree; this is a bug")
+    print(closure)
     return 0
 
 

@@ -19,13 +19,13 @@ from itertools import islice
 import numpy as np
 
 from .congruences import all_congruences, principal_congruences
-from .errors import BudgetExceeded, NotMonotone
-from .lattice import Lattice
+from .errors import BudgetExceeded, InvalidArgument, NotMonotone
+from .lattice import Lattice, check_elements
 from .polynomials import NormalForm, _rebuild_rows, boolean_restriction, \
     is_monotone, normal_form_table
 from .sugeno import enumerate_capacities
 from .tables import BLOCK, FunctionTable, _apply, _map_blocks, _plan, \
-    check_arity, check_elements, check_table
+    check_arity, check_table
 
 __all__ = [
     "FunctionTable",
@@ -56,7 +56,7 @@ def _pairs(L: Lattice, n: int, mode: str):
     and the class-equality table of each congruence.
     """
     if mode not in _CONGRUENCE_SETS:
-        raise ValueError(
+        raise InvalidArgument(
             f"unknown mode {mode!r}; use 'principal-only' or 'all'")
     plan = _plan(L, n)
     grid = plan.grid
@@ -139,7 +139,7 @@ def enumerate_monotone_tables(L: Lattice, n: int, filter: str = "all",
     tables is range-checked once, so the tables themselves skip validation.
     """
     if filter not in ("all", "aggregation"):
-        raise ValueError(f"unknown filter {filter!r}")
+        raise InvalidArgument(f"unknown filter {filter!r}")
     emitted = 0
     for block in _map_blocks(L, n, L, pinned=filter == "aggregation"):
         check_elements(L.size, (block.min(), block.max()), "output")

@@ -1,15 +1,14 @@
-"""Congruences of finite lattices represented as normalized partitions.
+"""Congruences of finite lattices, held as rows of smallest-member labels.
 
-A congruence is an equivalence relation that respects meet and join.  Three
-routes compute the least congruence collapsing a pair: the closed-form
-characterization on distributive lattices (x ~ y iff b v x = b v y and
-a ^ x = a ^ y for a <= b), a numpy fixpoint over the meet and join tables
-that works on any lattice, and a pair-by-pair Python closure kept as the
-independent reference for both.  The whole congruence lattice is generated
-by con(j_*, j) for the join-irreducible elements j and their unique lower
-covers j_*: these are the join-irreducible congruences, and every cover
-principal con(a, b) equals one of them, so they are the distinct cover
-principals.
+A congruence is an equivalence relation that respects meet and join.  Here
+it is a label row, ``label[x]`` the smallest member of x's class, and one
+numpy routine, ``_merge``, joins classes: it closes a principal congruence
+over the meet and join tables, joins two congruences, and closes Con L
+from the generators con(j_*, j), j join-irreducible with unique lower cover
+j_* (every cover principal equals one of these).  The closed form on
+distributive lattices (x ~ y iff b v x = b v y and a ^ x = a ^ y for
+a <= b) and a union-find closure, the independent reference, are the other
+routes to a principal congruence.
 """
 
 from __future__ import annotations
@@ -20,9 +19,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BudgetExceeded, ForeignElement, NotDistributive, \
+from .errors import BudgetExceeded, InvalidArgument, NotDistributive, \
     SizeMismatch
-from .lattice import Lattice
+from .lattice import Lattice, check_elements
+
+# The most labels that one ``_merge`` of the Con L closure lays out.
+MERGE_LABELS = 1 << 18
 
 
 def _normalize(class_of):
@@ -101,6 +103,33 @@ def _as_congruence(L, partition):
     return cong
 
 
+def _labels(class_of):
+    """Smallest-member labels from class ids, any integers, row by row."""
+    rows = np.asarray(class_of)
+    return (rows[..., :, None] == rows[..., None, :]).argmax(axis=-1)
+
+
+def _classes(label):
+    """Class ids ordered by smallest member, from a label row or stack."""
+    roots = (label == np.arange(label.shape[-1])).cumsum(axis=-1) - 1
+    return np.take_along_axis(roots, label, axis=-1)
+
+
+def _congruence(label) -> Congruence:
+    return Congruence(tuple(_classes(label).tolist()))
+
+
+def _translations(L, label):
+    """Labels at both ends of the translation pairs (x v c, rep(x) v c) and
+    (x ^ c, rep(x) ^ c), over every c and every x not its class's rep."""
+    moved = np.flatnonzero(label != np.arange(L.size))
+    reps = label[moved]
+    meet, join = L.meet_table, L.join_table
+    p = label[np.concatenate((join[moved], meet[moved]))].ravel()
+    q = label[np.concatenate((join[reps], meet[reps]))].ravel()
+    return p, q
+
+
 def is_congruence(L: Lattice, partition) -> bool:
     """Whether the partition respects meet and join.
 
@@ -108,27 +137,8 @@ def is_congruence(L: Lattice, partition) -> bool:
     x ^ c ~ y ^ c); with transitivity this is equivalent to the two-variable
     definition.  Pairs are taken against a class representative only.
     """
-    cong = _as_congruence(L, partition)
-    cls = cong.class_of
-    meet, join = L.meet_table, L.join_table
-    rep = {}
-    for x in range(L.size):
-        r = rep.setdefault(cls[x], x)
-        if r == x:
-            continue
-        for c in range(L.size):
-            if cls[join[r, c]] != cls[join[x, c]]:
-                return False
-            if cls[meet[r, c]] != cls[meet[x, c]]:
-                return False
-    return True
-
-
-def _check_pair(L: Lattice, a: int, b: int) -> None:
-    """Raise ForeignElement unless a and b lie in ``0..size-1``."""
-    for e in (a, b):
-        if not 0 <= e < L.size:
-            raise ForeignElement(f"element {e} outside carrier of size {L.size}")
+    p, q = _translations(L, _labels(_as_congruence(L, partition).class_of))
+    return bool(np.array_equal(p, q))
 
 
 def formula_relation(L: Lattice, a: int, b: int) -> Congruence:
@@ -137,17 +147,12 @@ def formula_relation(L: Lattice, a: int, b: int) -> Congruence:
     On a distributive lattice this is exactly the least congruence collapsing
     a and b; elsewhere it is just an equivalence whose behaviour is reported,
     not assumed.  Raises ForeignElement for an element outside the carrier
-    and ValueError unless a <= b.
+    and InvalidArgument unless a <= b.
     """
-    _check_pair(L, a, b)
+    check_elements(L.size, (a, b), "element")
     if not L.leq(a, b):
-        raise ValueError(f"expected a <= b, got ({a}, {b})")
-    keys = {}
-    class_of = []
-    for x in range(L.size):
-        key = (L.join(b, x), L.meet(a, x))
-        class_of.append(keys.setdefault(key, len(keys)))
-    return Congruence.from_class_of(class_of)
+        raise InvalidArgument(f"expected a <= b, got ({a}, {b})")
+    return _congruence(_labels(L.join_table[b] * L.size + L.meet_table[a]))
 
 
 def formula_relation_is_congruence(L: Lattice, a: int, b: int) -> bool:
@@ -160,7 +165,7 @@ def principal_congruence(L: Lattice, a: int, b: int) -> Congruence:
     Only valid on distributive lattices.  An arbitrary pair is first replaced
     by (a ^ b, a v b): any congruence collapsing one collapses the other.
     """
-    _check_pair(L, a, b)
+    check_elements(L.size, (a, b), "element")
     if not L.is_distributive:
         raise NotDistributive(
             "closed-form principal congruences need distributivity; "
@@ -191,7 +196,7 @@ def principal_congruence_oracle(L: Lattice, a: int, b: int) -> Congruence:
     Works on any lattice: merge the pair, then keep merging the images of
     merged pairs under one-sided meets and joins until a fixpoint.
     """
-    _check_pair(L, a, b)
+    check_elements(L.size, (a, b), "element")
     n = L.size
     parent = list(range(n))
     meet, join = L.meet_table, L.join_table
@@ -210,31 +215,25 @@ def principal_congruence_oracle(L: Lattice, a: int, b: int) -> Congruence:
 def principal_congruence_fixpoint(L: Lattice, a: int, b: int) -> Congruence:
     """Least congruence collapsing a and b, by one numpy fixpoint.
 
-    Works on any lattice.  ``label[x]`` is the smallest member of x's class.
-    Each round takes every translation pair (x v c, rep(x) v c) and
-    (x ^ c, rep(x) ^ c) at once and merges the classes the crossing ones
-    join, until no pair crosses a class.
+    Works on any lattice.  Each round takes every translation pair at once
+    and merges the classes the crossing ones join, until no pair crosses a
+    class.
     """
-    _check_pair(L, a, b)
-    n = L.size
-    meet, join = L.meet_table, L.join_table
-    label = np.arange(n)
+    check_elements(L.size, (a, b), "element")
+    label = np.arange(L.size)
     label[max(a, b)] = min(a, b)
     while True:
-        moved = np.flatnonzero(label != np.arange(n))
-        reps = label[moved]
-        p = label[np.stack([join[moved], meet[moved]])].ravel()
-        q = label[np.stack([join[reps], meet[reps]])].ravel()
+        p, q = _translations(L, label)
         crossing = p != q
         if not crossing.any():
-            return Congruence.from_class_of(label.tolist())
+            return _congruence(label)
         label = _merge(label, p[crossing], q[crossing])
 
 
 def _merge(label, p, q):
-    """Flat labels after joining the classes of each pair (p[i], q[i]):
+    """Labels after joining the classes of each pair (p[i], q[i]):
     min-label propagation between class roots, then pointer jumping, until
-    both ends of every pair point at one root."""
+    both ends of every pair point at one root.  Writes into ``label``."""
     while True:
         rp, rq = label[p], label[q]
         apart = rp != rq
@@ -255,16 +254,8 @@ def congruence_join(L: Lattice, theta: Congruence, psi: Congruence) -> Congruenc
     """
     if theta.lattice_size != psi.lattice_size or theta.lattice_size != L.size:
         raise SizeMismatch("congruence join needs partitions of the same lattice")
-    n = L.size
-    parent = list(range(n))
-    for cong in (theta, psi):
-        first = {}
-        for e, c in enumerate(cong.class_of):
-            if c in first:
-                _union(parent, first[c], e)
-            else:
-                first[c] = e
-    return Congruence.from_class_of([_find(parent, x) for x in range(n)])
+    return _congruence(_merge(_labels(theta.class_of), np.arange(L.size),
+                              _labels(psi.class_of)))
 
 
 @lru_cache(maxsize=64)
@@ -287,23 +278,32 @@ def principal_congruences(L: Lattice) -> tuple[Congruence, ...]:
 def all_congruences(L: Lattice) -> tuple[Congruence, ...]:
     """Con L: the identity closed under joins with the cover principals.
 
-    Joining one generator at a time reaches every join of generators, which
-    is every congruence; that takes |Con L| x |generators| joins.  Output is
-    sorted for determinism.
+    Each round lays every new label row out once per generator, end to end
+    (row r shifted by r*n), and joins the two with one ``_merge`` per chunk
+    of at most ``MERGE_LABELS`` labels.  It keeps the rows not seen before
+    and stops when a round finds none.  Output is sorted for determinism.
     """
-    generators = principal_congruences(L)
-    found = {Congruence.identity(L.size)}
-    frontier = list(found)
-    while frontier:
-        fresh = []
-        for theta in frontier:
-            for gen in generators:
-                joined = congruence_join(L, theta, gen)
-                if joined not in found:
-                    found.add(joined)
-                    fresh.append(joined)
-        frontier = fresh
-    return tuple(sorted(found, key=lambda c: c.class_of))
+    n = L.size
+    gens = _labels(np.reshape([c.class_of for c in principal_congruences(L)],
+                              (-1, n)))
+    per_merge = max(1, MERGE_LABELS // n)
+    found = {np.arange(n).tobytes()}
+    fresh = set(found)
+    while fresh:
+        frontier = np.frombuffer(b"".join(fresh), dtype=np.intp).reshape(-1, n)
+        fresh = set()
+        pairs = np.arange(len(frontier) * len(gens))
+        for start in range(0, len(pairs), per_merge):
+            r, g = np.divmod(pairs[start:start + per_merge], len(gens))
+            shift = n * np.arange(len(r))[:, None]
+            joined = _merge((frontier[r] + shift).ravel(), np.arange(len(r) * n),
+                            (gens[g] + shift).ravel())
+            fresh |= {row.tobytes() for row in joined.reshape(-1, n) - shift}
+        fresh -= found
+        found |= fresh
+    rows = np.frombuffer(b"".join(found), dtype=np.intp).reshape(-1, n)
+    congs = map(Congruence, map(tuple, _classes(rows).tolist()))
+    return tuple(sorted(congs, key=lambda c: c.class_of))
 
 
 def all_congruences_bruteforce(L: Lattice, max_size: int = 8) -> tuple[Congruence, ...]:

@@ -5,6 +5,10 @@ class LatcongError(Exception):
     """Base class for every error raised by this package."""
 
 
+class InvalidArgument(LatcongError, ValueError):
+    """An argument lies outside the values the call accepts."""
+
+
 class CyclicCovers(LatcongError):
     """The cover relation contains a directed cycle."""
 

@@ -25,6 +25,19 @@ Element = int
 MAX_SIZE = 512
 
 
+def check_elements(size: int, values, what: str) -> None:
+    """Raise ForeignElement unless every value lies in ``0..size-1``.
+
+    The message names the smallest value if it is negative, else the
+    largest; a stack is checked by passing its minimum and maximum.
+    """
+    if len(values):
+        low, high = min(values), max(values)
+        if low < 0 or high >= size:
+            raise ForeignElement(f"{what} {low if low < 0 else high} "
+                                 f"outside carrier of size {size}")
+
+
 class Lattice:
     """Immutable finite bounded lattice.
 

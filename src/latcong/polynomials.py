@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArityMismatch
-from .lattice import Lattice
+from .lattice import Lattice, check_elements
 from .tables import FunctionTable, _Plan, _apply, _join_rows, _map_blocks, \
-    _plan, _vertex_rows, check_elements, check_input, check_table
+    _plan, _vertex_rows, check_input, check_table
 
 # The two-element chain: input k of its n-th power, in encoding order, lies
 # under input k' exactly when the subset mask k lies in the mask k'.

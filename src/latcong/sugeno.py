@@ -19,11 +19,11 @@ from itertools import islice
 import numpy as np
 
 from .errors import NotAChain, NotAggregation, ValidationError
-from .lattice import Lattice
+from .lattice import Lattice, check_elements
 from .polynomials import _CHAIN2, NormalForm, _at_point, _rebuild_rows, \
     boolean_restriction, eval_normal_form, is_monotone, normal_form_table
 from .tables import BLOCK, FunctionTable, _apply, _join_rows, _map_blocks, \
-    _plan, check_arity, check_elements, check_table
+    _plan, check_arity, check_table
 
 
 @dataclass(frozen=True, init=False, slots=True)

@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import ArityMismatch, ForeignElement, TooLarge
-from .lattice import Lattice
+from .lattice import Lattice, check_elements
 
 # The most entries an input grid or an enumerator's order matrix may have.
 MAX_ENTRIES = 1 << 24
@@ -112,29 +112,11 @@ def check_input(size: int, arity: int, x) -> tuple[int, ...]:
     return x
 
 
-def check_elements(size: int, values, what: str) -> None:
-    """Raise ForeignElement unless every value lies in ``0..size-1``.
-
-    The message names the smallest value if it is negative, else the
-    largest; a stack is checked by passing its minimum and maximum.
-    """
-    if len(values):
-        low, high = min(values), max(values)
-        if low < 0 or high >= size:
-            raise ForeignElement(f"{what} {low if low < 0 else high} "
-                                 f"outside carrier of size {size}")
-
-
 def check_table(L, f: FunctionTable) -> None:
     """Raise ForeignElement unless f is a table over the carrier of L."""
     if f.size != L.size:
         raise ForeignElement(
             f"table over carrier {f.size} used with lattice of size {L.size}")
-
-
-def vertex_input(L, arity: int, mask: int) -> tuple[int, ...]:
-    """Boolean vertex for a subset mask: top at set bits, bottom elsewhere."""
-    return tuple(L.top if mask >> i & 1 else L.bottom for i in range(arity))
 
 
 def _vertex_rows(L, arity: int):

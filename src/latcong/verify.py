@@ -31,7 +31,7 @@ from .constructions import (
     horizontal_sum_decomposition_check,
     product_decomposition_check,
 )
-from .errors import NotDistributive
+from .errors import InvalidArgument, NotDistributive
 from .lattice import catalogue
 from .polynomials import is_monotone, random_polynomial, to_table
 from .sugeno import (
@@ -391,7 +391,7 @@ def check_ids(suite: str = "all") -> tuple[str, ...]:
     if suite == "all":
         return tuple(sorted(_CHECKS))
     if suite not in SUITES:
-        raise ValueError(
+        raise InvalidArgument(
             f"unknown suite {suite!r}; pick one of: all, {', '.join(SUITES)}")
     return SUITES[suite]
 

@@ -10,6 +10,8 @@ from latcong.lattice import build_from_covers, catalogue
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import oracles  # noqa: E402  (needs the path above)
+
 
 @pytest.fixture(scope="session")
 def c2():
@@ -64,9 +66,11 @@ def relabelled(L, seed):
 
 
 def assert_joins_are_members(L):
-    """The join of two congruences is a congruence, and so already in Con L."""
+    """The join of two congruences is a congruence, and so already in Con L;
+    it is the transitive closure of their union, found without union-find."""
     congs = all_congruences(L)
-    for theta, psi in itertools.combinations_with_replacement(congs, 2):
+    for theta, psi in itertools.product(congs, repeat=2):
         joined = congruence_join(L, theta, psi)
+        assert joined == oracles.join_of_partitions(theta, psi)
         assert is_congruence(L, joined)
         assert joined in congs

@@ -113,6 +113,22 @@ def least_congruence_containing(L, a, b):
         [sorted(set(class_of)).index(key) for key in class_of])
 
 
+def join_of_partitions(theta, psi):
+    """The transitive closure of the union of two partitions, grown as a set
+    of pairs until composing it with itself adds nothing."""
+    n = len(theta.class_of)
+    rel = {(x, y) for x in range(n) for y in range(n)
+           if theta.class_of[x] == theta.class_of[y]
+           or psi.class_of[x] == psi.class_of[y]}
+    while True:
+        step = {(x, z) for x, y in rel for z in range(n) if (y, z) in rel}
+        if step <= rel:
+            break
+        rel |= step
+    classes = [frozenset(y for y in range(n) if (x, y) in rel) for x in range(n)]
+    return Congruence.from_class_of(classes)
+
+
 def two_pair_closure(L, a, b):
     """The least relation holding (a, b) that is reflexive, symmetric,
     transitive and takes related pairs (x, y), (u, v) to related joins and

@@ -6,13 +6,21 @@ checks).  Everything is exact: counts and equalities, no tolerances.
 """
 
 
+import pytest
+
 from latcong import verify
 from latcong.cli import main
+from latcong.errors import LatcongError
 
 
 def _gate(result):
     print(result.render())
     assert result.passed, result.detail
+
+
+def test_unknown_suite_is_a_latcong_error():
+    with pytest.raises(LatcongError, match="unknown suite 'nope'"):
+        verify.check_ids("nope")
 
 
 def test_ac01_principal_formula_matches_closure():

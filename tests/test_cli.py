@@ -2,6 +2,7 @@ import pytest
 
 from latcong import io, tables
 from latcong.cli import main
+from latcong.congruences import principal_congruence_oracle
 from latcong.lattice import catalogue
 from latcong.sugeno import Capacity, sugeno_table
 
@@ -20,6 +21,8 @@ def files(tmp_path_factory):
     write("c3.lat", io.serialize_lattice(C3))
     write("c2.lat", io.serialize_lattice(catalogue("chain(2)")))
     write("m3.lat", io.serialize_lattice(catalogue("M3")))
+    write("n5.lat", io.serialize_lattice(catalogue("N5")))
+    write("b3.lat", io.serialize_lattice(catalogue("boolean(3)")))
     m = Capacity(C3, (0, 1, 1, 2))
     write("m.cap", io.serialize_capacity(m, "m"))
     write("su.fn", io.serialize_function_table(sugeno_table(C3, m), "su"))
@@ -77,11 +80,22 @@ def test_principal(files, capsys):
     assert (code, out.strip()) == (0, "{0,1,2,3,4}")
 
 
+@pytest.mark.parametrize("key,name", [("n5.lat", "N5"), ("m3.lat", "M3"),
+                                      ("b3.lat", "boolean(3)")])
+def test_principal_matches_oracle(files, capsys, key, name):
+    L = catalogue(name)
+    for a in range(L.size):
+        for b in range(L.size):
+            code, out, _ = run(capsys, "principal", str(a), str(b),
+                               "--lattice", files[key])
+            assert (code, out) == (0, f"{principal_congruence_oracle(L, a, b)}\n")
+
+
 def test_principal_range_check(files, capsys):
     code, _, err = run(capsys, "principal", "0", "9",
                        "--lattice", files["c3.lat"])
     assert code == 2
-    assert "error" in err
+    assert err == "error: element 9 outside carrier of size 3\n"
 
 
 def test_sugeno_worked_example(files, capsys):

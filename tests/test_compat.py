@@ -9,7 +9,8 @@ from latcong.compat import (
     synthesize,
     verify_equivalence_suite,
 )
-from latcong.errors import BudgetExceeded, ForeignElement, NotMonotone
+from latcong.errors import BudgetExceeded, ForeignElement, LatcongError, \
+    NotMonotone
 from latcong.lattice import catalogue
 from latcong.polynomials import eval_normal_form, is_monotone
 from latcong.sugeno import Capacity, capacity_from_function, sugeno_table
@@ -46,6 +47,16 @@ def test_principal_mode_matches_all_mode_and_oracle(name, n):
 def test_unknown_congruence_mode_rejected(c3):
     with pytest.raises(ValueError, match="unknown mode 'some'"):
         is_compatible(c3, BENT, mode="some")
+
+
+def test_unknown_mode_is_a_latcong_error(c3):
+    with pytest.raises(LatcongError, match="unknown mode 'some'"):
+        is_compatible(c3, BENT, mode="some")
+
+
+def test_unknown_filter_is_a_latcong_error(c3):
+    with pytest.raises(LatcongError, match="unknown filter 'some'"):
+        next(enumerate_monotone_tables(c3, 1, filter="some"))
 
 
 def test_median_decomposition_examples(c3):

@@ -18,8 +18,8 @@ from latcong.congruences import (
     principal_congruences,
 )
 from latcong.constructions import direct_product, horizontal_sum
-from latcong.errors import BudgetExceeded, ForeignElement, NotDistributive, \
-    SizeMismatch
+from latcong.errors import BudgetExceeded, ForeignElement, LatcongError, \
+    NotDistributive, SizeMismatch
 from latcong.lattice import catalogue
 
 
@@ -127,6 +127,11 @@ def test_formula_relation_needs_comparable_pair(b2):
         formula_relation(b2, 1, 2)
 
 
+def test_formula_relation_order_error_is_a_latcong_error(b2):
+    with pytest.raises(LatcongError, match=r"expected a <= b, got \(1, 2\)"):
+        formula_relation(b2, 1, 2)
+
+
 def test_formula_relation_on_chain_is_congruence(c4):
     for a in range(4):
         for b in range(a, 4):
@@ -213,6 +218,15 @@ def test_congruence_join_examples(c4):
     assert congruence_join(c4, theta, Congruence.identity(4)) == theta
     assert congruence_join(c4, theta, theta) == theta
     assert str(congruence_join(c4, theta, psi)) == "{0,1}{2,3}"
+
+
+def test_unnormalized_congruence(c4):
+    """A Congruence built directly may use any integers as class ids."""
+    theta = Congruence((2, 2, 0, 5))
+    assert is_congruence(c4, theta)
+    assert not is_congruence(c4, Congruence((7, 3, 7, 9)))
+    assert str(congruence_join(c4, theta, Congruence.identity(4))) == "{0,1}{2}{3}"
+    assert str(congruence_join(c4, theta, Congruence((0, 1, 1, 2)))) == "{0,1,2}{3}"
 
 
 def test_congruence_join_size_mismatch(c3, c4):
