@@ -196,8 +196,8 @@ class EquivalenceReport:
         return "\n".join(lines)
 
 
-def verify_equivalence_suite(L: Lattice, n: int, filter: str = "all",
-                             budget: int = 10 ** 6) -> EquivalenceReport:
+def verify_equivalence_suite(L: Lattice, n: int,
+                             filter: str = "all") -> EquivalenceReport:
     """Exhaustively check the equivalence chain over all monotone tables.
 
     For every enumerated table: congruence preservation, the median
@@ -219,7 +219,7 @@ def verify_equivalence_suite(L: Lattice, n: int, filter: str = "all",
     collisions = []
     integral_violations = []
     seen_restrictions = {}
-    tables = enumerate_monotone_tables(L, n, filter=filter, budget=budget)
+    tables = enumerate_monotone_tables(L, n, filter=filter)
     while block := [f.values for f in islice(tables, BLOCK)]:
         monotone += len(block)
         stack = np.array(block, dtype=plan.dtype)

@@ -1,19 +1,21 @@
-"""Congruences of finite lattices, held as rows of smallest-member labels.
+"""Congruences of finite lattices.
 
-A congruence is an equivalence relation that respects meet and join.  Here
-it is a label row, ``label[x]`` the smallest member of x's class, and one
-numpy routine, ``_merge``, joins classes: it closes a principal congruence
-over the meet and join tables, joins two congruences, and closes Con L
-from the generators con(j_*, j), j join-irreducible with unique lower cover
-j_* (every cover principal equals one of these).  The closed form on
-distributive lattices (x ~ y iff b v x = b v y and a ^ x = a ^ y for
-a <= b) and a union-find closure, the independent reference, are the other
-routes to a principal congruence.
+A congruence is an equivalence relation that respects meet and join.  A
+``Congruence`` numbers its classes by first appearance, whatever ids it is
+given; inside the module it is also a label row, and one numpy routine,
+``_merge``, joins classes: it closes a principal congruence over the meet
+and join tables and joins two congruences.  Con L takes no closure: its
+join-irreducibles are the generators con(j_*, j), one for each
+join-irreducible j with lower cover j_*, and as Con L is distributive each
+congruence is the join of exactly one down-set of them (Birkhoff).  The
+closed form on distributive lattices (x ~ y iff b v x = b v y and
+a ^ x = a ^ y for a <= b) and a union-find closure, the independent
+reference, are the other routes to a principal congruence.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -23,26 +25,20 @@ from .errors import BudgetExceeded, InvalidArgument, NotDistributive, \
     SizeMismatch
 from .lattice import Lattice, check_elements
 
-# The most labels that one ``_merge`` of the Con L closure lays out.
+# The most labels, and the most cover flags, in one walk of ``all_congruences``.
 MERGE_LABELS = 1 << 18
-
-
-def _normalize(class_of):
-    """Renumber classes in order of first appearance."""
-    remap = {}
-    out = []
-    for c in class_of:
-        if c not in remap:
-            remap[c] = len(remap)
-        out.append(remap[c])
-    return tuple(out)
 
 
 @dataclass(frozen=True)
 class Congruence:
-    """Partition of ``0 .. size-1``; class indices ordered by smallest member."""
+    """Partition of ``0 .. size-1``: any hashable class ids, renumbered
+    0, 1, ... by first appearance, so ordered by smallest member."""
 
     class_of: tuple[int, ...]
+
+    def __post_init__(self):
+        ids = dict(zip(dict.fromkeys(self.class_of), range(len(self.class_of))))
+        object.__setattr__(self, "class_of", tuple(map(ids.__getitem__, self.class_of)))
 
     @property
     def lattice_size(self) -> int:
@@ -66,13 +62,20 @@ class Congruence:
 
     @classmethod
     def from_class_of(cls, class_of) -> "Congruence":
-        return cls(_normalize(tuple(class_of)))
+        return cls(tuple(class_of))
 
     @classmethod
     def from_blocks(cls, blocks, size: int) -> "Congruence":
+        """Raises InvalidArgument for a block that is not an iterable of
+        ints, SizeMismatch unless the blocks cover ``0 .. size-1`` once."""
         class_of = [None] * size
         for tag, block in enumerate(blocks):
-            for e in block:
+            try:
+                members = [operator.index(e) for e in block]
+            except TypeError:
+                raise InvalidArgument(
+                    f"block {block!r} is not an iterable of ints") from None
+            for e in members:
                 if not 0 <= e < size:
                     raise SizeMismatch(f"element {e} out of range for size {size}")
                 if class_of[e] is not None:
@@ -93,10 +96,8 @@ class Congruence:
 
 
 def _as_congruence(L, partition):
-    if isinstance(partition, Congruence):
-        cong = partition
-    else:
-        cong = Congruence.from_blocks(partition, L.size)
+    cong = partition if isinstance(partition, Congruence) \
+        else Congruence.from_blocks(partition, L.size)
     if cong.lattice_size != L.size:
         raise SizeMismatch(
             f"partition of {cong.lattice_size} elements on lattice of size {L.size}")
@@ -104,19 +105,9 @@ def _as_congruence(L, partition):
 
 
 def _labels(class_of):
-    """Smallest-member labels from class ids, any integers, row by row."""
-    rows = np.asarray(class_of)
-    return (rows[..., :, None] == rows[..., None, :]).argmax(axis=-1)
-
-
-def _classes(label):
-    """Class ids ordered by smallest member, from a label row or stack."""
-    roots = (label == np.arange(label.shape[-1])).cumsum(axis=-1) - 1
-    return np.take_along_axis(roots, label, axis=-1)
-
-
-def _congruence(label) -> Congruence:
-    return Congruence(tuple(_classes(label).tolist()))
+    """Smallest-member labels from class ids."""
+    ids = np.asarray(class_of)
+    return (ids[:, None] == ids[None, :]).argmax(axis=1)
 
 
 def _translations(L, label):
@@ -152,7 +143,7 @@ def formula_relation(L: Lattice, a: int, b: int) -> Congruence:
     check_elements(L.size, (a, b), "element")
     if not L.leq(a, b):
         raise InvalidArgument(f"expected a <= b, got ({a}, {b})")
-    return _congruence(_labels(L.join_table[b] * L.size + L.meet_table[a]))
+    return Congruence((L.join_table[b] * L.size + L.meet_table[a]).tolist())
 
 
 def formula_relation_is_congruence(L: Lattice, a: int, b: int) -> bool:
@@ -226,7 +217,7 @@ def principal_congruence_fixpoint(L: Lattice, a: int, b: int) -> Congruence:
         p, q = _translations(L, label)
         crossing = p != q
         if not crossing.any():
-            return _congruence(label)
+            return Congruence(label.tolist())
         label = _merge(label, p[crossing], q[crossing])
 
 
@@ -249,61 +240,62 @@ def _merge(label, p, q):
 def congruence_join(L: Lattice, theta: Congruence, psi: Congruence) -> Congruence:
     """Least congruence containing both: transitive closure of the union.
 
-    On a lattice the transitive closure of two congruences is again a
-    congruence, so no substitution check is needed here.
+    On a lattice that closure is again a congruence, so no substitution
+    check is needed here.  Either argument may be given as blocks.
     """
-    if theta.lattice_size != psi.lattice_size or theta.lattice_size != L.size:
-        raise SizeMismatch("congruence join needs partitions of the same lattice")
-    return _congruence(_merge(_labels(theta.class_of), np.arange(L.size),
-                              _labels(psi.class_of)))
+    theta, psi = _as_congruence(L, theta), _as_congruence(L, psi)
+    return Congruence(_merge(_labels(theta.class_of), np.arange(L.size),
+                             _labels(psi.class_of)).tolist())
 
 
 @lru_cache(maxsize=64)
 def principal_congruences(L: Lattice) -> tuple[Congruence, ...]:
     """Distinct principal congruences con(a, b) of the covering pairs a < b.
 
-    Only the join-irreducible cover principals con(j_*, j) are closed, one
-    for each element j with exactly one lower cover j_*: they are the
-    join-irreducible congruences, and every cover principal equals one of
-    them (take j minimal with j <= b, j not <= a; then (j_*, j) is
-    perspective to (a, b)).  So the set they form is the set of distinct
-    cover principals, and it generates Con L.  The identity is not among them.
+    Only con(j_*, j) is closed for each join-irreducible j and its lower
+    cover j_*: these are the join-irreducible congruences, and every cover
+    principal equals one of them (take j minimal with j <= b, j not <= a;
+    then (j_*, j) is perspective to (a, b)).  The identity is not among them.
     """
-    lower_covers = Counter(j for _, j in L.covers)
     found = {principal_congruence_fixpoint(L, a, j)
-             for a, j in L.covers if lower_covers[j] == 1}
+             for a, j in L.join_irreducible_covers}
     return tuple(sorted(found, key=lambda c: c.class_of))
 
 
 def all_congruences(L: Lattice) -> tuple[Congruence, ...]:
-    """Con L: the identity closed under joins with the cover principals.
+    """Con L: the join of each down-set of the generators, each once.
 
-    Each round lays every new label row out once per generator, end to end
-    (row r shifted by r*n), and joins the two with one ``_merge`` per chunk
-    of at most ``MERGE_LABELS`` labels.  It keeps the rows not seen before
-    and stops when a round finds none.  Output is sorted for determinism.
+    The generators ``principal_congruences(L)``, ordered by the covers they
+    collapse, are added in a linear extension, g to every down-set holding
+    all generators strictly under g.  A down-set's join is the equivalence
+    generated by the covers its members collapse: each element walks down
+    collapsed covers, by pointer jumping, to the least of its class, at
+    most ``MERGE_LABELS`` labels and cover flags at a time.  Output is
+    sorted for determinism.
     """
     n = L.size
-    gens = _labels(np.reshape([c.class_of for c in principal_congruences(L)],
-                              (-1, n)))
-    per_merge = max(1, MERGE_LABELS // n)
-    found = {np.arange(n).tobytes()}
-    fresh = set(found)
-    while fresh:
-        frontier = np.frombuffer(b"".join(fresh), dtype=np.intp).reshape(-1, n)
-        fresh = set()
-        pairs = np.arange(len(frontier) * len(gens))
-        for start in range(0, len(pairs), per_merge):
-            r, g = np.divmod(pairs[start:start + per_merge], len(gens))
-            shift = n * np.arange(len(r))[:, None]
-            joined = _merge((frontier[r] + shift).ravel(), np.arange(len(r) * n),
-                            (gens[g] + shift).ravel())
-            fresh |= {row.tobytes() for row in joined.reshape(-1, n) - shift}
-        fresh -= found
-        found |= fresh
-    rows = np.frombuffer(b"".join(found), dtype=np.intp).reshape(-1, n)
-    congs = map(Congruence, map(tuple, _classes(rows).tolist()))
-    return tuple(sorted(congs, key=lambda c: c.class_of))
+    low, high = np.array(L.covers, dtype=np.intp).reshape(-1, 2).T
+    gens = np.reshape([g.class_of for g in principal_congruences(L)], (-1, n))
+    collapses = gens[:, low] == gens[:, high]
+    # under[h, g]: h != g collapses no cover that g leaves apart
+    under = ~(collapses @ ~collapses.T)
+    np.fill_diagonal(under, False)
+    downsets = np.zeros((1, len(gens)), dtype=bool)
+    for g in np.argsort(collapses.sum(axis=1), kind="stable"):
+        grown = downsets[downsets[:, under[:, g]].all(axis=1)]
+        grown[:, g] = True
+        downsets = np.concatenate((downsets, grown))
+    per_walk = max(1, MERGE_LABELS // max(n, len(low)))
+    rows = []
+    for start in range(0, len(downsets), per_walk):
+        chunk = downsets[start:start + per_walk]
+        r, c = np.nonzero(chunk @ collapses)
+        label = np.arange(len(chunk) * n)
+        label[r * n + high[c]] = r * n + low[c]
+        while not np.array_equal(label[label], label):
+            label = label[label]
+        rows += (label.reshape(-1, n) % n).tolist()
+    return tuple(sorted(map(Congruence, rows), key=lambda c: c.class_of))
 
 
 def all_congruences_bruteforce(L: Lattice, max_size: int = 8) -> tuple[Congruence, ...]:

@@ -109,13 +109,20 @@ class Lattice:
         return int(m[m[j[x, y], j[y, z]], j[z, x]])
 
     @cached_property
+    def join_irreducible_covers(self) -> tuple[tuple[Element, Element], ...]:
+        """(j_*, j) for each join-irreducible j and its one lower cover j_*."""
+        lower_covers = np.bincount([j for _, j in self.covers], minlength=self.size)
+        return tuple((a, j) for a, j in self.covers if lower_covers[j] == 1)
+
+    @cached_property
     def is_distributive(self) -> bool:
-        """Whether a ^ (b v c) = (a ^ b) v (a ^ c) for all triples."""
-        meet, join = self.meet_table, self.join_table
-        for a in range(self.size):
-            lhs = meet[a, join]
-            rhs = join[np.ix_(meet[a], meet[a])]
-            if not np.array_equal(lhs, rhs):
+        """Whether a ^ (b v c) = (a ^ b) v (a ^ c) for all triples: iff every
+        join-irreducible j is join-prime, no join of two elements not above
+        j is above j."""
+        leq, join = self.leq_table, self.join_table
+        for _, j in self.join_irreducible_covers:
+            outside = np.flatnonzero(~leq[j])
+            if leq[j, join[np.ix_(outside, outside)]].any():
                 return False
         return True
 

@@ -10,7 +10,7 @@ the production algorithms it checks.
 import itertools
 from functools import lru_cache
 
-from latcong.congruences import Congruence
+from latcong.congruences import Congruence, principal_congruence_oracle
 from latcong.polynomials import Constant, Meet, Projection
 
 
@@ -129,6 +129,19 @@ def join_of_partitions(theta, psi):
     return Congruence.from_class_of(classes)
 
 
+def all_congruences_closure(L):
+    """Con L as the closure of the cover principals under
+    ``join_of_partitions``: each round joins every new congruence with every
+    principal, until a round finds nothing new."""
+    principals = {principal_congruence_oracle(L, a, b) for a, b in L.covers}
+    found = {Congruence.identity(L.size)}
+    fresh = set(found)
+    while fresh:
+        fresh = {join_of_partitions(c, p) for c in fresh for p in principals} - found
+        found |= fresh
+    return sorted(found, key=lambda c: c.class_of)
+
+
 def two_pair_closure(L, a, b):
     """The least relation holding (a, b) that is reflexive, symmetric,
     transitive and takes related pairs (x, y), (u, v) to related joins and
@@ -152,6 +165,16 @@ def two_pair_closure(L, a, b):
     classes = [frozenset(y for y in range(L.size) if (x, y) in rel)
                for x in range(L.size)]
     return Congruence.from_class_of(classes)
+
+
+def is_distributive_triples(L):
+    """a ^ (b v c) = (a ^ b) v (a ^ c) for every triple, with each meet and
+    join found once by the bound scans."""
+    n = L.size
+    meet = [[greatest_lower_bound(L, a, b) for b in range(n)] for a in range(n)]
+    join = [[least_upper_bound(L, a, b) for b in range(n)] for a in range(n)]
+    return all(meet[a][join[b][c]] == join[meet[a][b]][meet[a][c]]
+               for a in range(n) for b in range(n) for c in range(n))
 
 
 def is_monotone_all_pairs(L, table):

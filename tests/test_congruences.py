@@ -18,8 +18,8 @@ from latcong.congruences import (
     principal_congruences,
 )
 from latcong.constructions import direct_product, horizontal_sum
-from latcong.errors import BudgetExceeded, ForeignElement, LatcongError, \
-    NotDistributive, SizeMismatch
+from latcong.errors import BudgetExceeded, ForeignElement, InvalidArgument, \
+    LatcongError, NotDistributive, SizeMismatch
 from latcong.lattice import catalogue
 
 
@@ -37,6 +37,19 @@ def test_from_blocks_validates():
         Congruence.from_blocks([(0, 1), (1, 2)], 3)  # overlap
     with pytest.raises(SizeMismatch):
         Congruence.from_blocks([(0, 3)], 3)  # out of range
+
+
+@pytest.mark.parametrize("blocks", [[0, 1, 2], [(0, 1), 2], [(0, 1), (2.0,)],
+                                    [(0, 1), "2"]])
+def test_from_blocks_rejects_a_block_that_is_not_ints(blocks):
+    with pytest.raises(InvalidArgument, match="is not an iterable of ints"):
+        Congruence.from_blocks(blocks, 3)
+
+
+def test_is_congruence_rejects_class_ids_as_blocks(c3):
+    """A class-id list is not a list of blocks."""
+    with pytest.raises(InvalidArgument):
+        is_congruence(c3, [0, 0, 1])
 
 
 def test_is_congruence_examples(c3):
@@ -227,11 +240,28 @@ def test_unnormalized_congruence(c4):
     assert not is_congruence(c4, Congruence((7, 3, 7, 9)))
     assert str(congruence_join(c4, theta, Congruence.identity(4))) == "{0,1}{2}{3}"
     assert str(congruence_join(c4, theta, Congruence((0, 1, 1, 2)))) == "{0,1,2}{3}"
+    # the class ids are renumbered on construction
+    assert str(theta) == "{0,1}{2}{3}"
+    assert theta.num_classes == 3
+    assert all(theta.blocks())
+    assert theta == Congruence.from_class_of((2, 2, 0, 5))
+    assert theta in all_congruences(c4)
 
 
 def test_congruence_join_size_mismatch(c3, c4):
     with pytest.raises(SizeMismatch):
         congruence_join(c3, Congruence.identity(3), Congruence.identity(4))
+
+
+def test_congruence_join_takes_blocks(c3):
+    theta = Congruence.from_blocks([(0,), (1, 2)], 3)
+    assert congruence_join(c3, theta, [(0, 1), (2,)]) == Congruence.total(3)
+    assert congruence_join(c3, [(0, 1), (2,)], [(0, 1), (2,)]) == \
+        Congruence((0, 0, 1))
+    with pytest.raises(InvalidArgument):
+        congruence_join(c3, theta, [0, 0, 1])
+    with pytest.raises(SizeMismatch):
+        congruence_join(c3, [(0, 1)], theta)
 
 
 def test_all_congruences_deterministic(b3):
@@ -351,3 +381,27 @@ def test_product_congruence_count(factors, count, seed):
     if seed is not None:
         L = relabelled(L, seed)
     assert len(all_congruences(L)) == count
+
+
+# Lattices on which Con L is compared with the join closure of
+# ``oracles.all_congruences_closure``, each plain and relabelled twice.
+CLOSURE_GATE = {
+    "boolean(3)": lambda: catalogue("boolean(3)"),
+    "N5*M3": lambda: _product(["N5", "M3"]),
+    "M3*chain(5)": lambda: _product(["M3", "chain(5)"]),
+    "N5*chain(4)": lambda: _product(["N5", "chain(4)"]),
+    "chain(3)+boolean(2)+chain(2)": lambda: horizontal_sum(
+        [catalogue("chain(3)"), catalogue("boolean(2)"), catalogue("chain(2)")]),
+    "N5+M3": lambda: horizontal_sum([catalogue("N5"), catalogue("M3")]),
+}
+
+
+@pytest.mark.parametrize("seed", [None, 7, 11])
+@pytest.mark.parametrize("name", sorted(CLOSURE_GATE))
+def test_all_congruences_match_the_join_closure(name, seed):
+    """Every congruence once, with class ids in smallest-member order,
+    where the lattice-least member of a class need not be its smallest."""
+    L = CLOSURE_GATE[name]()
+    if seed is not None:
+        L = relabelled(L, seed)
+    assert all_congruences(L) == tuple(oracles.all_congruences_closure(L))

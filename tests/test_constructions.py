@@ -76,6 +76,25 @@ def test_product_distributivity_is_conjunction(names, expected):
     assert P.is_distributive == expected
 
 
+@pytest.mark.parametrize("construction,specs", [
+    (direct_product, ("chain(2)", "chain(3)")),
+    (direct_product, ("N5@rev", "chain(3)@5")),
+    (direct_product, ("M3", "boolean(2)@7")),
+    (direct_product, ("chain(2)@rev", "N5@3", "M3@rev")),
+    (direct_product, ("chain(2)", "M3")),
+    (direct_product, ("chain(3)", "boolean(2)")),
+    (direct_product, ("chain(3)@rev", "chain(3)@2", "chain(3)")),
+    (horizontal_sum, ("chain(3)", "chain(3)")),
+    (horizontal_sum, ("chain(3)", "chain(3)", "chain(3)")),
+    (horizontal_sum, ("chain(4)", "chain(4)")),
+    (horizontal_sum, ("N5@rev", "M3@4")),
+    (horizontal_sum, ("M3@rev", "chain(2)", "boolean(2)@9", "N5@2")),
+])
+def test_distributivity_matches_triple_law(construction, specs):
+    L = construction([_lattice(s) for s in specs])
+    assert L.is_distributive == oracles.is_distributive_triples(L)
+
+
 def test_horizontal_sum_of_two_chains(b2):
     H = horizontal_sum([catalogue("chain(3)"), catalogue("chain(3)")])
     assert H.size == 4

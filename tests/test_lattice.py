@@ -161,6 +161,16 @@ def test_non_distributive_catalogue(name):
     assert not catalogue(name).is_distributive
 
 
+@pytest.mark.parametrize("seed", ["plain", None, 5])
+@pytest.mark.parametrize("name", sorted({"chain(1)", *CATALOGUE_NAMES,
+                                         *DISTRIBUTIVE_NAMES}))
+def test_distributivity_matches_triple_law(name, seed):
+    L = catalogue(name)
+    if seed != "plain":
+        L = relabelled(L, seed)
+    assert L.is_distributive == oracles.is_distributive_triples(L)
+
+
 def test_distributivity_identity_by_hand(m3):
     # the identity fails at the atoms of the diamond
     a, b, c = 1, 2, 3

@@ -80,6 +80,14 @@ def test_tables_match_bound_scans_relabelled(idx, seed):
         assert L.join(a, b) == oracles.least_upper_bound(L, a, b)
 
 
+@pytest.mark.parametrize("seed", ["plain", None, 3])
+@pytest.mark.parametrize("idx", range(len(LATTICES)))
+def test_distributivity_matches_triple_law(idx, seed):
+    """Plain, reversed and shuffled."""
+    L = LATTICES[idx] if seed == "plain" else relabelled(LATTICES[idx], seed)
+    assert L.is_distributive == oracles.is_distributive_triples(L)
+
+
 @pytest.mark.parametrize("idx", range(len(LATTICES)))
 def test_joins_of_congruences_are_members(idx):
     assert_joins_are_members(LATTICES[idx])
@@ -128,6 +136,12 @@ def test_fixpoint_matches_oracle_on_closure_systems(L):
     for a, b in itertools.product(range(L.size), repeat=2):
         assert principal_congruence_fixpoint(L, a, b) == \
             principal_congruence_oracle(L, a, b)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(closure_systems())
+def test_distributivity_matches_triple_law_on_closure_systems(L):
+    assert L.is_distributive == oracles.is_distributive_triples(L)
 
 
 @pytest.mark.parametrize("idx", range(len(LATTICES)))
