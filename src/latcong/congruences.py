@@ -32,12 +32,17 @@ MERGE_LABELS = 1 << 18
 @dataclass(frozen=True)
 class Congruence:
     """Partition of ``0 .. size-1``: any hashable class ids, renumbered
-    0, 1, ... by first appearance, so ordered by smallest member."""
+    0, 1, ... by first appearance, so ordered by smallest member; other
+    ids raise InvalidArgument."""
 
     class_of: tuple[int, ...]
 
     def __post_init__(self):
-        ids = dict(zip(dict.fromkeys(self.class_of), range(len(self.class_of))))
+        try:
+            ids = dict(zip(dict.fromkeys(self.class_of), range(len(self.class_of))))
+        except TypeError:
+            raise InvalidArgument(f"class ids {self.class_of!r} are not a sequence of "
+                                  "hashable ids; blocks go through from_blocks") from None
         object.__setattr__(self, "class_of", tuple(map(ids.__getitem__, self.class_of)))
 
     @property

@@ -20,9 +20,12 @@ from .errors import CyclicCovers, ForeignElement, NotALattice, NotBounded, \
 
 Element = int
 
-# Largest carrier that gets meet and join tables (boolean(9)); beyond it the
-# n x n tables and the cubic table build outgrow a few seconds and 100 MB.
+# Largest carrier that gets meet and join tables (boolean(9)): beyond it the
+# n x n tables outgrow a few seconds and 100 MB, and the least weight of
+# ``_meet_join_tables``, 4**-(MAX_SIZE - 1), leaves the normal float64 range.
 MAX_SIZE = 512
+# Rows of the meet and join tables built per pair of matrix products.
+BAND = 32
 
 
 def check_elements(size: int, values, what: str) -> None:
@@ -118,7 +121,9 @@ class Lattice:
     def is_distributive(self) -> bool:
         """Whether a ^ (b v c) = (a ^ b) v (a ^ c) for all triples: iff every
         join-irreducible j is join-prime, no join of two elements not above
-        j is above j."""
+        j is above j.  Every chain is distributive."""
+        if self.is_chain:
+            return True
         leq, join = self.leq_table, self.join_table
         for _, j in self.join_irreducible_covers:
             outside = np.flatnonzero(~leq[j])
@@ -174,27 +179,39 @@ def _unique_top(leq):
 
 
 def _meet_join_tables(leq):
-    """Meet and join tables, one row at a time.
+    """Meet and join tables from matrix products, a band of rows at a time.
 
-    For the join, the up-set of i is listed in a linear extension (ascending
-    down-set size), so the first of its members above j is the only
-    candidate for the join of i and j.  It is the join exactly when its
-    up-set holds every common upper bound, which is checked by counting.
-    The meet is the same on the reversed order.
+    For the join, rank the elements in a linear extension (ascending
+    down-set size) and weight the element of rank r by 4**-r.  The up-set
+    rows of i and j, one of them weighted, multiply to the sum of the
+    weights of their common upper bounds; that sum lies in
+    [4**-r, (4/3) * 4**-r) for the least rank r among them, so its binary
+    exponent gives r exactly, whatever order the products sum in.  The
+    element of rank r is the only candidate for the join, and it is the
+    join exactly when its up-set is as large as the count of common upper
+    bounds, a second product.  The meet is the same on the reversed order.
+    The tables are symmetric, so a band computes only its columns from its
+    first row on, where the first failing pair in row-major order lies,
+    copies the rest from the bands above, and is written, as int64, over
+    the rows of the float operand that no later band reads.
     """
     n = len(leq)
     tables = []
     for order_rel, what in ((leq.T, "meet"), (leq, "join")):
         order = np.argsort(order_rel.sum(axis=0), kind="stable")
         up_size = order_rel.sum(axis=1)
-        out = np.empty((n, n), dtype=np.int64)
-        for i in range(n):
-            above = order[order_rel[i, order]]
-            common = order_rel[:, above]
-            out[i] = above[common.argmax(axis=1)]
-            bad = np.flatnonzero(up_size[out[i]] != np.count_nonzero(common, axis=1))
+        weight = np.ldexp(1.0, -2 * np.argsort(order))
+        up = order_rel.astype(np.float64, order="C")
+        out = up.view(np.int64)
+        for lo in range(0, n, BAND):
+            band = up[lo:lo + BAND]
+            joins = order[(1 - np.frexp((band * weight) @ up[lo:].T)[1]) // 2]
+            bad = np.argwhere(up_size[joins] != band @ up[lo:].T)
             if len(bad):
-                raise NotALattice(f"elements {i} and {bad[0]} have no unique {what}")
+                i, j = bad[0] + lo
+                raise NotALattice(f"elements {i} and {j} have no unique {what}")
+            out[lo:lo + BAND, lo:] = joins
+            out[lo:lo + BAND, :lo] = out[:lo, lo:lo + BAND].T
         tables.append(out)
     return tables
 

@@ -55,12 +55,18 @@ DISTRIBUTIVE_NAMES = ["chain(2)", "chain(3)", "chain(4)", "chain(5)",
                       "chain(6)", "boolean(2)", "boolean(3)"]
 
 
+def relabelling(size, seed):
+    """The renumbering ``relabelled`` applies: element a becomes perm[a]."""
+    perm = list(range(size))[::-1]
+    if seed is not None:
+        random.Random(seed).shuffle(perm)
+    return perm
+
+
 def relabelled(L, seed):
     """The same lattice with its elements renumbered by a seeded shuffle, or
     in reverse for ``seed=None`` so that every cover runs down."""
-    perm = list(range(L.size))[::-1]
-    if seed is not None:
-        random.Random(seed).shuffle(perm)
+    perm = relabelling(L.size, seed)
     covers = sorted((perm[a], perm[b]) for a, b in L.covers)
     return build_from_covers(L.size, covers, name=L.name)
 

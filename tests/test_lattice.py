@@ -1,11 +1,13 @@
 import itertools
 import re
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from conftest import CATALOGUE_NAMES, DISTRIBUTIVE_NAMES, relabelled
+from conftest import CATALOGUE_NAMES, DISTRIBUTIVE_NAMES, relabelled, relabelling
+from latcong.constructions import ProductLattice
 from latcong.errors import CyclicCovers, ForeignElement, NotALattice, NotBounded, \
     UnknownName
 from latcong.lattice import MAX_SIZE, build_from_covers, catalogue, \
@@ -76,6 +78,81 @@ def test_tables_on_relabelled_catalogue(name, seed):
     for a, b in itertools.product(range(L.size), repeat=2):
         assert L.meet(a, b) == oracles.greatest_lower_bound(L, a, b)
         assert L.join(a, b) == oracles.least_upper_bound(L, a, b)
+
+
+# --- full-size tables against closed forms ---------------------------------
+
+
+@pytest.mark.parametrize("seed", ["plain", 7, 11])
+def test_boolean9_tables_are_bitwise(seed):
+    """In catalogue numbering element i is the subset with bit mask i."""
+    L = catalogue("boolean(9)")
+    perm = np.arange(L.size)
+    if seed != "plain":
+        L, perm = relabelled(L, seed), np.array(relabelling(L.size, seed))
+    masks = np.arange(L.size)
+    at = np.ix_(perm, perm)
+    assert np.array_equal(L.meet_table[at], perm[np.bitwise_and.outer(masks, masks)])
+    assert np.array_equal(L.join_table[at], perm[np.bitwise_or.outer(masks, masks)])
+
+
+def test_chain512_tables_are_min_and_max():
+    L = catalogue("chain(512)")
+    ranks = np.arange(512)
+    assert np.array_equal(L.meet_table, np.minimum.outer(ranks, ranks))
+    assert np.array_equal(L.join_table, np.maximum.outer(ranks, ranks))
+    assert L.is_chain and L.is_distributive
+
+
+def test_cube_of_chains_tables_are_componentwise():
+    L = ProductLattice([catalogue("chain(8)")] * 3)
+    assert L.size == 512
+    tuples = np.array(L.tuples)
+    low = np.minimum(tuples[:, None], tuples[None, :])
+    high = np.maximum(tuples[:, None], tuples[None, :])
+    assert np.array_equal(tuples[L.meet_table], low)
+    assert np.array_equal(tuples[L.join_table], high)
+
+
+class MasksWithout:
+    """The nine-bit masks but one, ordered by inclusion and numbered by
+    ``relabelling``: bounded, 511 elements, and not a lattice, as the
+    missing mask was the meet or join of some pairs of the others."""
+
+    def __init__(self, missing, seed):
+        kept = [m for m in range(512) if m != missing]
+        perm = relabelling(len(kept), seed) if seed != "plain" else range(len(kept))
+        self.size = len(kept)
+        self.mask = [0] * self.size
+        for m, p in zip(kept, perm):
+            self.mask[p] = m
+        index = dict(zip(kept, perm))
+        self.covers = [(index[m], index[m | 1 << b]) for m in kept for b in range(9)
+                       if not m >> b & 1 and m | 1 << b != missing]
+
+    def leq(self, a, b):
+        return not self.mask[a] & ~self.mask[b]
+
+
+@pytest.mark.parametrize("seed", ["plain", 7])
+@pytest.mark.parametrize("missing", [0b11, 0b111111100])
+def test_large_non_lattice_error_names_a_pair_without_bound(missing, seed):
+    order = MasksWithout(missing, seed)
+    assert order.size >= 256
+    with pytest.raises(NotALattice) as err:
+        build_from_covers(order.size, order.covers)
+    m = re.fullmatch(r"elements (\d+) and (\d+) have no unique (meet|join)",
+                     str(err.value))
+    assert m
+    a, b = int(m[1]), int(m[2])
+    bound = oracles.greatest_lower_bound if m[3] == "meet" else oracles.least_upper_bound
+    assert bound(order, a, b) is None
+
+
+def test_least_table_weight_is_a_normal_float():
+    """The tables weight the element of rank r by 4**-r; the least weight
+    must stay a normal float64, so raising MAX_SIZE past 512 fails here."""
+    assert np.ldexp(1.0, -2 * (MAX_SIZE - 1)) >= np.finfo(float).tiny
 
 
 def test_catalogue_size_guard():
