@@ -16,13 +16,13 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CyclicCovers, ForeignElement, NotALattice, NotBounded, \
-    UnknownName
+    TooLarge, UnknownName
 
 Element = int
 
-# Largest carrier that gets meet and join tables (boolean(9)): beyond it the
-# n x n tables outgrow a few seconds and 100 MB, and the least weight of
-# ``_meet_join_tables``, 4**-(MAX_SIZE - 1), leaves the normal float64 range.
+# Largest carrier a Lattice accepts (boolean(9)): beyond it the n x n tables
+# outgrow a few seconds and 100 MB, and the least weight of
+# ``_meet_join_tables``, 4**-(size - 1), leaves the normal float64 range.
 MAX_SIZE = 512
 # Rows of the meet and join tables built per pair of matrix products.
 BAND = 32
@@ -59,11 +59,14 @@ class Lattice:
 
         Redundant pairs are allowed; ``covers`` keeps only the true covers.
         Raises CyclicCovers, NotBounded, or NotALattice when the input does
-        not describe a finite bounded lattice, and ForeignElement for a
-        label of an element outside ``0..size-1``.
+        not describe a finite bounded lattice, TooLarge above ``MAX_SIZE``
+        elements, and ForeignElement for a label of an element outside
+        ``0..size-1``.
         """
         if size <= 0:
             raise NotBounded("a bounded lattice needs at least one element")
+        if size > MAX_SIZE:
+            raise TooLarge(f"{size} elements exceed the limit of {MAX_SIZE}")
         edges = np.zeros((size, size), dtype=bool)
         for i, j in covers:
             if not (0 <= i < size and 0 <= j < size):
@@ -120,16 +123,13 @@ class Lattice:
     @cached_property
     def is_distributive(self) -> bool:
         """Whether a ^ (b v c) = (a ^ b) v (a ^ c) for all triples: iff every
-        join-irreducible j is join-prime, no join of two elements not above
-        j is above j.  Every chain is distributive."""
-        if self.is_chain:
-            return True
-        leq, join = self.leq_table, self.join_table
-        for _, j in self.join_irreducible_covers:
-            outside = np.flatnonzero(~leq[j])
-            if leq[j, join[np.ix_(outside, outside)]].any():
-                return False
-        return True
+        join-irreducible j is join-prime, not below the join of all x with
+        j not <= x.  ``bounds[k, u]`` says u is above every such x for the
+        k-th j, so j is not join-prime iff j <= every u it marks."""
+        leq = self.leq_table
+        above_j = leq[[j for _, j in self.join_irreducible_covers]]
+        bounds = (~above_j).astype(np.float32) @ (~leq).astype(np.float32) == 0
+        return not (~bounds | above_j).all(axis=1).any()
 
     @cached_property
     def is_chain(self) -> bool:

@@ -251,7 +251,6 @@ def test_unnormalized_congruence(c4):
 def test_congruence_of_blocks_is_an_invalid_argument():
     with pytest.raises(InvalidArgument):
         Congruence([[0, 1], [2]])
-    assert Congruence((2, 2, 0, 5)).class_of == (0, 0, 1, 2)
 
 
 def test_congruence_join_size_mismatch(c3, c4):

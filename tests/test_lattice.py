@@ -9,7 +9,7 @@ import oracles
 from conftest import CATALOGUE_NAMES, DISTRIBUTIVE_NAMES, relabelled, relabelling
 from latcong.constructions import ProductLattice
 from latcong.errors import CyclicCovers, ForeignElement, NotALattice, NotBounded, \
-    UnknownName
+    TooLarge, UnknownName
 from latcong.lattice import MAX_SIZE, build_from_covers, catalogue, \
     is_isomorphic, med_dual_check
 
@@ -163,6 +163,15 @@ def test_catalogue_size_guard():
             catalogue(name)
 
 
+def test_constructor_size_guard():
+    """Every construction goes through Lattice, which rejects carriers above
+    MAX_SIZE before building any table."""
+    with pytest.raises(TooLarge, match="600 elements exceed the limit of 512"):
+        build_from_covers(600, [(i, i + 1) for i in range(599)])
+    with pytest.raises(TooLarge, match="600 elements"):
+        ProductLattice([catalogue("chain(300)"), catalogue("chain(2)")])
+
+
 def test_out_of_range_cover_rejected():
     with pytest.raises(NotALattice):
         build_from_covers(2, [(0, 5)])
@@ -236,6 +245,14 @@ def test_distributive_catalogue(name):
 @pytest.mark.parametrize("name", ["M3", "N5"])
 def test_non_distributive_catalogue(name):
     assert not catalogue(name).is_distributive
+
+
+def test_distributivity_at_full_size():
+    """A product is distributive iff every factor is."""
+    assert catalogue("boolean(9)").is_distributive
+    assert ProductLattice([catalogue("chain(8)")] * 3).is_distributive
+    assert not ProductLattice([catalogue("chain(100)"), catalogue("M3")]).is_distributive
+    assert not ProductLattice([catalogue("N5"), catalogue("chain(102)")]).is_distributive
 
 
 @pytest.mark.parametrize("seed", ["plain", None, 5])
