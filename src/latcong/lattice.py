@@ -4,7 +4,10 @@ A lattice is built once from its cover relation (Hasse diagram), validated
 eagerly, and never mutated afterwards: the order must be a partial order,
 every pair of elements must have a unique greatest lower bound and least
 upper bound, and a global bottom and top must exist.  Elements are the
-integers ``0 .. size-1``; labels are display-only decoration.
+integers ``0 .. size-1``; labels are display-only decoration.  The order
+and the true covers come from one pass over the cover pairs in a
+topological order, with each down-set kept as an int bitset; the meet and
+join tables come from matrix products over that order.
 """
 
 from __future__ import annotations
@@ -15,8 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CyclicCovers, ForeignElement, NotALattice, NotBounded, \
-    TooLarge, UnknownName
+from .errors import CyclicCovers, ForeignElement, InvalidArgument, NotALattice, \
+    NotBounded, TooLarge, UnknownName
 
 Element = int
 
@@ -57,40 +60,38 @@ class Lattice:
     def __init__(self, size: int, covers, *, name=None, labels=None):
         """Build and validate a lattice from cover pairs ``(i, j)``, i below j.
 
-        Redundant pairs are allowed; ``covers`` keeps only the true covers.
-        Raises CyclicCovers, NotBounded, or NotALattice when the input does
-        not describe a finite bounded lattice, TooLarge above ``MAX_SIZE``
-        elements, and ForeignElement for a label of an element outside
-        ``0..size-1``.
+        Redundant and repeated pairs are allowed; ``covers`` keeps only the
+        true covers.  One pass over the elements in a topological order of
+        the pairs gives each element's down-set as an int bitset (its own
+        bit and the down-sets of its input predecessors) and keeps a pair
+        ``(a, b)`` as a cover iff a lies in the strict down-set of no other
+        predecessor of b; ``leq_table`` is unpacked from the bitsets once.
+        Raises InvalidArgument for a size, cover entry or label key that is
+        not an int, a cover that is not a pair or labels that are not a
+        mapping, CyclicCovers, NotBounded, or NotALattice when the input
+        does not describe a finite bounded lattice, TooLarge above
+        ``MAX_SIZE`` elements, and ForeignElement for a label of an element
+        outside ``0..size-1``.
         """
+        size = _integer(size, "size")
         if size <= 0:
             raise NotBounded("a bounded lattice needs at least one element")
         if size > MAX_SIZE:
             raise TooLarge(f"{size} elements exceed the limit of {MAX_SIZE}")
-        edges = np.zeros((size, size), dtype=bool)
-        for i, j in covers:
-            if not (0 <= i < size and 0 <= j < size):
-                raise NotALattice(f"cover ({i}, {j}) out of range for size {size}")
-            if i == j:
-                raise CyclicCovers(f"self-cover at element {i}")
-            edges[i, j] = True
-        # The Warshall closure is reflexive and transitive by construction;
-        # a cycle shows as a pair below each other, so this is antisymmetry.
-        leq = edges | np.eye(size, dtype=bool)
-        for k in range(size):
-            leq |= leq[:, k:k + 1] & leq[k:k + 1, :]
-        if np.count_nonzero(leq & leq.T) != size:
-            raise CyclicCovers("cover relation contains a cycle")
+        leq, self.covers = _order_and_covers(_predecessors(size, covers))
         self.size = size
         self.leq_table = leq
         self.bottom = _unique_bottom(leq)
         self.top = _unique_top(leq)
         self.meet_table, self.join_table = _meet_join_tables(leq)
-        self.covers = _cover_pairs(leq, edges)
         self.name = name
-        self.labels = dict(labels) if labels else {}
+        try:
+            self.labels = dict(labels) if labels else {}
+        except (TypeError, ValueError):
+            raise InvalidArgument(f"labels must map elements to text, not {labels!r}") \
+                from None
         for a in self.labels:
-            if not 0 <= a < size:
+            if not 0 <= _integer(a, "label key") < size:
                 raise ForeignElement(f"label for {a} outside carrier of size {size}")
         for arr in (self.leq_table, self.meet_table, self.join_table):
             arr.flags.writeable = False
@@ -164,6 +165,77 @@ def build_from_covers(size: int, covers, *, name=None, labels=None) -> Lattice:
     return Lattice(size, covers, name=name, labels=labels)
 
 
+def _integer(value, what):
+    """``value`` as an int: an int or numpy integer, but not a bool."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise InvalidArgument(f"{what} must be an int, not {value!r}")
+
+
+def _predecessors(size, covers):
+    """The distinct input predecessors of each element; the pairs are
+    checked in input order, so an error names the first bad one."""
+    try:
+        covers = iter(covers)
+    except TypeError:
+        raise InvalidArgument(f"covers must be an iterable of pairs, not {covers!r}") \
+            from None
+    preds = [set() for _ in range(size)]
+    for pair in covers:
+        try:
+            i, j = pair
+        except (TypeError, ValueError):
+            raise InvalidArgument(f"cover {pair!r} is not a pair of elements") from None
+        if type(i) is not int or type(j) is not int:
+            i, j = _integer(i, "cover entry"), _integer(j, "cover entry")
+        if not (0 <= i < size and 0 <= j < size):
+            raise NotALattice(f"cover ({i}, {j}) out of range for size {size}")
+        if i == j:
+            raise CyclicCovers(f"self-cover at element {i}")
+        preds[j].add(i)
+    return preds
+
+
+def _order_and_covers(preds):
+    """The order table and the sorted true covers, by one Kahn pass.
+
+    ``down[b]`` is b's down-set as an int bitset: b's own bit or'ed with the
+    down-sets of its predecessors, all popped before b.  Anything strictly
+    between a predecessor a and b lies below another predecessor, so a is a
+    cover of b iff a is outside ``inner``, the union of the predecessors'
+    strict down-sets.  An element never popped lies on a cycle.
+    """
+    n = len(preds)
+    bit = [1 << a for a in range(n)]
+    succs = [[] for _ in range(n)]
+    for b, below in enumerate(preds):
+        for a in below:
+            succs[a].append(b)
+    waiting = [len(below) for below in preds]
+    ready = [b for b in range(n) if not waiting[b]]
+    down = [0] * n
+    covers = []
+    for b in ready:  # grows as the elements above b become ready
+        union = inner = 0
+        for a in preds[b]:
+            union |= down[a]
+            inner |= down[a] ^ bit[a]
+        down[b] = union | bit[b]
+        covers.extend((a, b) for a in preds[b] if not inner & bit[a])
+        for c in succs[b]:
+            waiting[c] -= 1
+            if not waiting[c]:
+                ready.append(c)
+    if len(ready) < n:
+        raise CyclicCovers("cover relation contains a cycle")
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join(d.to_bytes(width, "little") for d in down),
+                           dtype=np.uint8).reshape(n, width)
+    # Row b of the unpacked bits is b's down-set, so its transpose is leq.
+    below = np.unpackbits(packed, axis=1, count=n, bitorder="little")
+    return np.ascontiguousarray(below.T, dtype=bool), tuple(sorted(covers))
+
+
 def _unique_bottom(leq):
     rows = np.flatnonzero(leq.all(axis=1))
     if len(rows) != 1:
@@ -214,19 +286,6 @@ def _meet_join_tables(leq):
             out[lo:lo + BAND, :lo] = out[:lo, lo:lo + BAND].T
         tables.append(out)
     return tables
-
-
-def _cover_pairs(leq, edges):
-    """The input edges with nothing strictly between their ends.
-
-    Every cover is an input edge, so no other pair needs testing.
-    """
-    lt = leq & ~np.eye(len(leq), dtype=bool)
-    direct = edges.copy()
-    for a, row in enumerate(edges):
-        b = np.flatnonzero(row)
-        direct[a, b] = ~(lt[a] & lt[:, b].T).any(axis=1)
-    return tuple((int(a), int(b)) for a, b in zip(*np.nonzero(direct)))
 
 
 # --- derived checks -------------------------------------------------------

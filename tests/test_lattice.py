@@ -1,4 +1,5 @@
 import itertools
+import random
 import re
 
 import numpy as np
@@ -8,8 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 from conftest import CATALOGUE_NAMES, DISTRIBUTIVE_NAMES, relabelled, relabelling
 from latcong.constructions import ProductLattice
-from latcong.errors import CyclicCovers, ForeignElement, NotALattice, NotBounded, \
-    TooLarge, UnknownName
+from latcong.errors import CyclicCovers, ForeignElement, InvalidArgument, \
+    NotALattice, NotBounded, TooLarge, UnknownName
 from latcong.lattice import MAX_SIZE, build_from_covers, catalogue, \
     is_isomorphic, med_dual_check
 
@@ -114,6 +115,48 @@ def test_cube_of_chains_tables_are_componentwise():
     assert np.array_equal(tuples[L.join_table], high)
 
 
+# --- full-size order and covers against closed forms -----------------------
+
+
+@pytest.mark.parametrize("seed", ["plain", 7, 11])
+def test_boolean9_order_is_inclusion_and_covers_are_one_bit_steps(seed):
+    """Element perm[m] is the subset with bit mask m, so a <= b is mask
+    inclusion and the covers add one bit."""
+    perm = relabelling(512, seed) if seed != "plain" else list(range(512))
+    covers = [(perm[m], perm[m | 1 << k]) for m in range(512) for k in range(9)
+              if not m >> k & 1]
+    random.Random(seed).shuffle(covers)
+    L = build_from_covers(512, covers)
+    masks = np.arange(512)
+    inclusion = (masks[:, None] & ~masks[None, :]) == 0
+    at = np.ix_(perm, perm)
+    assert np.array_equal(L.leq_table[at], inclusion)
+    assert L.covers == tuple(sorted(covers))
+
+
+def test_chain512_from_every_comparable_pair():
+    """Every pair i < j given as a cover, some twice, in shuffled order:
+    the order is the upper triangle and only the steps i -> i + 1 are kept."""
+    pairs = [(i, j) for i in range(512) for j in range(i + 1, 512)]
+    pairs += pairs[::97] + [(i, i + 1) for i in range(0, 511, 3)]
+    random.Random(5).shuffle(pairs)
+    L = build_from_covers(512, pairs)
+    assert np.array_equal(L.leq_table, np.triu(np.ones((512, 512), dtype=bool)))
+    assert L.covers == tuple((i, i + 1) for i in range(511))
+
+
+def test_long_cycle_rejected():
+    with pytest.raises(CyclicCovers, match="cover relation contains a cycle"):
+        build_from_covers(512, [(i, (i + 1) % 512) for i in range(512)])
+
+
+@pytest.mark.parametrize("below", [0, 1, 254])
+def test_back_edge_from_the_top_of_boolean8_rejected(below):
+    covers = list(catalogue("boolean(8)").covers) + [(255, below)]
+    with pytest.raises(CyclicCovers, match="cover relation contains a cycle"):
+        build_from_covers(256, covers)
+
+
 class MasksWithout:
     """The nine-bit masks but one, ordered by inclusion and numbered by
     ``relabelling``: bounded, 511 elements, and not a lattice, as the
@@ -185,6 +228,54 @@ def test_label_outside_carrier_rejected(element):
         build_from_covers(2, [(0, 1)], labels={element: "ghost"})
     L = build_from_covers(2, [(0, 1)], labels={0: "low", 1: "high"})
     assert L.labels == {0: "low", 1: "high"}
+
+
+# --- malformed constructor input ------------------------------------------
+
+
+@pytest.mark.parametrize("size", [2.0, "2", None, True])
+def test_size_that_is_not_an_int_rejected(size):
+    with pytest.raises(InvalidArgument, match="size must be an int"):
+        build_from_covers(size, [(0, 1)])
+
+
+def test_covers_none_rejected():
+    with pytest.raises(InvalidArgument, match="covers must be an iterable"):
+        build_from_covers(2, None)
+
+
+@pytest.mark.parametrize("pair", [(0, 1, 2), (0,), 1])
+def test_cover_that_is_not_a_pair_rejected(pair):
+    with pytest.raises(InvalidArgument, match="is not a pair of elements"):
+        build_from_covers(3, [(0, 1), pair])
+
+
+@pytest.mark.parametrize("pair", [(0, 1.0), ("0", 1), (False, True), (0, np.True_)])
+def test_cover_entry_that_is_not_an_int_rejected(pair):
+    """Bools are not elements: as an index, numpy reads (False, True) as a
+    mask that selects nothing."""
+    with pytest.raises(InvalidArgument, match="cover entry must be an int"):
+        build_from_covers(2, [pair])
+
+
+@pytest.mark.parametrize("key", ["0", 1.0, False])
+def test_label_key_that_is_not_an_int_rejected(key):
+    with pytest.raises(InvalidArgument, match="label key must be an int"):
+        build_from_covers(2, [(0, 1)], labels={key: "x"})
+
+
+@pytest.mark.parametrize("labels", [[1, 2], "ab", 5])
+def test_labels_that_are_not_a_mapping_rejected(labels):
+    with pytest.raises(InvalidArgument, match="labels must map elements to text"):
+        build_from_covers(2, [(0, 1)], labels=labels)
+
+
+def test_numpy_integers_are_elements():
+    L = build_from_covers(np.int64(3), np.array([[0, 1], [1, 2]], dtype=np.int32),
+                          labels={np.int64(2): "top"})
+    assert type(L.size) is int and L.size == 3
+    assert L.covers == ((0, 1), (1, 2))
+    assert L.label_of(2) == "top"
 
 
 def test_catalogue_entries():
