@@ -5,6 +5,10 @@ meet, and join.  Every monotone term is pinned down by its values at the
 boolean vertices (inputs whose coordinates are all bottom or top), which
 gives the normal form: a coefficient per subset mask, evaluated as a join
 of coefficient-guarded meets.  The empty meet is top.
+
+Terms are lowered to values at a plan's inputs by ``_term_rows`` only, a
+whole list of terms at once: ``to_table``, ``evaluate`` and
+``to_normal_form`` run it on a list of one.
 """
 
 from __future__ import annotations
@@ -13,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArityMismatch
+from .errors import ArityMismatch, InvalidArgument
 from .lattice import Lattice, check_elements
-from .tables import FunctionTable, _Plan, _apply, _join_rows, _map_blocks, \
+from .tables import FunctionTable, _Plan, _join_rows, _map_blocks, \
     _plan, _vertex_rows, check_input, check_table
 
 # The two-element chain: input k of its n-th power, in encoding order, lies
@@ -51,7 +55,8 @@ Node = Projection | Constant | Meet | Join
 def _max_projection(node) -> int:
     """Largest projection index in the term, -1 if it has none.
 
-    A negative index fits no arity, so it raises ArityMismatch here.
+    A negative index fits no arity, so it raises ArityMismatch here; a node
+    that is not a Projection, Constant, Meet or Join raises InvalidArgument.
     """
     if isinstance(node, Projection):
         if node.index < 0:
@@ -59,7 +64,9 @@ def _max_projection(node) -> int:
         return node.index
     if isinstance(node, Constant):
         return -1
-    return max(_max_projection(node.left), _max_projection(node.right))
+    if isinstance(node, (Meet, Join)):
+        return max(_max_projection(node.left), _max_projection(node.right))
+    raise InvalidArgument(f"not a term node: {node!r}")
 
 
 @dataclass(frozen=True)
@@ -76,31 +83,86 @@ class WeightedPolynomial:
                 f"projection {top_index} exceeds declared arity {self.arity}")
 
 
+def _arity(p) -> int:
+    """The arity of a WeightedPolynomial; InvalidArgument for anything else."""
+    if not isinstance(p, WeightedPolynomial):
+        raise InvalidArgument(
+            f"expected a WeightedPolynomial, got {type(p).__name__}")
+    return p.arity
+
+
 def evaluate(L: Lattice, p: WeightedPolynomial, x) -> int:
     """Evaluate the term at an input vector via the lattice tables."""
-    plan = _Plan(L, [check_input(L.size, p.arity, x)])
-    return int(_term_rows(plan, p)[0])
+    plan = _Plan(L, [check_input(L.size, _arity(p), x)])
+    return int(_term_rows(plan, [p])[0, 0])
 
 
-def _term_rows(plan, p: WeightedPolynomial) -> np.ndarray:
-    """The term's value at each input of the plan: one gather per node."""
+# Most entries in the node buffer of ``_term_rows``; a plan with more inputs
+# than fit is lowered a slice of inputs at a time.
+_NODE_ENTRIES = 1 << 20
 
-    def lower(node):
-        if isinstance(node, Projection):
-            return plan.grid[:, node.index]
-        if isinstance(node, Constant):
-            check_elements(plan.lattice.size, (node.value,), "constant")
-            return node.value
-        table = plan.meet if isinstance(node, Meet) else plan.join
-        return _apply(table, lower(node.left), lower(node.right))
 
-    # A term without projections lowers to one value; fill the rows with it.
-    return np.full(len(plan.grid), lower(p.root))
+def _term_rows(plan, terms) -> np.ndarray:
+    """The ``(len(terms), k)`` stack of the terms' values at the plan's k
+    inputs; every term has the plan's arity n.
+
+    Each tree is walked once and its nodes numbered as rows of one buffer:
+    projection i is row i, constant c is row n + c, and each meet or join
+    gets a row of its own.  The leaf rows are filled at once, then the
+    inner nodes are evaluated from the leaves up, one flat gather through
+    the stacked ``[meet, join]`` tables per height.  Constants are
+    range-checked before any gather, since a foreign one would read another
+    row or the wrong half of the stacked tables.
+    """
+    n, size = plan.arity, plan.lattice.size
+    count = n + size
+    levels = []  # per height above the leaves: row, table offset, left, right
+    constants = []
+
+    def number(node):
+        """The node's buffer row and its height."""
+        nonlocal count
+        kind = type(node)
+        if kind is Projection:
+            return node.index, 0
+        if kind is Constant:
+            constants.append(node.value)
+            return n + node.value, 0
+        if kind is not Meet and kind is not Join:
+            raise InvalidArgument(f"not a term node: {node!r}")
+        left, left_height = number(node.left)
+        right, right_height = number(node.right)
+        height = max(left_height, right_height)
+        if height == len(levels):
+            levels.append([])
+        levels[height] += (count, 0 if kind is Meet else size * size, left, right)
+        count += 1
+        return count - 1, height + 1
+
+    roots = [number(p.root)[0] for p in terms]
+    check_elements(size, constants, "constant")
+    levels = [np.array(level, dtype=np.intp).reshape(-1, 4).T for level in levels]
+    tables = plan.tables.ravel()
+    out = np.empty((len(terms), len(plan.grid)), dtype=plan.dtype)
+    width = max(1, _NODE_ENTRIES // count)
+    for start in range(0, len(plan.grid), width):
+        inputs = plan.grid[start:start + width]
+        rows = np.empty((count, len(inputs)), dtype=plan.dtype)
+        rows[:n] = inputs.T
+        rows[n:n + size] = np.arange(size)[:, None]
+        for at, offsets, lefts, rights in levels:
+            index = np.multiply(rows[lefts], size, dtype=np.intp)
+            index += rows[rights]
+            index += offsets[:, None]
+            rows[at] = tables.take(index)
+        out[:, start:start + width] = rows[roots]
+    return out
 
 
 def to_table(L: Lattice, p: WeightedPolynomial) -> FunctionTable:
     """Lower a polynomial to its table over all inputs."""
-    return FunctionTable(p.arity, L.size, _term_rows(_plan(L, p.arity), p).tolist())
+    rows = _term_rows(_plan(L, _arity(p)), [p])
+    return FunctionTable(p.arity, L.size, rows[0].tolist())
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,8 +187,8 @@ class NormalForm:
 
 def to_normal_form(L: Lattice, p: WeightedPolynomial) -> NormalForm:
     """Read the coefficients off the boolean vertices."""
-    plan = _Plan(L, _vertex_rows(L, p.arity))
-    return NormalForm(p.arity, tuple(_term_rows(plan, p).tolist()))
+    plan = _Plan(L, _vertex_rows(L, _arity(p)))
+    return NormalForm(p.arity, tuple(_term_rows(plan, [p])[0].tolist()))
 
 
 def _at_point(rows, L: Lattice, nf: NormalForm, x) -> int:
@@ -160,12 +222,20 @@ def normal_form_to_polynomial(nf: NormalForm) -> WeightedPolynomial:
     return WeightedPolynomial(nf.arity, root)
 
 
+def _monotone_rows(plan, stack) -> np.ndarray:
+    """Per row: nondecreasing in each coordinate, checked over cover-adjacent
+    inputs (full-grid plans only).  A one-dimensional stack is one table,
+    and gives one verdict."""
+    low, high = plan.monotone_pairs
+    columns = stack.T
+    return plan.lattice.leq_table[columns[low], columns[high]].all(axis=0)
+
+
 def is_monotone(L: Lattice, f: FunctionTable) -> bool:
     """Nondecreasing in each coordinate, checked over cover-adjacent inputs."""
     check_table(L, f)
-    low, high = _plan(L, f.arity).monotone_pairs
-    values = np.array(f.values)
-    return bool(L.leq_table[values[low], values[high]].all())
+    # One row, not a stack of one: indexing a 2-D stack costs more per call.
+    return bool(_monotone_rows(_plan(L, f.arity), np.array(f.values)))
 
 
 def boolean_restriction(L: Lattice, f: FunctionTable) -> NormalForm:
@@ -201,7 +271,15 @@ def enumerate_monotone_normal_forms(L: Lattice, arity: int):
 
 def random_polynomial(rng, arity: int, lattice_size: int,
                       max_depth: int = 4) -> WeightedPolynomial:
-    """Sample a random term; leaves more likely as depth runs out."""
+    """Sample a random term; leaves more likely as depth runs out.
+
+    Raises InvalidArgument, before drawing, unless the arity and the
+    lattice size are at least 1.
+    """
+    if arity < 1 or lattice_size < 1:
+        raise InvalidArgument(
+            f"random terms need arity and lattice size at least 1, "
+            f"got {arity} and {lattice_size}")
 
     def node(depth):
         if depth <= 0:

@@ -145,9 +145,9 @@ def row_dtype(size: int):
 
 @lru_cache(maxsize=64)
 def _typed_tables(L: Lattice):
-    """The meet and join tables in the row dtype, shared by every plan of L."""
-    dtype = row_dtype(L.size)
-    return L.meet_table.astype(dtype), L.join_table.astype(dtype)
+    """The ``(2, size, size)`` stack of the meet and join tables in the row
+    dtype, shared by every plan of L."""
+    return np.stack([L.meet_table, L.join_table]).astype(row_dtype(L.size))
 
 
 class _Plan:
@@ -159,7 +159,8 @@ class _Plan:
         self.lattice, self.grid = L, np.asarray(grid, dtype=np.intp)
         self.arity = self.grid.shape[1]
         self.dtype = row_dtype(L.size)
-        self.meet, self.join = _typed_tables(L)
+        self.tables = _typed_tables(L)
+        self.meet, self.join = self.tables
 
     @cached_property
     def strides(self):
