@@ -306,8 +306,25 @@ def _random_terms(L):
     """AC11's sample on L: 1000 random terms of arity 1 to 3, each arity
     drawn just before its term, from ``RANDOM_SEED``."""
     rng = random.Random(RANDOM_SEED)
-    return [random_polynomial(rng, rng.randint(1, 3), L.size, max_depth=4)
-            for _ in range(1000)]
+    for _ in range(1000):
+        yield random_polynomial(rng, rng.randint(1, 3), L.size, max_depth=4)
+
+
+# Terms per AC11 stack: all 1000 terms of a lattice held at once would
+# raise the peak memory of `latcong verify` by about 1.3 MB.
+TERMS_PER_STACK = 64
+
+
+def _term_groups(L):
+    """AC11's sample on L as lists of at most ``TERMS_PER_STACK`` terms of
+    one arity, each in draw order; a list is handed on once full."""
+    groups = {}
+    for p in _random_terms(L):
+        group = groups.setdefault(p.arity, [])
+        group.append(p)
+        if len(group) == TERMS_PER_STACK:
+            yield groups.pop(p.arity)
+    yield from groups.values()
 
 
 def _polynomial_verdicts(L, n: int, stack):
@@ -319,17 +336,15 @@ def _polynomial_verdicts(L, n: int, stack):
 def check_polynomial_compatibility() -> CheckResult:
     """Randomly generated polynomial terms always preserve congruences.
 
-    The terms of each arity are lowered as one stack and checked by one
-    pass of each kernel.
+    The terms are lowered ``TERMS_PER_STACK`` of one arity at a time, as
+    one stack, and each stack is checked by one pass of each kernel.
     """
     problems = 0
     total = 0
     for name in ("chain(3)", "boolean(2)"):
         L = catalogue(name)
-        by_arity = {}
-        for p in _random_terms(L):
-            by_arity.setdefault(p.arity, []).append(p)
-        for n, terms in sorted(by_arity.items()):
+        for terms in _term_groups(L):
+            n = terms[0].arity
             stack = _term_rows(_plan(L, n), terms)
             problems += int((~_polynomial_verdicts(L, n, stack)).sum())
             total += len(terms)

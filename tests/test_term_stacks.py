@@ -1,9 +1,9 @@
 """Stacked term lowering and AC11's stack verdicts, against the oracles.
 
 ``polynomials._term_rows`` lowers a whole list of terms by height, and AC11
-counts its failures from one lowering and one pass of each kernel per
-arity; a check that reports "0 failures" whether or not its kernels run
-shows nothing, so the kernels are also run on tables that fail.
+counts its failures from one lowering and one pass of each kernel per stack
+of terms of one arity; a check that reports "0 failures" whether or not its
+kernels run shows nothing, so the kernels are also run on tables that fail.
 """
 
 import hashlib
@@ -196,19 +196,34 @@ def test_ac11_row_verdicts_match_oracles(name, n):
     assert True in both and False in both
 
 
+def test_ac11_stacks_partition_the_sample():
+    L = catalogue("boolean(2)")
+    sample = list(verify._random_terms(L))
+    groups = list(verify._term_groups(L))
+    for group in groups:
+        assert 0 < len(group) <= verify.TERMS_PER_STACK
+        assert {p.arity for p in group} == {group[0].arity}
+    for n in (1, 2, 3):
+        assert [p for group in groups if group[0].arity == n for p in group] \
+            == [p for p in sample if p.arity == n]
+
+
 def test_ac11_counts_the_rows_its_kernels_reject(monkeypatch):
-    """Breaking the first lowered table of each arity group (top at the
-    all-bottom input, bottom at the all-top one) fails 3 groups x 2 lattices."""
+    """Breaking the first lowered table of each stack (top at the
+    all-bottom input, bottom at the all-top one) fails one term per stack."""
 
     def broken(plan, terms):
         stack = _term_rows(plan, terms)
         stack[0, 0], stack[0, -1] = plan.lattice.top, plan.lattice.bottom
         return stack
 
+    stacks = sum(len(list(verify._term_groups(catalogue(name))))
+                 for name in ("chain(3)", "boolean(2)"))
     monkeypatch.setattr(verify, "_term_rows", broken)
     result = verify.check_polynomial_compatibility()
     assert not result.passed
-    assert result.detail == "6 failures over 2000 sampled terms"
+    assert result.detail == f"{stacks} failures over 2000 sampled terms"
+    assert stacks > 6
 
 
 def test_monotone_kernel_on_one_row_is_the_stack_verdict():
