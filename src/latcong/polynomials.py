@@ -104,7 +104,7 @@ _NODE_ENTRIES = 1 << 20
 
 def _term_rows(plan, terms) -> np.ndarray:
     """The ``(len(terms), k)`` stack of the terms' values at the plan's k
-    inputs; every term has the plan's arity n.
+    inputs of arity n.
 
     Each tree is walked once and its nodes numbered as rows of one buffer:
     projection i is row i, constant c is row n + c, and each meet or join
@@ -112,7 +112,8 @@ def _term_rows(plan, terms) -> np.ndarray:
     inner nodes are evaluated from the leaves up, one flat gather through
     the stacked ``[meet, join]`` tables per height.  Constants are
     range-checked before any gather, since a foreign one would read another
-    row or the wrong half of the stacked tables.
+    row or the wrong half of the stacked tables.  ArityMismatch unless
+    every term has arity n.
     """
     n, size = plan.arity, plan.lattice.size
     count = n + size
@@ -139,6 +140,9 @@ def _term_rows(plan, terms) -> np.ndarray:
         count += 1
         return count - 1, height + 1
 
+    # A projection past the plan's arity would read a constant's row.
+    if any(p.arity != n for p in terms):
+        raise ArityMismatch(f"every term of the stack must have arity {n}")
     roots = [number(p.root)[0] for p in terms]
     check_elements(size, constants, "constant")
     levels = [np.array(level, dtype=np.intp).reshape(-1, 4).T for level in levels]

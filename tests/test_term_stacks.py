@@ -17,7 +17,7 @@ import oracles
 from conftest import relabelled
 from latcong import io, polynomials, verify
 from latcong.compat import _compatible_rows, _pairs
-from latcong.errors import ForeignElement, InvalidArgument
+from latcong.errors import ArityMismatch, ForeignElement, InvalidArgument
 from latcong.lattice import catalogue
 from latcong.polynomials import Constant, Join, Meet, Projection, \
     WeightedPolynomial, _monotone_rows, _term_rows, evaluate, \
@@ -116,6 +116,14 @@ def test_foreign_constant_in_last_term_raises(op, value):
         _term_rows(_plan(L, 1), terms)
     with pytest.raises(ForeignElement):
         to_table(L, terms[-1])
+
+
+def test_stack_of_another_arity_raises():
+    """Projection 2 of a ternary term would read constant 1's row at arity 1."""
+    L = catalogue("chain(3)")
+    terms = [WeightedPolynomial(1, Projection(0)), WeightedPolynomial(3, Projection(2))]
+    with pytest.raises(ArityMismatch):
+        _term_rows(_plan(L, 1), terms)
 
 
 # --- malformed arguments ----------------------------------------------------------
