@@ -209,7 +209,7 @@ def verify_equivalence_suite(L: Lattice, n: int,
     Tables and capacities are taken ``BLOCK`` at a time and checked as one
     stack; only compatible or disagreeing rows are visited one by one.
     """
-    check_arity(n)
+    n = check_arity(n)
     plan, pairs = _plan(L, n), _pairs(L, n, "principal-only")
     vertices = plan.vertices
     monotone = 0

@@ -145,7 +145,6 @@ def formula_relation(L: Lattice, a: int, b: int) -> Congruence:
     not assumed.  Raises ForeignElement for an element outside the carrier
     and InvalidArgument unless a <= b.
     """
-    check_elements(L.size, (a, b), "element")
     if not L.leq(a, b):
         raise InvalidArgument(f"expected a <= b, got ({a}, {b})")
     return Congruence((L.join_table[b] * L.size + L.meet_table[a]).tolist())
@@ -161,7 +160,7 @@ def principal_congruence(L: Lattice, a: int, b: int) -> Congruence:
     Only valid on distributive lattices.  An arbitrary pair is first replaced
     by (a ^ b, a v b): any congruence collapsing one collapses the other.
     """
-    check_elements(L.size, (a, b), "element")
+    a, b = check_elements(L.size, (a, b), "element")
     if not L.is_distributive:
         raise NotDistributive(
             "closed-form principal congruences need distributivity; "
@@ -192,7 +191,7 @@ def principal_congruence_oracle(L: Lattice, a: int, b: int) -> Congruence:
     Works on any lattice: merge the pair, then keep merging the images of
     merged pairs under one-sided meets and joins until a fixpoint.
     """
-    check_elements(L.size, (a, b), "element")
+    a, b = check_elements(L.size, (a, b), "element")
     n = L.size
     parent = list(range(n))
     meet, join = L.meet_table, L.join_table
@@ -215,7 +214,7 @@ def principal_congruence_fixpoint(L: Lattice, a: int, b: int) -> Congruence:
     and merges the classes the crossing ones join, until no pair crosses a
     class.
     """
-    check_elements(L.size, (a, b), "element")
+    a, b = check_elements(L.size, (a, b), "element")
     label = np.arange(L.size)
     label[max(a, b)] = min(a, b)
     while True:

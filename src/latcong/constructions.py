@@ -15,8 +15,8 @@ import math
 
 import numpy as np
 
-from .errors import NotDistributive, ValidationError
-from .lattice import Lattice
+from .errors import InvalidArgument, NotDistributive, ValidationError
+from .lattice import Lattice, _integer
 from .sugeno import Capacity, sugeno_table
 from .tables import input_grid
 
@@ -29,7 +29,7 @@ class ProductLattice(Lattice):
     """
 
     def __init__(self, factors):
-        factors = tuple(factors)
+        factors = _lattices(factors, "factors")
         if not factors:
             raise ValidationError("a product needs at least one factor")
         tuples = tuple(itertools.product(*(range(f.size) for f in factors)))
@@ -45,10 +45,28 @@ class ProductLattice(Lattice):
         super().__init__(len(tuples), covers, name="*".join(names))
         self.factors = factors
         self.tuples = tuples
-        self.index_of = {t: i for i, t in enumerate(tuples)}
 
     def component(self, element: int, k: int) -> int:
         return self.tuples[element][k]
+
+
+def _lattices(parts, what: str) -> tuple[Lattice, ...]:
+    """``parts`` as a tuple; InvalidArgument unless it holds only lattices."""
+    try:
+        parts = tuple(parts)
+    except TypeError:
+        raise InvalidArgument(f"{what} must be lattices, not {parts!r}") from None
+    for part in parts:
+        if not isinstance(part, Lattice):
+            raise InvalidArgument(f"{what} must be lattices, not {part!r}")
+    return parts
+
+
+def _part(parts, k, what: str) -> Lattice:
+    """``parts[k]``; InvalidArgument unless k is an int in ``0..len(parts)-1``."""
+    if not 0 <= _integer(k, what) < len(parts):
+        raise InvalidArgument(f"{what} {k} outside 0..{len(parts) - 1}")
+    return parts[k]
 
 
 def direct_product(factors) -> ProductLattice:
@@ -64,7 +82,7 @@ class HorizontalSumLattice(Lattice):
     """
 
     def __init__(self, summands):
-        summands = tuple(summands)
+        summands = _lattices(summands, "summands")
         if not summands:
             raise ValidationError("a horizontal sum needs at least one summand")
         for s in summands:
@@ -116,7 +134,8 @@ def horizontal_sum(summands) -> HorizontalSumLattice:
 
 def project_capacity(P: ProductLattice, m: Capacity, k: int) -> Capacity:
     """k-th coordinate projection of a product capacity."""
-    return Capacity(P.factors[k], [P.component(v, k) for v in m.coefficients])
+    factor = _part(P.factors, k, "factor")
+    return Capacity(factor, [P.component(v, k) for v in m.coefficients])
 
 
 def _image_inputs(images, part_size: int, grid):
@@ -145,7 +164,8 @@ def product_decomposition_check(P: ProductLattice, m: Capacity) -> bool:
 
 def split_capacity(H: HorizontalSumLattice, m: Capacity, k: int) -> Capacity:
     """Summand-k share of a capacity: values outside the summand drop to bottom."""
-    return Capacity(H.summands[k], [H.to_summand(v, k) for v in m.coefficients])
+    summand = _part(H.summands, k, "summand")
+    return Capacity(summand, [H.to_summand(v, k) for v in m.coefficients])
 
 
 def horizontal_sum_decomposition_check(H: HorizontalSumLattice, m: Capacity,

@@ -9,7 +9,7 @@ a file that parses is a file whose object holds its invariants.
 from __future__ import annotations
 
 from .errors import ForeignElement, ParseError, ValidationError
-from .lattice import MAX_SIZE, Lattice, build_from_covers
+from .lattice import MAX_SIZE, Lattice, build_from_covers, check_elements
 from .polynomials import Constant, Join, Meet, Projection, \
     WeightedPolynomial, _max_projection
 from .sugeno import Capacity
@@ -41,6 +41,12 @@ def _int(token, lineno, what="index"):
         raise ParseError(f"expected an integer {what}, got {token!r}", lineno)
 
 
+def _once(seen, line, lineno):
+    """Raise ParseError if a line that may appear once was already seen."""
+    if seen is not None:
+        raise ParseError(f"the '{line}' line is given twice", lineno)
+
+
 def _parse_keyed(text, kind, entry, parse_entry, slots):
     """Shared skeleton of capacity and function files.
 
@@ -57,12 +63,12 @@ def _parse_keyed(text, kind, entry, parse_entry, slots):
         if key == kind:
             if len(tokens) != 2:
                 raise ParseError(f"expected: {kind} <name>", lineno)
+            _once(name, f"{kind} <name>", lineno)
             name = tokens[1]
         elif key == "n":
             if len(tokens) != 2:
                 raise ParseError("expected: n <arity>", lineno)
-            if n is not None:
-                raise ParseError("the 'n <arity>' line is given twice", lineno)
+            _once(n, "n <arity>", lineno)
             n = _int(tokens[1], lineno, "arity")
             if n < 0:
                 raise ParseError(f"arity must be non-negative, got {n}", lineno)
@@ -103,10 +109,12 @@ def parse_lattice(text: str) -> Lattice:
         if key == "lattice":
             if len(tokens) != 2:
                 raise ParseError("expected: lattice <name>", lineno)
+            _once(name, "lattice <name>", lineno)
             name = tokens[1]
         elif key == "elements":
             if len(tokens) != 2:
                 raise ParseError("expected: elements <count>", lineno)
+            _once(size, "elements <count>", lineno)
             size = _int(tokens[1], lineno, "element count")
             if size > MAX_SIZE:
                 raise ParseError(
@@ -119,6 +127,7 @@ def parse_lattice(text: str) -> Lattice:
             if len(tokens) < 3:
                 raise ParseError("expected: label <i> <text>", lineno)
             element = _int(tokens[1], lineno)
+            _once(labels.get(element), f"label {element}", lineno)
             labels[element] = " ".join(tokens[2:])
             label_lines[element] = lineno
         else:
@@ -128,9 +137,10 @@ def parse_lattice(text: str) -> Lattice:
     if size is None:
         raise ParseError("missing 'elements <count>' line")
     for element, lineno in label_lines.items():
-        if not 0 <= element < size:
-            raise ParseError(
-                f"label for {element} outside carrier of size {size}", lineno)
+        try:
+            check_elements(size, (element,), "label for")
+        except ForeignElement as exc:
+            raise ParseError(str(exc), lineno) from None
     return build_from_covers(size, covers, name=name, labels=labels or None)
 
 

@@ -31,17 +31,27 @@ MAX_SIZE = 512
 BAND = 32
 
 
-def check_elements(size: int, values, what: str) -> None:
-    """Raise ForeignElement unless every value lies in ``0..size-1``.
+def check_elements(size: int, values, what: str) -> tuple[int, ...]:
+    """``values`` as a tuple of elements of ``0..size-1``.
 
-    The message names the smallest value if it is negative, else the
-    largest; a stack is checked by passing its minimum and maximum.
+    InvalidArgument unless they are ints (numpy integers are, bools are
+    not); ForeignElement names the least value if negative, else the largest.
     """
-    if len(values):
-        low, high = min(values), max(values)
-        if low < 0 or high >= size:
-            raise ForeignElement(f"{what} {low if low < 0 else high} "
-                                 f"outside carrier of size {size}")
+    try:
+        values = values if type(values) is tuple else tuple(values)
+    except TypeError:
+        raise InvalidArgument(f"{what} must be ints, not {values!r}") from None
+    for v in values:
+        if type(v) is not int or not 0 <= v < size:
+            break
+    else:
+        return values
+    values = tuple(_integer(v, what) for v in values)
+    low, high = min(values), max(values)
+    if low < 0 or high >= size:
+        raise ForeignElement(f"{what} {low if low < 0 else high} "
+                             f"outside carrier of size {size}")
+    return values
 
 
 class Lattice:
@@ -90,30 +100,30 @@ class Lattice:
         except (TypeError, ValueError):
             raise InvalidArgument(f"labels must map elements to text, not {labels!r}") \
                 from None
-        for a in self.labels:
-            if not 0 <= _integer(a, "label key") < size:
-                raise ForeignElement(f"label for {a} outside carrier of size {size}")
+        check_elements(size, [_integer(a, "label key") for a in self.labels], "label for")
         for arr in (self.leq_table, self.meet_table, self.join_table):
             arr.flags.writeable = False
         # Every plan and cache lookup hashes the lattice; the order is fixed.
         self._hash = hash((size, leq.tobytes()))
 
     # --- basic queries ---------------------------------------------------
+    # Each raises ForeignElement for an element outside the carrier, which
+    # numpy would otherwise read from the end of a row.
 
     def leq(self, a: Element, b: Element) -> bool:
-        return bool(self.leq_table[a, b])
+        return self.leq_table.item(check_elements(self.size, (a, b), "element"))
 
     def meet(self, a: Element, b: Element) -> Element:
-        return int(self.meet_table[a, b])
+        return self.meet_table.item(check_elements(self.size, (a, b), "element"))
 
     def join(self, a: Element, b: Element) -> Element:
-        return int(self.join_table[a, b])
+        return self.join_table.item(check_elements(self.size, (a, b), "element"))
 
     def med(self, x: Element, y: Element, z: Element) -> Element:
         """Median term (x v y) ^ (y v z) ^ (z v x)."""
-        j = self.join_table
-        m = self.meet_table
-        return int(m[m[j[x, y], j[y, z]], j[z, x]])
+        x, y, z = check_elements(self.size, (x, y, z), "element")
+        j, m = self.join_table.item, self.meet_table.item
+        return m(m(j(x, y), j(y, z)), j(z, x))
 
     @cached_property
     def join_irreducible_covers(self) -> tuple[tuple[Element, Element], ...]:
@@ -166,8 +176,8 @@ def build_from_covers(size: int, covers, *, name=None, labels=None) -> Lattice:
 
 
 def _integer(value, what):
-    """``value`` as an int: an int or numpy integer, but not a bool."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+    """``value`` as an int: an exact int or a numpy integer, so not a bool."""
+    if type(value) is int or isinstance(value, np.integer):
         return int(value)
     raise InvalidArgument(f"{what} must be an int, not {value!r}")
 
@@ -329,6 +339,8 @@ _BOOLEAN_RE = re.compile(r"^boolean\((\d+)\)$")
 
 def catalogue(name: str) -> Lattice:
     """Named test lattices: chain(k), boolean(k), M3, N5."""
+    if not isinstance(name, str):
+        raise InvalidArgument(f"a catalogue name is a str, not {name!r}")
     m = _CHAIN_RE.match(name)
     if m:
         k = int(m.group(1))

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArityMismatch, InvalidArgument
-from .lattice import Lattice, check_elements
+from .lattice import Lattice, _integer, check_elements
 from .tables import FunctionTable, _Plan, _join_rows, _map_blocks, \
-    _plan, _vertex_rows, check_input, check_table
+    _plan, _vertex_rows, check_arity, check_input, check_table
 
 # The two-element chain: input k of its n-th power, in encoding order, lies
 # under input k' exactly when the subset mask k lies in the mask k'.
@@ -55,14 +55,16 @@ Node = Projection | Constant | Meet | Join
 def _max_projection(node) -> int:
     """Largest projection index in the term, -1 if it has none.
 
-    A negative index fits no arity, so it raises ArityMismatch here; a node
-    that is not a Projection, Constant, Meet or Join raises InvalidArgument.
+    A negative index fits no arity, so it raises ArityMismatch here; an
+    index or constant that is not an int, or a node that is not a
+    Projection, Constant, Meet or Join, raises InvalidArgument.
     """
     if isinstance(node, Projection):
-        if node.index < 0:
+        if _integer(node.index, "projection index") < 0:
             raise ArityMismatch(f"negative projection index {node.index}")
         return node.index
     if isinstance(node, Constant):
+        _integer(node.value, "constant")
         return -1
     if isinstance(node, (Meet, Join)):
         return max(_max_projection(node.left), _max_projection(node.right))
@@ -78,7 +80,7 @@ class WeightedPolynomial:
 
     def __post_init__(self):
         top_index = _max_projection(self.root)
-        if top_index >= self.arity:
+        if top_index >= check_arity(self.arity):
             raise ArityMismatch(
                 f"projection {top_index} exceeds declared arity {self.arity}")
 
@@ -177,7 +179,7 @@ class NormalForm:
     coefficients: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.coefficients) != 1 << self.arity:
+        if len(self.coefficients) != 1 << check_arity(self.arity):
             raise ArityMismatch(
                 f"expected {1 << self.arity} coefficients for arity {self.arity}, "
                 f"got {len(self.coefficients)}")
@@ -278,9 +280,9 @@ def random_polynomial(rng, arity: int, lattice_size: int,
     """Sample a random term; leaves more likely as depth runs out.
 
     Raises InvalidArgument, before drawing, unless the arity and the
-    lattice size are at least 1.
+    lattice size are ints of at least 1.
     """
-    if arity < 1 or lattice_size < 1:
+    if _integer(arity, "arity") < 1 or _integer(lattice_size, "lattice size") < 1:
         raise InvalidArgument(
             f"random terms need arity and lattice size at least 1, "
             f"got {arity} and {lattice_size}")

@@ -40,12 +40,11 @@ class Capacity(NormalForm):
     lattice: Lattice = field(repr=False, hash=False)
 
     def __init__(self, lattice: Lattice, values):
-        values = tuple(map(int, values))
+        values = check_elements(lattice.size, values, "capacity value")
         arity = len(values).bit_length() - 1
         if len(values) != 1 << arity or not values:
             raise ValidationError(
                 f"capacity needs 2^n entries, got {len(values)}")
-        check_elements(lattice.size, values, "capacity value")
         if values[0] != lattice.bottom:
             raise ValidationError(
                 f"capacity of the empty set must be bottom, got {values[0]}")
@@ -112,7 +111,7 @@ def capacity_from_function(L: Lattice, A: FunctionTable) -> Capacity:
 
 def _values(L: Lattice, m: Capacity | FunctionTable):
     """The table's values as an array, and the plan of L at its arity."""
-    f = m if isinstance(m, FunctionTable) else sugeno_table(L, m)
+    f = sugeno_table(L, m) if isinstance(m, Capacity) else m
     check_table(L, f)
     return np.array(f.values), _plan(L, f.arity)
 
@@ -214,7 +213,7 @@ def compare_formulations(L: Lattice, n: int) -> FormulationReport:
     Capacities are evaluated as stacks of ``BLOCK``; only the (capacity,
     input) cells where the forms disagree are visited one by one.
     """
-    check_arity(n)
+    n = check_arity(n)
     plan = _plan(L, n)
     found = []
     count = 0

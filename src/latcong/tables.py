@@ -13,12 +13,13 @@ one enumerator of tables, normal forms and capacities.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import ArityMismatch, ForeignElement, TooLarge
-from .lattice import Lattice, check_elements
+from .errors import ArityMismatch, ForeignElement, InvalidArgument, TooLarge
+from .lattice import Lattice, _integer, check_elements
 
 # The most entries an input grid or an enumerator's order matrix may have.
 MAX_ENTRIES = 1 << 24
@@ -33,7 +34,7 @@ def encode(x, size: int) -> int:
 
 def all_inputs(size: int, arity: int):
     """Every input tuple, in encoding order."""
-    return itertools.product(range(size), repeat=arity)
+    return itertools.product(range(size), repeat=check_arity(arity))
 
 
 def input_grid(size: int, arity: int):
@@ -45,21 +46,20 @@ def input_grid(size: int, arity: int):
     return np.indices((size,) * arity).reshape(arity, size ** arity).T
 
 
+@dataclass(unsafe_hash=True, slots=True)
 class FunctionTable:
     """Total function L^n -> L stored as a flat value tuple."""
 
-    __slots__ = ("arity", "size", "values")
+    arity: int
+    size: int
+    values: tuple[int, ...] = field(repr=False)
 
-    def __init__(self, arity: int, size: int, values):
-        values = tuple(map(int, values))
-        if len(values) != size ** arity:
-            raise ArityMismatch(
-                f"expected {size ** arity} entries for arity {arity}, "
-                f"got {len(values)}")
-        check_elements(size, values, "output")
-        self.arity = arity
-        self.size = size
-        self.values = values
+    def __post_init__(self):
+        self.arity = check_arity(self.arity)
+        self.values = check_elements(self.size, self.values, "output")
+        if len(self.values) != self.size ** self.arity:
+            raise ArityMismatch(f"expected {self.size ** self.arity} entries for "
+                                f"arity {self.arity}, got {len(self.values)}")
 
     @classmethod
     def _unchecked(cls, arity: int, size: int, values: tuple) -> "FunctionTable":
@@ -75,23 +75,13 @@ class FunctionTable:
     def value_at(self, x) -> int:
         return self.values[encode(check_input(self.size, self.arity, x), self.size)]
 
-    def __eq__(self, other):
-        if not isinstance(other, FunctionTable):
-            return NotImplemented
-        return (self.arity, self.size, self.values) == (
-            other.arity, other.size, other.values)
 
-    def __hash__(self):
-        return hash((self.arity, self.size, self.values))
-
-    def __repr__(self):
-        return f"FunctionTable(arity={self.arity}, size={self.size})"
-
-
-def check_arity(n: int) -> None:
-    """Raise ArityMismatch for a negative arity."""
+def check_arity(n) -> int:
+    """``n`` as an int: InvalidArgument unless it is one, ArityMismatch if negative."""
+    n = _integer(n, "arity")
     if n < 0:
         raise ArityMismatch(f"arity must be non-negative, got {n}")
+    return n
 
 
 def check_entries(entries: int, what: str) -> None:
@@ -102,18 +92,17 @@ def check_entries(entries: int, what: str) -> None:
 
 
 def check_input(size: int, arity: int, x) -> tuple[int, ...]:
-    """The input as a tuple, after checking its length and element range."""
-    x = tuple(x)
+    """The input as a tuple of ints, after checking its elements and length."""
+    x = check_elements(size, x, "input")
     if len(x) != arity:
         raise ArityMismatch(f"expected {arity} inputs, got {len(x)}")
-    for v in x:
-        if not 0 <= v < size:
-            raise ForeignElement(f"input {v} outside carrier of size {size}")
     return x
 
 
 def check_table(L, f: FunctionTable) -> None:
-    """Raise ForeignElement unless f is a table over the carrier of L."""
+    """Raise InvalidArgument unless f is a table, ForeignElement unless over L."""
+    if not isinstance(f, FunctionTable):
+        raise InvalidArgument(f"expected a FunctionTable, got {type(f).__name__}")
     if f.size != L.size:
         raise ForeignElement(
             f"table over carrier {f.size} used with lattice of size {L.size}")
@@ -342,7 +331,7 @@ def _map_blocks(P: Lattice, n: int, L: Lattice, pinned: bool = False):
     index rows becomes a block of maps by one gather of the value rows of
     M_{n-j}.
     """
-    check_arity(n)
+    n = check_arity(n)
     values, order = np.arange(L.size, dtype=row_dtype(L.size))[:, None], L.leq_table
     neighbours = _earlier_neighbours(P.leq_table)
     curried = 0

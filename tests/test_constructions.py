@@ -13,7 +13,7 @@ from latcong.constructions import (
     project_capacity,
     split_capacity,
 )
-from latcong.errors import NotDistributive, ValidationError
+from latcong.errors import InvalidArgument, NotDistributive, ValidationError
 from latcong.lattice import catalogue, is_isomorphic
 from latcong.sugeno import Capacity, enumerate_capacities, sugeno_eval
 
@@ -153,6 +153,24 @@ def test_empty_constructions_rejected():
         horizontal_sum([])
     with pytest.raises(ValidationError):
         horizontal_sum([catalogue("chain(1)")])
+
+
+@pytest.mark.parametrize("build,parts", [
+    (direct_product, [1, 2]), (direct_product, 5), (horizontal_sum, ["chain(2)"]),
+    (horizontal_sum, None)])
+def test_constructions_of_what_is_not_a_lattice_rejected(build, parts):
+    with pytest.raises(InvalidArgument, match="must be"):
+        build(parts)
+
+
+@pytest.mark.parametrize("k", [2, -1, 1.5, True])
+def test_part_outside_the_factors_or_summands_rejected(c2, k):
+    P = direct_product([c2, c2])
+    with pytest.raises(InvalidArgument, match="factor"):
+        project_capacity(P, next(iter(enumerate_capacities(P, 1))), k)
+    H = horizontal_sum([catalogue("chain(3)"), catalogue("chain(3)")])
+    with pytest.raises(InvalidArgument, match="summand"):
+        split_capacity(H, next(iter(enumerate_capacities(H, 1))), k)
 
 
 def test_capacity_projection(c2, c3):

@@ -1,0 +1,140 @@
+"""Every public call that takes an element, an input vector, an arity or a
+table rejects what is not one with a LatcongError subclass, never a raw
+Python error, and reads numpy integers as the ints they hold."""
+
+import random
+
+import numpy as np
+import pytest
+
+from latcong import Capacity, Constant, FunctionTable, LatcongError, NormalForm, \
+    Projection, WeightedPolynomial, all_inputs, boolean_restriction, \
+    capacity_from_function, catalogue, check_comonotone_maxitive, \
+    check_horizontally_maxitive, check_idempotent, check_min_homogeneous, \
+    compare_formulations, enumerate_capacities, enumerate_monotone_normal_forms, \
+    enumerate_monotone_tables, eval_normal_form, evaluate, formula_relation, \
+    formula_relation_is_congruence, is_compatible, is_monotone, \
+    median_decomposition_check, principal_congruence, principal_congruence_oracle, \
+    random_polynomial, sugeno_eval, sugeno_eval_levels, sugeno_eval_pointwise, \
+    synthesize, to_table, verify_equivalence_suite
+from latcong.congruences import principal_congruence_fixpoint
+
+L = catalogue("chain(3)")
+SIZE = L.size
+X0 = WeightedPolynomial(1, Projection(0))
+NF = NormalForm(1, (0, 2))
+M = Capacity(L, (0, 2))
+F = FunctionTable(1, SIZE, (0, 1, 2))
+
+# Per call: a function of the value in one slot, and a valid value for it.
+ELEMENTS = {
+    "Lattice.leq": (lambda v: L.leq(v, 2), 1),
+    "Lattice.meet": (lambda v: L.meet(v, 1), 2),
+    "Lattice.join": (lambda v: L.join(1, v), 0),
+    "Lattice.med": (lambda v: L.med(0, 1, v), 2),
+    "principal_congruence": (lambda v: principal_congruence(L, v, 1), 0),
+    "principal_congruence_oracle": (lambda v: principal_congruence_oracle(L, 1, v), 2),
+    "principal_congruence_fixpoint":
+        (lambda v: principal_congruence_fixpoint(L, v, 0), 2),
+    "formula_relation": (lambda v: formula_relation(L, 0, v), 1),
+    "formula_relation_is_congruence":
+        (lambda v: formula_relation_is_congruence(L, v, 2), 1),
+    "FunctionTable values": (lambda v: FunctionTable(1, SIZE, (0, v, 2)), 1),
+    "Capacity values": (lambda v: Capacity(L, (0, v, v, 2)), 1),
+    "NormalForm coefficients":
+        (lambda v: eval_normal_form(L, NormalForm(1, (v, 2)), [1]), 0),
+    "Constant": (lambda v: to_table(L, WeightedPolynomial(1, Constant(v))), 1),
+    # input vectors
+    "FunctionTable.value_at": (lambda v: F.value_at([v]), 2),
+    "evaluate": (lambda v: evaluate(L, X0, [v]), 1),
+    "eval_normal_form": (lambda v: eval_normal_form(L, NF, [v]), 1),
+    "sugeno_eval": (lambda v: sugeno_eval(L, M, [v]), 2),
+    "sugeno_eval_levels": (lambda v: sugeno_eval_levels(L, M, [v]), 1),
+    "sugeno_eval_pointwise": (lambda v: sugeno_eval_pointwise(L, M, [v]), 0),
+}
+ARITIES = {
+    "FunctionTable": (lambda n: FunctionTable(n, SIZE, (0, 1, 2)), 1),
+    "FunctionTable.from_callable":
+        (lambda n: FunctionTable.from_callable(SIZE, n, lambda x: 0), 1),
+    "all_inputs": (lambda n: list(all_inputs(SIZE, n)), 2),
+    "NormalForm": (lambda n: NormalForm(n, (0, 2)), 1),
+    "WeightedPolynomial": (lambda n: WeightedPolynomial(n, Projection(0)), 1),
+    "Projection": (lambda i: WeightedPolynomial(2, Projection(i)), 1),
+    "enumerate_monotone_tables": (lambda n: list(enumerate_monotone_tables(L, n)), 1),
+    "enumerate_monotone_normal_forms":
+        (lambda n: list(enumerate_monotone_normal_forms(L, n)), 2),
+    "enumerate_capacities": (lambda n: list(enumerate_capacities(L, n)), 2),
+    "compare_formulations": (lambda n: compare_formulations(L, n), 2),
+    "verify_equivalence_suite": (lambda n: verify_equivalence_suite(L, n), 1),
+    "random_polynomial arity":
+        (lambda n: random_polynomial(random.Random(5), n, SIZE), 2),
+    "random_polynomial lattice_size":
+        (lambda s: random_polynomial(random.Random(5), 2, s), 3),
+}
+TABLES = {
+    "is_monotone": lambda f: is_monotone(L, f),
+    "boolean_restriction": lambda f: boolean_restriction(L, f),
+    "is_compatible": lambda f: is_compatible(L, f),
+    "median_decomposition_check": lambda f: median_decomposition_check(L, f),
+    "synthesize": lambda f: synthesize(L, f),
+    "capacity_from_function": lambda f: capacity_from_function(L, f),
+    "check_idempotent": lambda f: check_idempotent(L, f),
+    "check_min_homogeneous": lambda f: check_min_homogeneous(L, f),
+    "check_comonotone_maxitive": lambda f: check_comonotone_maxitive(L, f),
+    "check_horizontally_maxitive": lambda f: check_horizontally_maxitive(L, f),
+}
+# ``SIZE`` is the first value outside the carrier; as an arity it is valid.
+BAD = [1.5, "1", True, -1]
+NUMPY = [np.int64, np.uint8]
+
+
+def _rejects(call, value):
+    try:
+        call(value)
+    except LatcongError:
+        return
+    except Exception as exc:  # a raw error is the failure this table looks for
+        pytest.fail(f"raw {type(exc).__name__} for {value!r}: {exc}")
+    pytest.fail(f"accepted {value!r}")
+
+
+@pytest.mark.parametrize("value", BAD + [SIZE], ids=repr)
+@pytest.mark.parametrize("name", ELEMENTS)
+def test_an_element_that_is_not_one_is_rejected(name, value):
+    _rejects(ELEMENTS[name][0], value)
+
+
+@pytest.mark.parametrize("value", BAD, ids=repr)
+@pytest.mark.parametrize("name", ARITIES)
+def test_an_arity_that_is_not_one_is_rejected(name, value):
+    _rejects(ARITIES[name][0], value)
+
+
+@pytest.mark.parametrize("value", BAD + [SIZE, [0, 1, 2], (0, 1, 2)], ids=repr)
+@pytest.mark.parametrize("name", TABLES)
+def test_a_table_that_is_not_one_is_rejected(name, value):
+    _rejects(TABLES[name], value)
+
+
+@pytest.mark.parametrize("kind", NUMPY, ids=lambda k: k.__name__)
+@pytest.mark.parametrize("name", {**ELEMENTS, **ARITIES})
+def test_numpy_integers_give_the_int_answer(name, kind):
+    call, good = {**ELEMENTS, **ARITIES}[name]
+    assert call(kind(good)) == call(good)
+
+
+def test_function_table_identity_is_its_arity_size_and_values():
+    """repr shows arity and size only; equality and hash are those of the
+    triple, for checked and unchecked tables alike."""
+    f = FunctionTable(2, 2, [0, 0, 0, 1])
+    g = FunctionTable._unchecked(2, 2, (0, 0, 0, 1))
+    assert repr(f) == repr(g) == "FunctionTable(arity=2, size=2)"
+    assert f == g and hash(f) == hash(g) == hash((2, 2, (0, 0, 0, 1)))
+    assert f != FunctionTable(2, 2, [0, 0, 1, 1])
+    assert f != FunctionTable(1, 4, [0, 0, 0, 1])
+    assert f != (2, 2, (0, 0, 0, 1))
+    assert len({f, g, FunctionTable(2, 2, np.array([0, 0, 0, 1]))}) == 1
+    h = FunctionTable(np.int64(1), 3, np.array([0, 1, 2], dtype=np.uint8))
+    assert h.values == (0, 1, 2) and {type(v) for v in h.values} == {int}
+    assert type(h.arity) is int
+    assert not hasattr(f, "__dict__")

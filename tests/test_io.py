@@ -233,3 +233,24 @@ def test_repeated_arity_line_rejected(parse, text):
     read, and the entry lookup raised a raw KeyError."""
     with pytest.raises(ParseError, match="line 4: the 'n <arity>' line is given twice"):
         parse(text, catalogue("chain(3)"))
+
+
+@pytest.mark.parametrize("parse,text,line", [
+    (io.parse_lattice, C3_TEXT + "elements 2\n", "line 6: the 'elements <count>' line"),
+    (io.parse_lattice, C3_TEXT + "lattice other\n", "line 6: the 'lattice <name>' line"),
+    (io.parse_lattice, C3_TEXT + "label 0 a\nlabel 0 b\n", "line 7: the 'label 0' line"),
+    (lambda text: io.parse_capacity(text, catalogue("chain(3)")),
+     CAP_TEXT + "capacity other\n", "line 7: the 'capacity <name>' line"),
+    (lambda text: io.parse_function_table(text, catalogue("chain(3)")),
+     "function f\nn 0\nf -> 1\nfunction g\n", "line 4: the 'function <name>' line"),
+])
+def test_repeated_once_only_line_rejected(parse, text, line):
+    """A second copy used to replace the first: a second 'elements' line
+    changed the carrier, a second header renamed the object, a second
+    label for an element replaced its text."""
+    with pytest.raises(ParseError, match=f"{line} is given twice"):
+        parse(text)
+
+
+def test_repeated_cover_lines_are_allowed():
+    assert io.parse_lattice(C3_TEXT + "cover 0 1\n") == io.parse_lattice(C3_TEXT)

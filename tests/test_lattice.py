@@ -278,6 +278,12 @@ def test_numpy_integers_are_elements():
     assert L.label_of(2) == "top"
 
 
+@pytest.mark.parametrize("name", [3, None, b"M3"])
+def test_catalogue_name_that_is_not_a_str_rejected(name):
+    with pytest.raises(InvalidArgument, match="catalogue name"):
+        catalogue(name)
+
+
 def test_catalogue_entries():
     assert catalogue("chain(2)").size == 2
     assert catalogue("boolean(2)").size == 4
