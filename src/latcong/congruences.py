@@ -15,7 +15,6 @@ reference, are the other routes to a principal congruence.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -23,7 +22,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, InvalidArgument, NotDistributive, \
     SizeMismatch
-from .lattice import Lattice, check_elements
+from .lattice import Lattice, _integer, check_elements
 
 # The most labels, and the most cover flags, in one walk of ``all_congruences``.
 MERGE_LABELS = 1 << 18
@@ -72,12 +71,13 @@ class Congruence:
     @classmethod
     def from_blocks(cls, blocks, size: int) -> "Congruence":
         """Raises InvalidArgument for a block that is not an iterable of
-        ints, SizeMismatch unless the blocks cover ``0 .. size-1`` once."""
+        ints (bools are not ints), SizeMismatch unless the blocks cover
+        ``0 .. size-1`` once."""
         class_of = [None] * size
         for tag, block in enumerate(blocks):
             try:
-                members = [operator.index(e) for e in block]
-            except TypeError:
+                members = [_integer(e, "member") for e in block]
+            except (TypeError, InvalidArgument):
                 raise InvalidArgument(
                     f"block {block!r} is not an iterable of ints") from None
             for e in members:

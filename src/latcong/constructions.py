@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .errors import InvalidArgument, NotDistributive, ValidationError
-from .lattice import Lattice, _integer
+from .lattice import Lattice, _integer, check_elements
 from .sugeno import Capacity, sugeno_table
 from .tables import input_grid
 
@@ -47,7 +47,10 @@ class ProductLattice(Lattice):
         self.tuples = tuples
 
     def component(self, element: int, k: int) -> int:
-        return self.tuples[element][k]
+        """Coordinate k of an element.  ForeignElement for an element outside
+        the carrier, InvalidArgument for a k outside the factors."""
+        (element,) = check_elements(self.size, (element,), "element")
+        return self.tuples[element][_index(self.factors, k, "factor")]
 
 
 def _lattices(parts, what: str) -> tuple[Lattice, ...]:
@@ -62,11 +65,12 @@ def _lattices(parts, what: str) -> tuple[Lattice, ...]:
     return parts
 
 
-def _part(parts, k, what: str) -> Lattice:
-    """``parts[k]``; InvalidArgument unless k is an int in ``0..len(parts)-1``."""
-    if not 0 <= _integer(k, what) < len(parts):
+def _index(parts, k, what: str) -> int:
+    """``k`` as an int; InvalidArgument unless it is one in ``0..len(parts)-1``."""
+    k = _integer(k, what)
+    if not 0 <= k < len(parts):
         raise InvalidArgument(f"{what} {k} outside 0..{len(parts) - 1}")
-    return parts[k]
+    return k
 
 
 def direct_product(factors) -> ProductLattice:
@@ -115,11 +119,15 @@ class HorizontalSumLattice(Lattice):
         self.preimages = tuple({h: e for e, h in m.items()} for m in embed)
 
     def belongs_to(self, element: int, k: int) -> bool:
-        """Bottom and top belong to every summand; interiors to their own."""
-        return self.provenance[element] is None or self.provenance[element] == k
+        """Bottom and top belong to every summand; interiors to their own.
+        ForeignElement for an element outside the carrier, InvalidArgument
+        for a k outside the summands."""
+        (element,) = check_elements(self.size, (element,), "element")
+        return self.provenance[element] in (None, _index(self.summands, k, "summand"))
 
     def to_summand(self, element: int, k: int) -> int:
-        """Image of an element in summand k, or the summand's bottom."""
+        """Image of an element in summand k, or the summand's bottom; checked
+        as ``belongs_to`` checks."""
         if self.belongs_to(element, k):
             return self.preimages[k][element]
         return self.summands[k].bottom
@@ -134,7 +142,7 @@ def horizontal_sum(summands) -> HorizontalSumLattice:
 
 def project_capacity(P: ProductLattice, m: Capacity, k: int) -> Capacity:
     """k-th coordinate projection of a product capacity."""
-    factor = _part(P.factors, k, "factor")
+    factor = P.factors[_index(P.factors, k, "factor")]
     return Capacity(factor, [P.component(v, k) for v in m.coefficients])
 
 
@@ -164,7 +172,7 @@ def product_decomposition_check(P: ProductLattice, m: Capacity) -> bool:
 
 def split_capacity(H: HorizontalSumLattice, m: Capacity, k: int) -> Capacity:
     """Summand-k share of a capacity: values outside the summand drop to bottom."""
-    summand = _part(H.summands, k, "summand")
+    summand = H.summands[_index(H.summands, k, "summand")]
     return Capacity(summand, [H.to_summand(v, k) for v in m.coefficients])
 
 

@@ -4,10 +4,11 @@ A lattice is built once from its cover relation (Hasse diagram), validated
 eagerly, and never mutated afterwards: the order must be a partial order,
 every pair of elements must have a unique greatest lower bound and least
 upper bound, and a global bottom and top must exist.  Elements are the
-integers ``0 .. size-1``; labels are display-only decoration.  The order
-and the true covers come from one pass over the cover pairs in a
-topological order, with each down-set kept as an int bitset; the meet and
-join tables come from matrix products over that order.
+integers ``0 .. size-1``; labels are display-only decoration.  The order,
+the true covers and each element's height come from one pass over the
+cover pairs in a topological order, with each down-set kept as an int
+bitset.  The meet and join tables come by induction over the covers, one
+level of height at a time, and one count product checks the meets.
 """
 
 from __future__ import annotations
@@ -23,12 +24,12 @@ from .errors import CyclicCovers, ForeignElement, InvalidArgument, NotALattice, 
 
 Element = int
 
-# Largest carrier a Lattice accepts (boolean(9)): beyond it the n x n tables
-# outgrow a few seconds and 100 MB, and the least weight of
-# ``_meet_join_tables``, 4**-(size - 1), leaves the normal float64 range.
+# Largest carrier a Lattice accepts (boolean(9)), for memory: the meet and
+# join tables take 8 * size**2 bytes each, 2 MB at 512 elements, and every
+# congruence, table stack and plan built on a lattice grows with its size.
 MAX_SIZE = 512
-# Rows of the meet and join tables built per pair of matrix products.
-BAND = 32
+# Rows of a meet or join table gathered at a time.
+ROWS = 64
 
 
 def check_elements(size: int, values, what: str) -> tuple[int, ...]:
@@ -88,12 +89,12 @@ class Lattice:
             raise NotBounded("a bounded lattice needs at least one element")
         if size > MAX_SIZE:
             raise TooLarge(f"{size} elements exceed the limit of {MAX_SIZE}")
-        leq, self.covers = _order_and_covers(_predecessors(size, covers))
+        leq, self.covers, lower, height = _order_and_covers(_predecessors(size, covers))
         self.size = size
         self.leq_table = leq
         self.bottom = _unique_bottom(leq)
         self.top = _unique_top(leq)
-        self.meet_table, self.join_table = _meet_join_tables(leq)
+        self.meet_table, self.join_table = _meet_join_tables(leq, lower, height)
         self.name = name
         try:
             self.labels = dict(labels) if labels else {}
@@ -207,13 +208,16 @@ def _predecessors(size, covers):
 
 
 def _order_and_covers(preds):
-    """The order table and the sorted true covers, by one Kahn pass.
+    """The order table, the sorted true covers, each element's lower covers
+    and its height, by one Kahn pass.
 
     ``down[b]`` is b's down-set as an int bitset: b's own bit or'ed with the
     down-sets of its predecessors, all popped before b.  Anything strictly
     between a predecessor a and b lies below another predecessor, so a is a
     cover of b iff a is outside ``inner``, the union of the predecessors'
-    strict down-sets.  An element never popped lies on a cycle.
+    strict down-sets.  ``height[b]`` is one more than the greatest height of
+    b's predecessors, so every element is higher than all those it covers.
+    An element never popped lies on a cycle.
     """
     n = len(preds)
     bit = [1 << a for a in range(n)]
@@ -224,14 +228,17 @@ def _order_and_covers(preds):
     waiting = [len(below) for below in preds]
     ready = [b for b in range(n) if not waiting[b]]
     down = [0] * n
-    covers = []
+    height = [0] * n
+    lower = [None] * n
     for b in ready:  # grows as the elements above b become ready
         union = inner = 0
         for a in preds[b]:
             union |= down[a]
             inner |= down[a] ^ bit[a]
+            if height[a] >= height[b]:
+                height[b] = height[a] + 1
         down[b] = union | bit[b]
-        covers.extend((a, b) for a in preds[b] if not inner & bit[a])
+        lower[b] = [a for a in preds[b] if not inner & bit[a]]
         for c in succs[b]:
             waiting[c] -= 1
             if not waiting[c]:
@@ -243,7 +250,8 @@ def _order_and_covers(preds):
                            dtype=np.uint8).reshape(n, width)
     # Row b of the unpacked bits is b's down-set, so its transpose is leq.
     below = np.unpackbits(packed, axis=1, count=n, bitorder="little")
-    return np.ascontiguousarray(below.T, dtype=bool), tuple(sorted(covers))
+    covers = tuple(sorted((a, b) for b in range(n) for a in lower[b]))
+    return np.ascontiguousarray(below.T, dtype=bool), covers, lower, height
 
 
 def _unique_bottom(leq):
@@ -260,42 +268,82 @@ def _unique_top(leq):
     return int(cols[0])
 
 
-def _meet_join_tables(leq):
-    """Meet and join tables from matrix products, a band of rows at a time.
+def _meet_join_tables(leq, lower, height):
+    """Meet and join tables by induction over the covers, a level at a time.
 
-    For the join, rank the elements in a linear extension (ascending
-    down-set size) and weight the element of rank r by 4**-r.  The up-set
-    rows of i and j, one of them weighted, multiply to the sum of the
-    weights of their common upper bounds; that sum lies in
-    [4**-r, (4/3) * 4**-r) for the least rank r among them, so its binary
-    exponent gives r exactly, whatever order the products sum in.  The
-    element of rank r is the only candidate for the join, and it is the
-    join exactly when its up-set is as large as the count of common upper
-    bounds, a second product.  The meet is the same on the reversed order.
-    The tables are symmetric, so a band computes only its columns from its
-    first row on, where the first failing pair in row-major order lies,
-    copies the rest from the bands above, and is written, as int64, over
-    the rows of the float operand that no later band reads.
+    If x <= y then x ^ y = x.  Otherwise x is not the bottom, and x ^ y is
+    the greatest of the x' ^ y over the lower covers x' of x.  The elements
+    of one height form a level whose lower covers all lie in lower levels,
+    so a level is a gather of their rows and a maximum.  The join is the
+    same on the dual order: upper covers and levels from the top down.
+
+    In any bounded poset each computed x ^ y is a common lower bound of x
+    and y, and it is their meet m when they have one: m lies below some
+    lower cover x' of x, so m is the meet of x' and y too, computed there by
+    induction, and every other candidate lies below m.  So a pair has a
+    meet iff the down-set of its computed meet is as large as the count
+    product (leq.T @ leq)[x, y] = |down(x) & down(y)|, and the error names
+    the first pair in row-major order that fails.  A poset with a top in
+    which every pair has a meet is a lattice, so the joins need no check.
+    Until the joins are written, their table holds the float32 operands
+    and results of the check.
     """
     n = len(leq)
-    tables = []
-    for order_rel, what in ((leq.T, "meet"), (leq, "join")):
-        order = np.argsort(order_rel.sum(axis=0), kind="stable")
-        up_size = order_rel.sum(axis=1)
-        weight = np.ldexp(1.0, -2 * np.argsort(order))
-        up = order_rel.astype(np.float64, order="C")
-        out = up.view(np.int64)
-        for lo in range(0, n, BAND):
-            band = up[lo:lo + BAND]
-            joins = order[(1 - np.frexp((band * weight) @ up[lo:].T)[1]) // 2]
-            bad = np.argwhere(up_size[joins] != band @ up[lo:].T)
-            if len(bad):
-                i, j = bad[0] + lo
-                raise NotALattice(f"elements {i} and {j} have no unique {what}")
-            out[lo:lo + BAND, lo:] = joins
-            out[lo:lo + BAND, :lo] = out[:lo, lo:lo + BAND].T
-        tables.append(out)
-    return tables
+    upper = [[] for _ in range(n)]
+    for b, below in enumerate(lower):
+        for a in below:
+            upper[a].append(b)
+    meet, join = np.empty((n, n), np.int64), np.empty((n, n), np.int64)
+    _induction(leq, lower, height, meet)
+    scratch = join.reshape(-1).view(np.float32)
+    floats, counts = scratch[:n * n].reshape(n, n), scratch[n * n:].reshape(n, n)
+    np.copyto(floats, leq)
+    np.matmul(floats.T, floats, out=counts)
+    # mode "clip" writes straight into floats; "raise" would buffer it.
+    np.take(leq.sum(axis=0, dtype=np.float32), meet, out=floats, mode="clip")
+    bad = floats != counts
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise NotALattice(f"elements {i} and {j} have no unique meet")
+    _induction(leq.T, upper, [-h for h in height], join)
+    return meet, join
+
+
+def _induction(le, lower, height, out):
+    """Write into ``out`` the meet table of the order ``le`` whose lower
+    covers are ``lower``, batch by batch.
+
+    A batch is the elements of one ``height`` with the same number of lower
+    covers.  Batch by batch, the elements run through a linear extension;
+    an entry of ``out`` holds its element's rank in it times 2**16 plus the
+    element, so the greatest of a set of meets is their largest entry.
+    ``out`` starts as x's entry where x <= y and 0 elsewhere, below every
+    entry but the bottom's, so row x is the maximum of its own start row
+    and the rows of x's lower covers: a gather of (x, covers of x...) and
+    a max, about ``ROWS`` rows at a time to bound the temporaries.
+    """
+    batches = {}
+    for x, below in enumerate(lower):
+        batches.setdefault((height[x], len(below)), []).append(x)
+    order, rows, steps = [], [], []
+    for (_, count), xs in sorted(batches.items()):
+        step = max(1, ROWS // (count + 1))
+        for i in range(0, len(xs), step):
+            part = xs[i:i + step]
+            if count:  # else part is the bottom, whose start row is its row
+                steps.append((len(order), len(part), count + 1))
+                rows += [y for x in part for y in (x, *lower[x])]
+            order += part
+    order, rows = np.array(order), np.array(rows)
+    entry = np.empty(len(order), np.int64)
+    entry[order] = np.arange(len(order)) << 16 | order
+    np.multiply(le, entry[:, None], out=out)
+    first = 0
+    for at, k, width in steps:
+        block = rows[first:first + k * width].reshape(k, width)
+        out[order[at:at + k]] = np.maximum.reduce(out.take(block, axis=0), axis=1)
+        first += k * width
+    np.bitwise_and(out, 0xFFFF, out=out)
 
 
 # --- derived checks -------------------------------------------------------

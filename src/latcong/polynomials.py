@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ArityMismatch, InvalidArgument
 from .lattice import Lattice, _integer, check_elements
 from .tables import FunctionTable, _Plan, _join_rows, _map_blocks, \
-    _plan, _vertex_rows, check_arity, check_input, check_table
+    _plan, _vertex_rows, check_arity, check_input, check_table, check_type
 
 # The two-element chain: input k of its n-th power, in encoding order, lies
 # under input k' exactly when the subset mask k lies in the mask k'.
@@ -87,10 +87,7 @@ class WeightedPolynomial:
 
 def _arity(p) -> int:
     """The arity of a WeightedPolynomial; InvalidArgument for anything else."""
-    if not isinstance(p, WeightedPolynomial):
-        raise InvalidArgument(
-            f"expected a WeightedPolynomial, got {type(p).__name__}")
-    return p.arity
+    return check_type(p, WeightedPolynomial).arity
 
 
 def evaluate(L: Lattice, p: WeightedPolynomial, x) -> int:
@@ -197,11 +194,19 @@ def to_normal_form(L: Lattice, p: WeightedPolynomial) -> NormalForm:
     return NormalForm(p.arity, tuple(_term_rows(plan, [p])[0].tolist()))
 
 
+def _coefficient_rows(L: Lattice, nf: NormalForm) -> np.ndarray:
+    """nf's coefficients as a stack of one row.  InvalidArgument unless L is
+    a Lattice and nf a NormalForm, ForeignElement for a coefficient outside L."""
+    check_type(L, Lattice)
+    return np.array([check_elements(L.size, check_type(nf, NormalForm).coefficients,
+                                    "coefficient")])
+
+
 def _at_point(rows, L: Lattice, nf: NormalForm, x) -> int:
     """A kernel over coefficient rows, run on nf and a plan of the one input x."""
+    coefficients = _coefficient_rows(L, nf)
     plan = _Plan(L, [check_input(L.size, nf.arity, x)])
-    check_elements(L.size, nf.coefficients, "coefficient")
-    return int(rows(plan, np.array([nf.coefficients]))[0, 0])
+    return int(rows(plan, coefficients)[0, 0])
 
 
 def eval_normal_form(L: Lattice, nf: NormalForm, x) -> int:
@@ -262,9 +267,8 @@ def _rebuild_rows(plan, coefficients) -> np.ndarray:
 
 def normal_form_table(L: Lattice, nf: NormalForm) -> FunctionTable:
     """The table of the join-of-meets normal form of ``nf``."""
-    plan = _plan(L, nf.arity)
-    check_elements(L.size, nf.coefficients, "coefficient")
-    rows = _rebuild_rows(plan, np.array([nf.coefficients]))
+    coefficients = _coefficient_rows(L, nf)
+    rows = _rebuild_rows(_plan(L, nf.arity), coefficients)
     return FunctionTable(nf.arity, L.size, rows[0].tolist())
 
 

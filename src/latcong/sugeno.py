@@ -23,7 +23,7 @@ from .lattice import Lattice, check_elements
 from .polynomials import _CHAIN2, NormalForm, _at_point, _rebuild_rows, \
     boolean_restriction, eval_normal_form, is_monotone, normal_form_table
 from .tables import BLOCK, FunctionTable, _apply, _join_rows, _map_blocks, \
-    _plan, check_arity, check_table
+    _plan, check_arity, check_table, check_type
 
 
 @dataclass(frozen=True, init=False, slots=True)
@@ -40,7 +40,8 @@ class Capacity(NormalForm):
     lattice: Lattice = field(repr=False, hash=False)
 
     def __init__(self, lattice: Lattice, values):
-        values = check_elements(lattice.size, values, "capacity value")
+        values = check_elements(check_type(lattice, Lattice).size, values,
+                                "capacity value")
         arity = len(values).bit_length() - 1
         if len(values) != 1 << arity or not values:
             raise ValidationError(

@@ -99,11 +99,16 @@ def check_input(size: int, arity: int, x) -> tuple[int, ...]:
     return x
 
 
+def check_type(value, kind: type):
+    """``value``; InvalidArgument unless it is an instance of ``kind``."""
+    if not isinstance(value, kind):
+        raise InvalidArgument(f"expected a {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
 def check_table(L, f: FunctionTable) -> None:
     """Raise InvalidArgument unless f is a table, ForeignElement unless over L."""
-    if not isinstance(f, FunctionTable):
-        raise InvalidArgument(f"expected a FunctionTable, got {type(f).__name__}")
-    if f.size != L.size:
+    if check_type(f, FunctionTable).size != L.size:
         raise ForeignElement(
             f"table over carrier {f.size} used with lattice of size {L.size}")
 

@@ -40,7 +40,8 @@ def test_from_blocks_validates():
 
 
 @pytest.mark.parametrize("blocks", [[0, 1, 2], [(0, 1), 2], [(0, 1), (2.0,)],
-                                    [(0, 1), "2"]])
+                                    [(0, 1), "2"], [[0, True], [2]],
+                                    [[False, 1], [2]]])
 def test_from_blocks_rejects_a_block_that_is_not_ints(blocks):
     with pytest.raises(InvalidArgument, match="is not an iterable of ints"):
         Congruence.from_blocks(blocks, 3)

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 import oracles
@@ -13,7 +14,8 @@ from latcong.constructions import (
     project_capacity,
     split_capacity,
 )
-from latcong.errors import InvalidArgument, NotDistributive, ValidationError
+from latcong.errors import ForeignElement, InvalidArgument, NotDistributive, \
+    ValidationError
 from latcong.lattice import catalogue, is_isomorphic
 from latcong.sugeno import Capacity, enumerate_capacities, sugeno_eval
 
@@ -171,6 +173,37 @@ def test_part_outside_the_factors_or_summands_rejected(c2, k):
     H = horizontal_sum([catalogue("chain(3)"), catalogue("chain(3)")])
     with pytest.raises(InvalidArgument, match="summand"):
         split_capacity(H, next(iter(enumerate_capacities(H, 1))), k)
+
+
+@pytest.mark.parametrize("k", [2, -1, 1.5, True])
+def test_coordinate_and_summand_queries_check_k(c3, k):
+    """A negative k used to read the last factor, and a k past the
+    summands raised a raw IndexError."""
+    P = direct_product([c3, c3])
+    H = horizontal_sum([c3, c3])
+    with pytest.raises(InvalidArgument, match="factor"):
+        P.component(4, k)
+    for query in (H.belongs_to, H.to_summand):
+        with pytest.raises(InvalidArgument, match="summand"):
+            query(1, k)
+
+
+@pytest.mark.parametrize("element", [-1, 9, 1.5, True])
+def test_coordinate_and_summand_queries_check_the_element(c3, element):
+    P = direct_product([c3, c3])
+    H = horizontal_sum([c3, c3])
+    for query in (P.component, H.belongs_to, H.to_summand):
+        with pytest.raises((ForeignElement, InvalidArgument), match="element"):
+            query(element, 0)
+
+
+def test_coordinate_and_summand_queries_answer(c3):
+    P = direct_product([c3, c3])
+    H = horizontal_sum([c3, c3])
+    assert [P.component(np.int64(5), k) for k in (0, np.uint8(1))] == [1, 2]
+    assert [H.belongs_to(1, k) for k in (0, 1)] == [True, False]
+    assert [H.to_summand(1, k) for k in (0, 1)] == [1, 0]
+    assert [H.to_summand(H.top, k) for k in (0, 1)] == [2, 2]
 
 
 def test_capacity_projection(c2, c3):

@@ -16,8 +16,9 @@ from latcong import Capacity, Constant, FunctionTable, LatcongError, NormalForm,
     formula_relation_is_congruence, is_compatible, is_monotone, \
     median_decomposition_check, principal_congruence, principal_congruence_oracle, \
     random_polynomial, sugeno_eval, sugeno_eval_levels, sugeno_eval_pointwise, \
-    synthesize, to_table, verify_equivalence_suite
+    sugeno_table, synthesize, to_table, verify_equivalence_suite
 from latcong.congruences import principal_congruence_fixpoint
+from latcong.errors import InvalidArgument
 
 L = catalogue("chain(3)")
 SIZE = L.size
@@ -83,6 +84,21 @@ TABLES = {
     "check_comonotone_maxitive": lambda f: check_comonotone_maxitive(L, f),
     "check_horizontally_maxitive": lambda f: check_horizontally_maxitive(L, f),
 }
+# Per call: a function of the value in one slot that must hold a Lattice,
+# a NormalForm or a Capacity.
+OBJECTS = {
+    "sugeno_eval normal form": lambda v: sugeno_eval(L, v, [1]),
+    "sugeno_eval lattice": lambda v: sugeno_eval(v, M, [1]),
+    "eval_normal_form normal form": lambda v: eval_normal_form(L, v, [1]),
+    "eval_normal_form lattice": lambda v: eval_normal_form(v, NF, [1]),
+    "sugeno_eval_levels capacity": lambda v: sugeno_eval_levels(L, v, [1]),
+    "sugeno_eval_levels lattice": lambda v: sugeno_eval_levels(v, M, [1]),
+    "sugeno_eval_pointwise capacity": lambda v: sugeno_eval_pointwise(L, v, [1]),
+    "sugeno_eval_pointwise lattice": lambda v: sugeno_eval_pointwise(v, M, [1]),
+    "sugeno_table capacity": lambda v: sugeno_table(L, v),
+    "sugeno_table lattice": lambda v: sugeno_table(v, M),
+    "Capacity lattice": lambda v: Capacity(v, (0, 2)),
+}
 # ``SIZE`` is the first value outside the carrier; as an arity it is valid.
 BAD = [1.5, "1", True, -1]
 NUMPY = [np.int64, np.uint8]
@@ -114,6 +130,15 @@ def test_an_arity_that_is_not_one_is_rejected(name, value):
 @pytest.mark.parametrize("name", TABLES)
 def test_a_table_that_is_not_one_is_rejected(name, value):
     _rejects(TABLES[name], value)
+
+
+@pytest.mark.parametrize("value", [[0, 2], (0, 2), "chain(3)", None, F], ids=repr)
+@pytest.mark.parametrize("name", OBJECTS)
+def test_an_object_of_the_wrong_type_is_rejected(name, value):
+    """These raised a raw AttributeError on the missing ``arity``,
+    ``coefficients`` or ``size``."""
+    with pytest.raises(InvalidArgument, match="expected a"):
+        OBJECTS[name](value)
 
 
 @pytest.mark.parametrize("kind", NUMPY, ids=lambda k: k.__name__)

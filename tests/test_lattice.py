@@ -13,6 +13,7 @@ from latcong.errors import CyclicCovers, ForeignElement, InvalidArgument, \
     NotALattice, NotBounded, TooLarge, UnknownName
 from latcong.lattice import MAX_SIZE, build_from_covers, catalogue, \
     is_isomorphic, med_dual_check
+from test_random_lattices import LATTICES as RANDOM_LATTICES
 
 
 def test_chain_construction():
@@ -158,19 +159,21 @@ def test_back_edge_from_the_top_of_boolean8_rejected(below):
 
 
 class MasksWithout:
-    """The nine-bit masks but one, ordered by inclusion and numbered by
-    ``relabelling``: bounded, 511 elements, and not a lattice, as the
-    missing mask was the meet or join of some pairs of the others."""
+    """The ``bits``-bit masks but one, ordered by inclusion and numbered by
+    ``relabelling``.  Without the empty or the full mask the order has no
+    bottom or top; without a mask of one bit or of all bits but one it is
+    a lattice; without any other mask it is bounded and not a lattice, as
+    the missing mask was the meet or join of some pairs of the others."""
 
-    def __init__(self, missing, seed):
-        kept = [m for m in range(512) if m != missing]
+    def __init__(self, missing, seed, bits=9):
+        kept = [m for m in range(1 << bits) if m != missing]
         perm = relabelling(len(kept), seed) if seed != "plain" else range(len(kept))
         self.size = len(kept)
         self.mask = [0] * self.size
         for m, p in zip(kept, perm):
             self.mask[p] = m
         index = dict(zip(kept, perm))
-        self.covers = [(index[m], index[m | 1 << b]) for m in kept for b in range(9)
+        self.covers = [(index[m], index[m | 1 << b]) for m in kept for b in range(bits)
                        if not m >> b & 1 and m | 1 << b != missing]
 
     def leq(self, a, b):
@@ -190,6 +193,49 @@ def test_large_non_lattice_error_names_a_pair_without_bound(missing, seed):
     a, b = int(m[1]), int(m[2])
     bound = oracles.greatest_lower_bound if m[3] == "meet" else oracles.least_upper_bound
     assert bound(order, a, b) is None
+
+
+@pytest.mark.parametrize("seed", ["plain", 7])
+@pytest.mark.parametrize("missing", range(32))
+def test_boolean5_without_one_mask_names_the_first_pair_without_meet(missing, seed):
+    """The error names exactly the first pair in row-major order that the
+    bound scan finds without a greatest lower bound; with no such pair the
+    order is a lattice and its tables are the bound scans'."""
+    order = MasksWithout(missing, seed, bits=5)
+    if missing in (0, 31):
+        with pytest.raises(NotBounded):
+            build_from_covers(order.size, order.covers)
+        return
+    pairs = itertools.product(range(order.size), repeat=2)
+    first = next(((a, b) for a, b in pairs
+                  if oracles.greatest_lower_bound(order, a, b) is None), None)
+    if first is None:
+        L = build_from_covers(order.size, order.covers)
+        meets = oracle_table(order, oracles.greatest_lower_bound)
+        assert np.array_equal(L.meet_table, meets)
+        assert np.array_equal(L.join_table, oracle_table(order, oracles.least_upper_bound))
+        return
+    with pytest.raises(NotALattice) as err:
+        build_from_covers(order.size, order.covers)
+    assert str(err.value) == "elements %d and %d have no unique meet" % first
+
+
+def oracle_table(order, bound):
+    return np.array([[bound(order, a, b) for b in range(order.size)]
+                     for a in range(order.size)])
+
+
+@pytest.mark.parametrize("seed", ["plain", None, 3])
+@pytest.mark.parametrize("idx", range(len(RANDOM_LATTICES)))
+def test_tables_are_the_bound_scans_on_the_random_population(idx, seed):
+    """Whole tables, read-only int64, plain and renumbered."""
+    L = RANDOM_LATTICES[idx]
+    if seed != "plain":
+        L = relabelled(L, seed)
+    for table, bound in ((L.meet_table, oracles.greatest_lower_bound),
+                         (L.join_table, oracles.least_upper_bound)):
+        assert table.dtype == np.int64 and not table.flags.writeable
+        assert np.array_equal(table, oracle_table(L, bound))
 
 
 def test_least_table_weight_is_a_normal_float():
