@@ -17,8 +17,9 @@ import numpy as np
 
 from .errors import InvalidArgument, NotDistributive, ValidationError
 from .lattice import Lattice, _integer, check_elements
-from .sugeno import Capacity, sugeno_table
-from .tables import input_grid
+from .polynomials import _coefficient_rows, _rebuild_rows
+from .sugeno import Capacity
+from .tables import _apply, _plan, check_type
 
 
 class ProductLattice(Lattice):
@@ -138,12 +139,53 @@ def horizontal_sum(summands) -> HorizontalSumLattice:
 
 
 # --- Sugeno decomposition checks -------------------------------------------
+#
+# Each split is a row kernel over a stack of capacities on the whole, given
+# with the stacks of the factor or summand capacities to compare against;
+# a projected or split stack is one gather of the whole stack.  The single
+# calls run the kernel on a stack of one.
+
+
+def _capacity_row(L, kind: type, m: Capacity) -> np.ndarray:
+    """m's coefficients as a stack of one row.  InvalidArgument unless L is
+    a ``kind`` and m a Capacity, ForeignElement unless m is on L."""
+    return _coefficient_rows(check_type(L, kind), check_type(m, Capacity))
+
+
+def _coordinates(P: ProductLattice):
+    """The (size, factors) array: coordinate k of each element of P."""
+    return np.array(P.tuples).reshape(P.size, len(P.factors))
+
+
+def _factor_rows(P: ProductLattice, rows) -> list:
+    """Per factor k, the coordinate-k projections of capacity rows on P."""
+    coordinates = _coordinates(P)
+    return [coordinates[:, k][rows] for k in range(len(P.factors))]
+
+
+def _summand_images(H: HorizontalSumLattice, k: int):
+    """Per element of H, its image in summand k, as ``to_summand`` gives it."""
+    back, bottom = H.preimages[k], H.summands[k].bottom
+    return np.array([back.get(v, bottom) for v in range(H.size)])
+
+
+def _summand_rows(H: HorizontalSumLattice, rows) -> list:
+    """Per summand k, the summand-k shares of capacity rows on H."""
+    return [_summand_images(H, k)[rows] for k in range(len(H.summands))]
 
 
 def project_capacity(P: ProductLattice, m: Capacity, k: int) -> Capacity:
     """k-th coordinate projection of a product capacity."""
-    factor = P.factors[_index(P.factors, k, "factor")]
-    return Capacity(factor, [P.component(v, k) for v in m.coefficients])
+    rows = _capacity_row(P, ProductLattice, m)
+    k = _index(P.factors, k, "factor")
+    return Capacity(P.factors[k], _factor_rows(P, rows)[k][0].tolist())
+
+
+def split_capacity(H: HorizontalSumLattice, m: Capacity, k: int) -> Capacity:
+    """Summand-k share of a capacity: values outside the summand drop to bottom."""
+    rows = _capacity_row(H, HorizontalSumLattice, m)
+    k = _index(H.summands, k, "summand")
+    return Capacity(H.summands[k], _summand_rows(H, rows)[k][0].tolist())
 
 
 def _image_inputs(images, part_size: int, grid):
@@ -152,28 +194,59 @@ def _image_inputs(images, part_size: int, grid):
     return images[grid] @ part_size ** np.arange(grid.shape[1] - 1, -1, -1)
 
 
-def product_decomposition_check(P: ProductLattice, m: Capacity) -> bool:
-    """Whether the integral on the product works coordinatewise.
+def _arity(rows) -> int:
+    """The arity of a stack of coefficient rows, one per subset mask."""
+    return rows.shape[1].bit_length() - 1
 
-    For every input vector, coordinate k of the integral must equal the
-    integral on factor k of the projected capacity and projected inputs.
-    Both sides are whole tables, compared by gathers.
+
+def _product_rows(P: ProductLattice, rows, parts) -> np.ndarray:
+    """Per row of a stack of capacities on P: the integral works coordinatewise.
+
+    For every input, coordinate k of the integral must equal the integral
+    of row ``parts[k]`` on factor k at the coordinate-k input.  Both sides
+    are whole tables, compared by gathers.
     """
-    coordinates = np.array(P.tuples).reshape(P.size, len(P.factors))
-    whole = coordinates[np.array(sugeno_table(P, m).values)]
-    grid = input_grid(P.size, m.arity)
-    for k, factor in enumerate(P.factors):
-        part = np.array(sugeno_table(factor, project_capacity(P, m, k)).values)
-        at = _image_inputs(coordinates[:, k], factor.size, grid)
-        if (whole[:, k] != part[at]).any():
-            return False
-    return True
+    plan = _plan(P, _arity(rows))
+    coordinates = _coordinates(P)
+    whole = _rebuild_rows(plan, rows)
+    holds = np.ones(len(rows), dtype=bool)
+    for k, (factor, part) in enumerate(zip(P.factors, parts)):
+        table = _rebuild_rows(_plan(factor, plan.arity), part)
+        at = _image_inputs(coordinates[:, k], factor.size, plan.grid)
+        holds &= (coordinates[:, k][whole] == table[:, at]).all(axis=1)
+    return holds
 
 
-def split_capacity(H: HorizontalSumLattice, m: Capacity, k: int) -> Capacity:
-    """Summand-k share of a capacity: values outside the summand drop to bottom."""
-    summand = H.summands[_index(H.summands, k, "summand")]
-    return Capacity(summand, [H.to_summand(v, k) for v in m.coefficients])
+def _sum_rows(H: HorizontalSumLattice, rows, parts,
+              report_only: bool = False) -> np.ndarray:
+    """Per row of a stack of capacities on H: the integral is the join of
+    the integrals of the rows ``parts[k]`` on the summands k, embedded.
+
+    The splitting claim is asserted only for distributive sums; with
+    report_only=True the check runs on a non-distributive sum anyway.
+    """
+    if not H.is_distributive and not report_only:
+        raise NotDistributive(
+            "the horizontal-sum splitting is only claimed for distributive "
+            "sums; rerun with report_only=True to record the outcome")
+    plan = _plan(H, _arity(rows))
+    joined = np.full((len(rows), len(plan.grid)), H.bottom, dtype=plan.dtype)
+    for k, (summand, part) in enumerate(zip(H.summands, parts)):
+        table = _rebuild_rows(_plan(summand, plan.arity), part)
+        at = _image_inputs(_summand_images(H, k), summand.size, plan.grid)
+        embedding = np.array([H.embeddings[k][v] for v in range(summand.size)])
+        joined = _apply(plan.join, joined, embedding[table[:, at]])
+    return (joined == _rebuild_rows(plan, rows)).all(axis=1)
+
+
+def product_decomposition_check(P: ProductLattice, m: Capacity) -> bool:
+    """Whether the integral on the product works coordinatewise: coordinate
+    k of the integral is the integral on factor k of the projected capacity
+    and projected inputs."""
+    rows = _capacity_row(P, ProductLattice, m)
+    parts = [np.array([project_capacity(P, m, k).coefficients])
+             for k in range(len(P.factors))]
+    return bool(_product_rows(P, rows, parts)[0])
 
 
 def horizontal_sum_decomposition_check(H: HorizontalSumLattice, m: Capacity,
@@ -184,16 +257,7 @@ def horizontal_sum_decomposition_check(H: HorizontalSumLattice, m: Capacity,
     report_only=True to run the scan on a non-distributive sum anyway and
     just observe the outcome.
     """
-    if not H.is_distributive and not report_only:
-        raise NotDistributive(
-            "the horizontal-sum splitting is only claimed for distributive "
-            "sums; rerun with report_only=True to record the outcome")
-    grid = input_grid(H.size, m.arity)
-    parts = np.full(len(grid), H.bottom)
-    for k, summand in enumerate(H.summands):
-        part = np.array(sugeno_table(summand, split_capacity(H, m, k)).values)
-        images = np.array([H.to_summand(v, k) for v in range(H.size)])
-        embedding = np.array([H.embeddings[k][v] for v in range(summand.size)])
-        at = _image_inputs(images, summand.size, grid)
-        parts = H.join_table[parts, embedding[part[at]]]
-    return bool((parts == sugeno_table(H, m).values).all())
+    rows = _capacity_row(H, HorizontalSumLattice, m)
+    parts = [np.array([split_capacity(H, m, k).coefficients])
+             for k in range(len(H.summands))]
+    return bool(_sum_rows(H, rows, parts, report_only)[0])

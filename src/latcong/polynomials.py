@@ -181,6 +181,10 @@ class NormalForm:
                 f"expected {1 << self.arity} coefficients for arity {self.arity}, "
                 f"got {len(self.coefficients)}")
 
+    def _check_lattice(self, L: Lattice) -> None:
+        """Nothing to check: a bare normal form may be evaluated on any
+        lattice that holds its coefficients."""
+
     def is_monotone_in_masks(self, L: Lattice) -> bool:
         """Coefficient table nondecreasing along subset inclusion."""
         g, leq = self.coefficients, L.leq_table
@@ -196,10 +200,13 @@ def to_normal_form(L: Lattice, p: WeightedPolynomial) -> NormalForm:
 
 def _coefficient_rows(L: Lattice, nf: NormalForm) -> np.ndarray:
     """nf's coefficients as a stack of one row.  InvalidArgument unless L is
-    a Lattice and nf a NormalForm, ForeignElement for a coefficient outside L."""
+    a Lattice and nf a NormalForm; ForeignElement for a coefficient outside
+    L, or for a normal form bound to another lattice (a capacity)."""
     check_type(L, Lattice)
-    return np.array([check_elements(L.size, check_type(nf, NormalForm).coefficients,
+    rows = np.array([check_elements(L.size, check_type(nf, NormalForm).coefficients,
                                     "coefficient")])
+    nf._check_lattice(L)
+    return rows
 
 
 def _at_point(rows, L: Lattice, nf: NormalForm, x) -> int:

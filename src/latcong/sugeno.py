@@ -14,16 +14,16 @@ against it empirically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
-from .errors import NotAChain, NotAggregation, ValidationError
+from .errors import ForeignElement, NotAChain, NotAggregation, ValidationError
 from .lattice import Lattice, check_elements
-from .polynomials import _CHAIN2, NormalForm, _at_point, _rebuild_rows, \
-    boolean_restriction, eval_normal_form, is_monotone, normal_form_table
-from .tables import BLOCK, FunctionTable, _apply, _join_rows, _map_blocks, \
-    _plan, check_arity, check_table, check_type
+from .polynomials import _CHAIN2, NormalForm, _at_point, _coefficient_rows, \
+    _rebuild_rows, boolean_restriction, eval_normal_form, is_monotone, \
+    normal_form_table
+from .tables import FunctionTable, _apply, _join_rows, _map_blocks, _plan, \
+    check_arity, check_table, check_type
 
 
 @dataclass(frozen=True, init=False, slots=True)
@@ -59,6 +59,18 @@ class Capacity(NormalForm):
             raise ValidationError(
                 "capacity not monotone along subset inclusion")
 
+    def _check_lattice(self, L: Lattice) -> None:
+        """ForeignElement unless L is the capacity's lattice, or one of the
+        same size and order."""
+        if self.lattice is not L and self.lattice != L:
+            raise ForeignElement(f"capacity over {self.lattice!r} used with {L!r}")
+
+
+def _capacity_blocks(L: Lattice, n: int):
+    """Every capacity on n criteria over L, as blocks of coefficient rows in
+    the row dtype of L, in deterministic order."""
+    return _map_blocks(_CHAIN2, n, L, pinned=True)
+
 
 def enumerate_capacities(L: Lattice, n: int):
     """Every capacity on n criteria over L, in deterministic order.
@@ -66,7 +78,7 @@ def enumerate_capacities(L: Lattice, n: int):
     For n = 0 the empty set is also the full set, so only a one-element
     lattice has a capacity.
     """
-    for block in _map_blocks(_CHAIN2, n, L, pinned=True):
+    for block in _capacity_blocks(L, n):
         for values in block.tolist():
             yield Capacity(L, values)
 
@@ -106,53 +118,87 @@ def capacity_from_function(L: Lattice, A: FunctionTable) -> Capacity:
 
 # --- axiomatic property checks (exhaustive at desk scale) ------------------
 #
-# Each law is a gather on the table of a capacity's integral, or of any table
-# of L passed instead.
+# Each law is a row kernel: a gather over a stack of tables of L on the
+# full grid.  A capacity's table is the rebuild of its coefficients; the
+# single checks run the kernel on a stack of one, the integral of a
+# capacity or any table of L passed instead.
 
 
-def _values(L: Lattice, m: Capacity | FunctionTable):
-    """The table's values as an array, and the plan of L at its arity."""
-    f = sugeno_table(L, m) if isinstance(m, Capacity) else m
-    check_table(L, f)
-    return np.array(f.values), _plan(L, f.arity)
+def _capped(plan):
+    """(size, size**n): per level c and input x, the index of the input c ^ x."""
+    return plan.lattice.meet_table[:, plan.grid] @ plan.strides
 
 
-def check_idempotent(L: Lattice, m: Capacity | FunctionTable) -> bool:
-    """Integral of a constant vector is that constant."""
-    values, plan = _values(L, m)
-    c = np.arange(L.size)
-    return bool((values[c * plan.strides.sum()] == c).all())
+def _idempotent_rows(plan, stack) -> np.ndarray:
+    """Per row: the integral of a constant vector is that constant."""
+    c = np.arange(plan.lattice.size)
+    return (stack[:, c * plan.strides.sum()] == c).all(axis=1)
 
 
-def check_min_homogeneous(L: Lattice, m: Capacity | FunctionTable) -> bool:
-    """Integral of c ^ u equals c ^ integral of u, for every c and u."""
-    values, plan = _values(L, m)
-    lowered = L.meet_table[:, plan.grid] @ plan.strides
-    return bool((values[lowered] == L.meet_table[:, values]).all())
+def _min_homogeneous_rows(plan, stack) -> np.ndarray:
+    """Per row: the integral of c ^ u is c ^ the integral of u, for every c and u."""
+    c = np.arange(plan.lattice.size)[:, None]
+    return (stack[:, _capped(plan)] == plan.meet[c, stack[:, None]]).all(axis=(1, 2))
 
 
-def check_comonotone_maxitive(L: Lattice, m: Capacity | FunctionTable) -> bool:
-    """Integral of u v v splits as a join, for comonotone u, v (chains only)."""
-    if not L.is_chain:
+def _comonotone_maxitive_rows(plan, stack) -> np.ndarray:
+    """Per row: the integral of u v v is the join of the integrals of u and
+    v, for comonotone u, v (chains only)."""
+    if not plan.lattice.is_chain:
         raise NotAChain("comonotonicity is only defined on chain lattices here")
-    values, plan = _values(L, m)
     u, v, merged = plan.comonotone
-    return bool((values[merged] == L.join_table[values[u], values[v]]).all())
+    return (stack[:, merged] == _apply(plan.join, stack[:, u], stack[:, v])).all(axis=1)
 
 
-def check_horizontally_maxitive(L: Lattice, m: Capacity | FunctionTable) -> bool:
-    """Integral splits at every level c into the capped and the excess part.
+def _horizontally_maxitive_rows(plan, stack) -> np.ndarray:
+    """Per row: the integral splits at every level c into the capped and the
+    excess part.
 
     The excess part zeroes out coordinates at or below c and keeps the rest;
     chains only.
     """
+    L = plan.lattice
     if not L.is_chain:
         raise NotAChain("horizontal splitting is only checked on chains here")
-    values, plan = _values(L, m)
-    capped = L.meet_table[:, plan.grid] @ plan.strides
     excess = np.where(L.leq_table[plan.grid].transpose(2, 0, 1), L.bottom,
                       plan.grid) @ plan.strides
-    return bool((L.join_table[values[capped], values[excess]] == values).all())
+    split = _apply(plan.join, stack[:, _capped(plan)], stack[:, excess])
+    return (split == stack[:, None]).all(axis=(1, 2))
+
+
+def _law(rows, L: Lattice, m: Capacity | FunctionTable) -> bool:
+    """A law's row kernel run on the table of m's integral, or on the table
+    m, as a stack of one."""
+    if isinstance(m, Capacity):
+        coefficients = _coefficient_rows(L, m)
+        plan = _plan(L, m.arity)
+        stack = _rebuild_rows(plan, coefficients)
+    else:
+        check_table(L, m)
+        plan = _plan(L, m.arity)
+        stack = np.array([m.values], dtype=plan.dtype)
+    return bool(rows(plan, stack)[0])
+
+
+def check_idempotent(L: Lattice, m: Capacity | FunctionTable) -> bool:
+    """Integral of a constant vector is that constant."""
+    return _law(_idempotent_rows, L, m)
+
+
+def check_min_homogeneous(L: Lattice, m: Capacity | FunctionTable) -> bool:
+    """Integral of c ^ u equals c ^ integral of u, for every c and u."""
+    return _law(_min_homogeneous_rows, L, m)
+
+
+def check_comonotone_maxitive(L: Lattice, m: Capacity | FunctionTable) -> bool:
+    """Integral of u v v splits as a join, for comonotone u, v (chains only)."""
+    return _law(_comonotone_maxitive_rows, L, m)
+
+
+def check_horizontally_maxitive(L: Lattice, m: Capacity | FunctionTable) -> bool:
+    """Integral splits at every level c into the capped and the excess part
+    (chains only)."""
+    return _law(_horizontally_maxitive_rows, L, m)
 
 
 # --- formulation comparison -------------------------------------------------
@@ -211,21 +257,21 @@ class FormulationReport:
 def compare_formulations(L: Lattice, n: int) -> FormulationReport:
     """Evaluate all three formulations over every capacity and input.
 
-    Capacities are evaluated as stacks of ``BLOCK``; only the (capacity,
-    input) cells where the forms disagree are visited one by one.
+    Capacities are evaluated a block of coefficient rows at a time; only
+    the (capacity, input) cells where the forms disagree are visited one by
+    one.
     """
     n = check_arity(n)
     plan = _plan(L, n)
     found = []
     count = 0
-    capacities = enumerate_capacities(L, n)
-    while block := [m.coefficients for m in islice(capacities, BLOCK)]:
+    for block in _capacity_blocks(L, n):
         count += len(block)
-        coefficients = np.array(block, dtype=plan.dtype)
-        forms = [rows(plan, coefficients)
+        forms = [rows(plan, block)
                  for rows in (_level_rows, _pointwise_rows, _rebuild_rows)]
         apart = (forms[0] != forms[1]) | (forms[1] != forms[2])
-        found.extend(Disagreement(block[r], tuple(plan.grid[x].tolist()),
+        found.extend(Disagreement(tuple(block[r].tolist()),
+                                  tuple(plan.grid[x].tolist()),
                                   *(int(form[r, x]) for form in forms))
                      for r, x in zip(*np.nonzero(apart)))
     return FormulationReport(L.name or f"size-{L.size}", n, count,

@@ -15,6 +15,8 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from . import io
 # is_compatible and is_monotone are not called here; perfbench's tracer
 # rebinds them in every module that imports them, and its self-test looks
@@ -30,22 +32,25 @@ from .congruences import (
     principal_congruence_oracle,
 )
 from .constructions import (
+    _factor_rows,
+    _product_rows,
+    _sum_rows,
+    _summand_rows,
     direct_product,
     horizontal_sum,
     horizontal_sum_decomposition_check,
-    product_decomposition_check,
 )
 from .errors import InvalidArgument, NotDistributive
 from .lattice import catalogue
-from .polynomials import _monotone_rows, _term_rows, is_monotone, \
-    random_polynomial
+from .polynomials import _monotone_rows, _rebuild_rows, _term_rows, \
+    is_monotone, random_polynomial
 from .sugeno import (
     Capacity,
-    capacity_from_function,
-    check_comonotone_maxitive,
-    check_horizontally_maxitive,
-    check_idempotent,
-    check_min_homogeneous,
+    _capacity_blocks,
+    _comonotone_maxitive_rows,
+    _horizontally_maxitive_rows,
+    _idempotent_rows,
+    _min_homogeneous_rows,
     compare_formulations,
     enumerate_capacities,
     sugeno_table,
@@ -193,6 +198,22 @@ def check_reconstruction() -> CheckResult:
         "; ".join(problems) if problems else f"0 exceptions over {total} tables")
 
 
+def _rows_where(mask, block):
+    """The rows of a block that ``mask`` selects, as tuples of ints."""
+    return [tuple(row) for row in block[mask].tolist()]
+
+
+def _round_trip_rows(plan, block):
+    """Per capacity row: its integral's table passes the checks of
+    ``capacity_from_function`` (ends at bottom and top, nondecreasing) and
+    gives the row back at the boolean vertices."""
+    L, table = plan.lattice, _rebuild_rows(plan, block)
+    ends = (table[:, plan.vertices[0]] == L.bottom) \
+        & (table[:, plan.vertices[-1]] == L.top)
+    return ends & _monotone_rows(plan, table) \
+        & (table[:, plan.vertices] == block).all(axis=1)
+
+
 def check_capacity_bijection() -> CheckResult:
     """Compatible aggregation tables correspond exactly to capacities."""
     problems = []
@@ -213,10 +234,12 @@ def check_capacity_bijection() -> CheckResult:
     C3 = catalogue("chain(3)")
     roundtrips = 0
     for n in (1, 2, 3):
-        for m in enumerate_capacities(C3, n):
-            roundtrips += 1
-            if capacity_from_function(C3, sugeno_table(C3, m)) != m:
-                problems.append(f"capacity {m.coefficients} (n={n}) fails round-trip")
+        plan = _plan(C3, n)
+        for block in _capacity_blocks(C3, n):
+            roundtrips += len(block)
+            kept = _round_trip_rows(plan, block)
+            problems.extend(f"capacity {row} (n={n}) fails round-trip"
+                            for row in _rows_where(~kept, block))
     details.append(f"{roundtrips} chain(3) round-trips")
     return CheckResult(
         "AC07", "capacity <-> integral bijection",
@@ -244,21 +267,32 @@ def check_formulation_agreement() -> CheckResult:
         not problems, "; ".join(problems or details))
 
 
+# AC09's laws, in the order a capacity's failures are reported.
+LAWS = (("idempotent", _idempotent_rows),
+        ("min-homogeneous", _min_homogeneous_rows),
+        ("comonotone-maxitive", _comonotone_maxitive_rows),
+        ("horizontally-maxitive", _horizontally_maxitive_rows))
+
+
 def check_chain_properties() -> CheckResult:
-    """Idempotency, min-homogeneity, and the two maxitivity laws on chains."""
+    """Idempotency, min-homogeneity, and the two maxitivity laws on chains.
+
+    Each block of capacities is rebuilt once, and each law is one pass of
+    its row kernel over the block.
+    """
     problems = []
     count = 0
     for name in ("chain(3)", "chain(4)"):
         L = catalogue(name)
-        for m in enumerate_capacities(L, 2):
-            count += 1
-            for label, checker in (
-                    ("idempotent", check_idempotent),
-                    ("min-homogeneous", check_min_homogeneous),
-                    ("comonotone-maxitive", check_comonotone_maxitive),
-                    ("horizontally-maxitive", check_horizontally_maxitive)):
-                if not checker(L, m):
-                    problems.append(f"{name} capacity {m.coefficients} fails {label}")
+        plan = _plan(L, 2)
+        for block in _capacity_blocks(L, 2):
+            count += len(block)
+            table = _rebuild_rows(plan, block)
+            verdicts = np.array([rows(plan, table) for _, rows in LAWS])
+            failing = ~verdicts.all(axis=0)
+            for row, holds in zip(_rows_where(failing, block), verdicts[:, failing].T):
+                problems.extend(f"{name} capacity {row} fails {label}"
+                                for (label, _), held in zip(LAWS, holds) if not held)
     return CheckResult(
         "AC09", "axiomatic properties on chains",
         not problems,
@@ -270,21 +304,20 @@ def check_decompositions() -> CheckResult:
     """Product and horizontal-sum splitting of the integral."""
     problems = []
     details = []
-    for factors in (("chain(2)", "chain(2)"), ("chain(2)", "chain(3)")):
-        P = direct_product([catalogue(f) for f in factors])
+    # (lattice, split kernel, the gather of the parts' capacities)
+    splits = [(direct_product([catalogue(f) for f in factors]), _product_rows,
+               _factor_rows)
+              for factors in (("chain(2)", "chain(2)"), ("chain(2)", "chain(3)"))]
+    splits.append((horizontal_sum([catalogue("chain(3)"), catalogue("chain(3)")]),
+                   _sum_rows, _summand_rows))
+    for L, split, parts in splits:
         count = 0
-        for m in enumerate_capacities(P, 2):
-            count += 1
-            if not product_decomposition_check(P, m):
-                problems.append(f"{P.name} capacity {m.coefficients} fails splitting")
-        details.append(f"{P.name}: {count} capacities")
-    H = horizontal_sum([catalogue("chain(3)"), catalogue("chain(3)")])
-    count = 0
-    for m in enumerate_capacities(H, 2):
-        count += 1
-        if not horizontal_sum_decomposition_check(H, m):
-            problems.append(f"{H.name} capacity {m.coefficients} fails splitting")
-    details.append(f"{H.name}: {count} capacities")
+        for block in _capacity_blocks(L, 2):
+            count += len(block)
+            holds = split(L, block, parts(L, block))
+            problems.extend(f"{L.name} capacity {row} fails splitting"
+                            for row in _rows_where(~holds, block))
+        details.append(f"{L.name}: {count} capacities")
     bad = horizontal_sum([catalogue("chain(4)"), catalogue("chain(4)")])
     if bad.is_distributive:
         problems.append("chain(4)+chain(4) unexpectedly distributive")

@@ -347,3 +347,54 @@ def subset_expansion_table(L, coefficients, arity):
     input, in ``itertools.product`` order."""
     return tuple(sugeno_by_subsets(L, coefficients, x)
                  for x in itertools.product(range(L.size), repeat=arity))
+
+
+def round_trip_holds(L, table, coefficients):
+    """Whether extracting a capacity from ``table`` gives ``coefficients``
+    back: bottom and top at the constant ends, monotone over all input
+    pairs, and ``coefficients`` at the boolean vertices."""
+    n = table.arity
+    ends = (table.value_at((bottom_of(L),) * n), table.value_at((top_of(L),) * n))
+    return ends == (bottom_of(L), top_of(L)) and is_monotone_all_pairs(L, table) \
+        and vertex_values(L, table) == tuple(coefficients)
+
+
+def projection(P, coefficients, k):
+    """Coordinate k of every coefficient on the product P."""
+    return tuple(P.tuples[v][k] for v in coefficients)
+
+
+def summand_share(H, coefficients, k):
+    """Every coefficient on the horizontal sum H read in summand k, or the
+    summand's bottom where it lies outside."""
+    back, bottom = H.preimages[k], bottom_of(H.summands[k])
+    return tuple(back.get(v, bottom) for v in coefficients)
+
+
+def product_splits(P, coefficients, parts):
+    """Whether the subset expansion of ``coefficients`` on the product P
+    is, in every coordinate k and at every input u, the expansion of
+    ``parts[k]`` on factor k at the coordinate-k input of u."""
+    n = len(coefficients).bit_length() - 1
+    for u in itertools.product(range(P.size), repeat=n):
+        whole = P.tuples[sugeno_by_subsets(P, coefficients, u)]
+        for k, factor in enumerate(P.factors):
+            uk = tuple(P.tuples[v][k] for v in u)
+            if whole[k] != sugeno_by_subsets(factor, parts[k], uk):
+                return False
+    return True
+
+
+def sum_splits(H, coefficients, parts):
+    """Whether the subset expansion of ``coefficients`` on the horizontal
+    sum H is, at every input u, the join of the expansions of ``parts[k]``
+    on the summands k at the summand-k shares of u, embedded back."""
+    n = len(coefficients).bit_length() - 1
+    for u in itertools.product(range(H.size), repeat=n):
+        joined = bottom_of(H)
+        for k, summand in enumerate(H.summands):
+            part = sugeno_by_subsets(summand, parts[k], summand_share(H, u, k))
+            joined = H.join(joined, H.embeddings[k][part])
+        if joined != sugeno_by_subsets(H, coefficients, u):
+            return False
+    return True

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from latcong.errors import ForeignElement, InvalidArgument, NotDistributive, \
     ValidationError
 from latcong.lattice import catalogue, is_isomorphic
 from latcong.sugeno import Capacity, enumerate_capacities, sugeno_eval
+from latcong.tables import row_dtype
 
 
 def test_product_of_two_chains_is_square(c2, b2):
@@ -303,30 +305,15 @@ def test_constructed_lattices_serialize():
 def _product_splits(P, m, source):
     """Oracle: the product check point by point through the subset oracle,
     with the factor capacities projected from ``source``."""
-    for u in itertools.product(range(P.size), repeat=m.arity):
-        whole = P.tuples[oracles.sugeno_by_subsets(P, m.coefficients, u)]
-        for k, factor in enumerate(P.factors):
-            projected = [P.tuples[v][k] for v in source.coefficients]
-            uk = tuple(P.tuples[v][k] for v in u)
-            if whole[k] != oracles.sugeno_by_subsets(factor, projected, uk):
-                return False
-    return True
+    return oracles.product_splits(P, m.coefficients, [
+        oracles.projection(P, source.coefficients, k) for k in range(len(P.factors))])
 
 
 def _sum_splits(H, m, source):
     """Oracle: the horizontal-sum check point by point through the subset
     oracle, with the summand capacities split from ``source``."""
-    for u in itertools.product(range(H.size), repeat=m.arity):
-        parts = H.bottom
-        for k, summand in enumerate(H.summands):
-            back = H.preimages[k]
-            split = [back.get(v, summand.bottom) for v in source.coefficients]
-            uk = tuple(back.get(v, summand.bottom) for v in u)
-            part = oracles.sugeno_by_subsets(summand, split, uk)
-            parts = H.join(parts, H.embeddings[k][part])
-        if parts != oracles.sugeno_by_subsets(H, m.coefficients, u):
-            return False
-    return True
+    return oracles.sum_splits(H, m.coefficients, [
+        oracles.summand_share(H, source.coefficients, k) for k in range(len(H.summands))])
 
 
 PRODUCTS = [(("chain(2)", "chain(3)"), 2), (("N5", "chain(2)"), 2),
@@ -375,3 +362,80 @@ def test_sum_check_catches_a_wrong_split(monkeypatch, names):
                 for m in capacities]
     assert verdicts == [_sum_splits(H, m, other) for m in capacities]
     assert set(verdicts) == {True, False}
+
+
+# --- the split kernels, row by row ----------------------------------------------
+
+
+def _capacity_stack(L, n):
+    return np.array([m.coefficients for m in enumerate_capacities(L, n)],
+                    dtype=row_dtype(L.size))
+
+
+def _perturbed_parts(parts, sizes, seed):
+    """Copies of the part stacks with one coefficient moved to another
+    element in every odd row: in the last part for rows 1, 5, 9, ..., in a
+    drawn part for rows 3, 7, ...  Row 0 and the even rows stay as given."""
+    rng = random.Random(seed)
+    parts = [part.astype(np.intp) for part in parts]
+    for r in range(1, len(parts[0]), 2):
+        k = len(parts) - 1 if r % 4 == 1 else rng.randrange(len(parts))
+        x = rng.randrange(parts[k].shape[1])
+        parts[k][r, x] = (parts[k][r, x] + rng.randrange(1, sizes[k])) % sizes[k]
+    return parts
+
+
+def _assert_verdicts(verdicts, want):
+    """The kernel's verdicts are the oracle's, row by row, and the oracle
+    fails rows past row 0, among them rows changed only in the last part."""
+    assert verdicts.tolist() == want
+    assert want[0] and all(want[0::2])
+    assert not all(want[1::4])
+
+
+# (factor names, arity, seed of the relabelling; None reverses each chain)
+PRODUCT_STACKS = [(("chain(2)", "chain(3)"), 2, 3), (("N5", "chain(2)"), 2, 4),
+                  (("chain(3)", "chain(2)"), 2, None),
+                  (("chain(2)", "chain(2)"), 3, None),
+                  (("chain(2)", "chain(3)", "chain(2)"), 2, 6)]
+
+
+@pytest.mark.parametrize("names,n,seed", PRODUCT_STACKS)
+def test_product_kernel_matches_oracle_row_by_row(names, n, seed):
+    P = direct_product([relabelled(catalogue(name), seed) for name in names])
+    rows = _capacity_stack(P, n)
+    projected = constructions._factor_rows(P, rows)
+    assert [part.tolist() for part in projected] == [
+        [list(oracles.projection(P, row, k)) for row in rows.tolist()]
+        for k in range(len(P.factors))]
+    parts = _perturbed_parts(projected, [f.size for f in P.factors], seed)
+    want = [oracles.product_splits(P, row, [part[r].tolist() for part in parts])
+            for r, row in enumerate(rows.tolist())]
+    _assert_verdicts(constructions._product_rows(P, rows, parts), want)
+
+
+# (summand names, arity, seed of the relabelling; None reverses each chain)
+SUM_STACKS = [(("chain(3)", "chain(3)"), 2, 3), (("chain(3)", "chain(3)"), 3, None),
+              (("chain(4)", "chain(4)"), 2, None), (("chain(4)", "M3"), 2, 5),
+              (("chain(2)", "chain(3)", "chain(3)"), 2, 4)]
+
+
+@pytest.mark.parametrize("names,n,seed", SUM_STACKS)
+def test_sum_kernel_matches_oracle_row_by_row(names, n, seed):
+    H = horizontal_sum([relabelled(catalogue(name), seed) for name in names])
+    rows = _capacity_stack(H, n)
+    shares = constructions._summand_rows(H, rows)
+    assert [part.tolist() for part in shares] == [
+        [list(oracles.summand_share(H, row, k)) for row in rows.tolist()]
+        for k in range(len(H.summands))]
+    parts = _perturbed_parts(shares, [s.size for s in H.summands], seed)
+    want = [oracles.sum_splits(H, row, [part[r].tolist() for part in parts])
+            for r, row in enumerate(rows.tolist())]
+    _assert_verdicts(constructions._sum_rows(H, rows, parts, report_only=True), want)
+
+
+def test_sum_kernel_refuses_a_non_distributive_sum():
+    H = horizontal_sum([catalogue("chain(4)"), catalogue("chain(4)")])
+    rows = _capacity_stack(H, 2)
+    with pytest.raises(NotDistributive):
+        constructions._sum_rows(H, rows, constructions._summand_rows(H, rows))

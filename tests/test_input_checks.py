@@ -1,5 +1,6 @@
-"""Every public call that takes an element, an input vector, an arity or a
-table rejects what is not one with a LatcongError subclass, never a raw
+"""Every public call that takes an element, an input vector, an arity, a
+table, a product or sum lattice, or a capacity rejects what is not one (or
+a capacity of another lattice) with a LatcongError subclass, never a raw
 Python error, and reads numpy integers as the ints they hold."""
 
 import random
@@ -7,6 +8,7 @@ import random
 import numpy as np
 import pytest
 
+from conftest import relabelled
 from latcong import Capacity, Constant, FunctionTable, LatcongError, NormalForm, \
     Projection, WeightedPolynomial, all_inputs, boolean_restriction, \
     capacity_from_function, catalogue, check_comonotone_maxitive, \
@@ -18,7 +20,10 @@ from latcong import Capacity, Constant, FunctionTable, LatcongError, NormalForm,
     random_polynomial, sugeno_eval, sugeno_eval_levels, sugeno_eval_pointwise, \
     sugeno_table, synthesize, to_table, verify_equivalence_suite
 from latcong.congruences import principal_congruence_fixpoint
-from latcong.errors import InvalidArgument
+from latcong.constructions import direct_product, horizontal_sum, \
+    horizontal_sum_decomposition_check, product_decomposition_check, \
+    project_capacity, split_capacity
+from latcong.errors import ForeignElement, InvalidArgument
 
 L = catalogue("chain(3)")
 SIZE = L.size
@@ -163,3 +168,88 @@ def test_function_table_identity_is_its_arity_size_and_values():
     assert h.values == (0, 1, 2) and {type(v) for v in h.values} == {int}
     assert type(h.arity) is int
     assert not hasattr(f, "__dict__")
+
+
+P = direct_product([catalogue("chain(2)"), catalogue("chain(2)")])
+H = horizontal_sum([L, L])
+M_P = Capacity(P, (0, 1, 2, 3))
+M_H = Capacity(H, (0, 1, 2, 3))
+# Per call on a product or a horizontal sum: a function of the lattice in
+# its first slot, and the class that slot needs.
+CONSTRUCTIONS = {
+    "product_decomposition_check":
+        (lambda v: product_decomposition_check(v, M_P), "ProductLattice"),
+    "project_capacity": (lambda v: project_capacity(v, M_P, 0), "ProductLattice"),
+    "horizontal_sum_decomposition_check":
+        (lambda v: horizontal_sum_decomposition_check(v, M_H), "HorizontalSumLattice"),
+    "split_capacity": (lambda v: split_capacity(v, M_H, 0), "HorizontalSumLattice"),
+}
+
+
+@pytest.mark.parametrize("value", ["chain(3)", "boolean(2)", "product", "sum"])
+@pytest.mark.parametrize("name", CONSTRUCTIONS)
+def test_a_construction_call_needs_its_kind_of_lattice(name, value):
+    """These raised a raw AttributeError on ``tuples``, ``factors`` or
+    ``summands``; boolean(2) has the order of the product, but no factors."""
+    call, kind = CONSTRUCTIONS[name]
+    lattice = {"product": P, "sum": H}.get(value) or catalogue(value)
+    if type(lattice).__name__ == kind:
+        assert call(lattice) is not None
+    else:
+        with pytest.raises(InvalidArgument, match=f"expected a {kind}"):
+            call(lattice)
+
+
+# chain(4) and its reverse have the size of boolean(2), of the product P and
+# of the sum H, but other orders.
+C4 = catalogue("chain(4)")
+FOREIGN = Capacity(C4, (0, 0, 0, 0, 1, 1, 2, 3))
+# Per call: a function of the lattice a capacity is used with.
+CAPACITY_CALLS = {
+    "sugeno_eval": lambda v, m: sugeno_eval(v, m, (1,) * m.arity),
+    "eval_normal_form": lambda v, m: eval_normal_form(v, m, (2,) * m.arity),
+    "sugeno_eval_levels": lambda v, m: sugeno_eval_levels(v, m, (1,) * m.arity),
+    "sugeno_eval_pointwise": lambda v, m: sugeno_eval_pointwise(v, m, (1,) * m.arity),
+    "sugeno_table": sugeno_table,
+    "check_idempotent": check_idempotent,
+    "check_min_homogeneous": check_min_homogeneous,
+    "check_comonotone_maxitive": check_comonotone_maxitive,
+    "check_horizontally_maxitive": check_horizontally_maxitive,
+}
+
+
+@pytest.mark.parametrize("name", CAPACITY_CALLS)
+def test_a_capacity_of_another_lattice_is_rejected(name):
+    """A chain(4) capacity that boolean(2) rejects as not monotone used to
+    be integrated on boolean(2) all the same."""
+    call = CAPACITY_CALLS[name]
+    for other in (catalogue("boolean(2)"), relabelled(C4, None)):
+        with pytest.raises(LatcongError):
+            call(other, FOREIGN)
+    with pytest.raises(ForeignElement, match="capacity over Lattice"):
+        call(relabelled(C4, None), FOREIGN)
+    call(C4, FOREIGN)
+    call(relabelled(C4, None), Capacity(relabelled(C4, None), (3, 3, 3, 0)))
+
+
+def test_a_capacity_of_another_lattice_is_rejected_by_the_constructions():
+    m = Capacity(C4, (0, 1, 2, 3))
+    for call in (lambda: product_decomposition_check(P, m),
+                 lambda: project_capacity(P, m, 1),
+                 lambda: horizontal_sum_decomposition_check(H, m),
+                 lambda: split_capacity(H, m, 0)):
+        with pytest.raises(ForeignElement, match="capacity over Lattice"):
+            call()
+
+
+def test_a_capacity_of_an_equal_lattice_is_accepted():
+    """boolean(2) and chain(2)*chain(2) are the same order under two names."""
+    B2 = catalogue("boolean(2)")
+    m = Capacity(B2, (0, 1, 2, 3))
+    assert B2 == P and B2 is not P
+    assert sugeno_table(P, m) == sugeno_table(B2, m)
+    assert sugeno_eval(P, m, (1, 2)) == sugeno_eval(B2, m, (1, 2)) == 3
+    assert check_idempotent(P, m) and check_min_homogeneous(P, m)
+    assert product_decomposition_check(P, m)
+    assert project_capacity(P, m, 0) == Capacity(catalogue("chain(2)"), (0, 0, 1, 1))
+    assert sugeno_eval is eval_normal_form

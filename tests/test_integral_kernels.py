@@ -120,10 +120,10 @@ REPORT_CASES = [("chain(3)", 0), ("chain(3)", 1), ("chain(3)", 2), ("chain(3)", 
 @pytest.mark.parametrize("block", [None, 7])
 @pytest.mark.parametrize("name,n", REPORT_CASES)
 def test_formulation_report_matches_oracles(monkeypatch, name, n, block):
-    """With ``block`` set, capacities come in stacks of 7 rows."""
+    """With ``block`` set, the enumerator hands the capacities over in
+    blocks of at most 7 rows, and each block is one stack."""
     if block is not None:
         monkeypatch.setattr(tables, "BLOCK", block)
-        monkeypatch.setattr(sugeno, "BLOCK", block)
     L = LATTICES[name]
     assert compare_formulations(L, n) == oracle_formulation_report(L, name, n)
 
@@ -306,3 +306,63 @@ def test_lattice_laws_off_chains(name):
         check_comonotone_maxitive(L, f[0])
     with pytest.raises(NotAChain):
         check_horizontally_maxitive(L, f[0])
+
+
+# --- the law kernels, row by row -------------------------------------------------
+
+LAW_KERNELS = (sugeno._idempotent_rows, sugeno._min_homogeneous_rows,
+               sugeno._comonotone_maxitive_rows, sugeno._horizontally_maxitive_rows)
+
+
+def _law_stack(L, n, seed):
+    """The integrals of the oracle's capacities, each followed by a copy
+    with one entry moved to another element (the last entry in every other
+    copy), then the tables of ``_law_tables``."""
+    rng = random.Random(seed)
+    capacities = oracles.monotone_maps(
+        L, list(range(1 << n)), lambda a, b: a & b == a,
+        ((0, oracles.bottom_of(L)), ((1 << n) - 1, oracles.top_of(L))))
+    rows = []
+    for i, m in enumerate(capacities[:30]):
+        values = list(oracles.subset_expansion_table(L, m, n))
+        changed = list(values)
+        x = len(values) - 1 if i % 2 == 0 else rng.randrange(len(values))
+        changed[x] = (changed[x] + rng.randrange(1, L.size)) % L.size
+        rows += [values, changed]
+    return rows + [list(f.values) for f in _law_tables(L, n, seed)]
+
+
+def _law_verdicts(L, n, rows, kernels):
+    plan = tables._plan(L, n)
+    stack = np.array(rows, dtype=plan.dtype)
+    return np.array([kernel(plan, stack) for kernel in kernels]).T.tolist()
+
+
+@pytest.mark.parametrize("name", sorted(CHAINS))
+@pytest.mark.parametrize("n", [1, 2])
+def test_law_kernels_match_oracles_row_by_row(name, n):
+    L = CHAINS[name]
+    rows = _law_stack(L, n, seed=n)
+    want = [list(oracles.chain_laws(L, FunctionTable(n, L.size, row))) for row in rows]
+    assert _law_verdicts(L, n, rows, LAW_KERNELS) == want
+    # Row 0 is an integral and passes every law; row 1 moves its value at
+    # the all-top input, which breaks idempotency; every law fails on some
+    # row past row 0.
+    assert all(want[0]) and not want[1][0]
+    for law in range(len(LAW_KERNELS)):
+        assert {w[law] for w in want[1:]} == {True, False}
+
+
+@pytest.mark.parametrize("name", ["boolean(2)", "boolean(2) relabelled", "N5",
+                                  "M3 relabelled"])
+def test_lattice_law_kernels_off_chains_row_by_row(name):
+    L = LATTICES[name]
+    rows = _law_stack(L, 2, seed=5)
+    want = [list(oracles.chain_laws(L, FunctionTable(2, L.size, row))[:2])
+            for row in rows]
+    assert _law_verdicts(L, 2, rows, LAW_KERNELS[:2]) == want
+    assert all(want[0]) and {w[0] for w in want} == {w[1] for w in want} == {True, False}
+    stack = np.array(rows, dtype=tables._plan(L, 2).dtype)
+    for kernel in LAW_KERNELS[2:]:
+        with pytest.raises(NotAChain):
+            kernel(tables._plan(L, 2), stack)

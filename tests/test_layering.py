@@ -7,7 +7,12 @@ import pytest
 
 SOURCES = sorted((Path(__file__).parent.parent / "src" / "latcong").glob("*.py"))
 # Each module imports only modules before it in this list.
-LAYERS = ["lattice", "congruences", "tables", "polynomials", "sugeno", "compat"]
+LAYERS = ["lattice", "congruences", "tables", "polynomials", "sugeno", "compat",
+          "constructions", "verify"]
+# Imported but never used, on purpose: perfbench's
+# test_install_rebinds_every_import_and_dispatch_table checks that its
+# tracer rebinds these two names in ``verify``.
+UNUSED_ON_PURPOSE = {("verify", "is_monotone"), ("verify", "is_compatible")}
 
 
 def _tree(name):
@@ -31,3 +36,19 @@ def test_layers_import_in_one_direction(index):
     imported = {node.module for node in ast.walk(_tree(LAYERS[index]))
                 if isinstance(node, ast.ImportFrom) and node.level == 1}
     assert not imported & set(LAYERS[index:])
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    """``__init__`` imports to re-export; every other module imports only
+    what it uses, as a name or as the root of an attribute."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {(alias.asname or alias.name).split(".")[0]
+                for node in tree.body
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = {(path.stem, name) for name in imported - used}
+    assert unused - UNUSED_ON_PURPOSE == set()
