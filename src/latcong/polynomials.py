@@ -6,9 +6,13 @@ boolean vertices (inputs whose coordinates are all bottom or top), which
 gives the normal form: a coefficient per subset mask, evaluated as a join
 of coefficient-guarded meets.  The empty meet is top.
 
-Terms are lowered to values at a plan's inputs by ``_term_rows`` only, a
-whole list of terms at once: ``to_table``, ``evaluate`` and
-``to_normal_form`` run it on a list of one.
+Inside this module a term of arity n also has a flat code: its nodes in
+preorder as ints, a leaf as its node-buffer row (projection i as i, constant
+c as n + c), a meet as -1 and a join as -2.  ``_code_rows`` is the one
+lowering, of a list of codes at a plan's inputs; ``_term_rows`` hands it
+the codes of term objects, for ``to_table``, ``evaluate`` and
+``to_normal_form``.  ``_random_code`` draws codes, which AC11 lowers as
+they are and ``random_polynomial`` decodes into a term.
 """
 
 from __future__ import annotations
@@ -96,57 +100,116 @@ def evaluate(L: Lattice, p: WeightedPolynomial, x) -> int:
     return int(_term_rows(plan, [p])[0, 0])
 
 
-# Most entries in the node buffer of ``_term_rows``; a plan with more inputs
+# Most entries in the node buffer of ``_code_rows``; a plan with more inputs
 # than fit is lowered a slice of inputs at a time.
 _NODE_ENTRIES = 1 << 20
+
+# The items of a term code that stand for a meet and a join; each is
+# followed by the codes of its left and right operands.
+_MEET, _JOIN = -1, -2
+
+
+def _code(root, n: int, constants: list) -> list:
+    """The code of a term of arity n; its constants are appended to
+    ``constants`` so the caller can range-check them before any gather."""
+    code, rights = [], []
+    append, node = code.append, root
+    while True:
+        kind = type(node)
+        if kind is Meet or kind is Join:  # down the left operands first
+            append(_MEET if kind is Meet else _JOIN)
+            rights.append(node.right)
+            node = node.left
+            continue
+        if kind is Projection:
+            append(node.index)
+        elif kind is Constant:
+            constants.append(node.value)
+            append(n + node.value)
+        else:
+            raise InvalidArgument(f"not a term node: {node!r}")
+        if not rights:
+            return code
+        node = rights.pop()
+
+
+def _term(n: int, code) -> WeightedPolynomial:
+    """The term of arity n that ``code`` stands for."""
+    operands = []
+    for item in reversed(code):
+        if item >= n:
+            operands.append(Constant(item - n))
+        elif item >= 0:
+            operands.append(Projection(item))
+        else:
+            left = operands.pop()
+            operands.append((Meet if item == _MEET else Join)(left, operands.pop()))
+    return WeightedPolynomial(n, operands.pop())
 
 
 def _term_rows(plan, terms) -> np.ndarray:
     """The ``(len(terms), k)`` stack of the terms' values at the plan's k
-    inputs of arity n.
+    inputs of arity n, through their codes.
 
-    Each tree is walked once and its nodes numbered as rows of one buffer:
-    projection i is row i, constant c is row n + c, and each meet or join
-    gets a row of its own.  The leaf rows are filled at once, then the
-    inner nodes are evaluated from the leaves up, one flat gather through
-    the stacked ``[meet, join]`` tables per height.  Constants are
-    range-checked before any gather, since a foreign one would read another
-    row or the wrong half of the stacked tables.  ArityMismatch unless
-    every term has arity n.
+    Constants are range-checked before any gather, since a foreign one
+    would read another row or the wrong half of the stacked tables.
+    ArityMismatch unless every term has arity n.
     """
-    n, size = plan.arity, plan.lattice.size
-    count = n + size
-    levels = []  # per height above the leaves: row, table offset, left, right
-    constants = []
-
-    def number(node):
-        """The node's buffer row and its height."""
-        nonlocal count
-        kind = type(node)
-        if kind is Projection:
-            return node.index, 0
-        if kind is Constant:
-            constants.append(node.value)
-            return n + node.value, 0
-        if kind is not Meet and kind is not Join:
-            raise InvalidArgument(f"not a term node: {node!r}")
-        left, left_height = number(node.left)
-        right, right_height = number(node.right)
-        height = max(left_height, right_height)
-        if height == len(levels):
-            levels.append([])
-        levels[height] += (count, 0 if kind is Meet else size * size, left, right)
-        count += 1
-        return count - 1, height + 1
-
+    n = plan.arity
     # A projection past the plan's arity would read a constant's row.
     if any(p.arity != n for p in terms):
         raise ArityMismatch(f"every term of the stack must have arity {n}")
-    roots = [number(p.root)[0] for p in terms]
-    check_elements(size, constants, "constant")
+    constants = []
+    codes = [_code(p.root, n, constants) for p in terms]
+    check_elements(plan.lattice.size, constants, "constant")
+    return _code_rows(plan, codes)
+
+
+def _code_rows(plan, codes) -> np.ndarray:
+    """The ``(len(codes), k)`` stack of the values of n-ary term codes at
+    the plan's k inputs.
+
+    Each code is read once, last item first, and its inner nodes numbered
+    as rows of one buffer after the n + size leaf rows.  The leaf rows are
+    filled at once, then the inner nodes are evaluated from the leaves up,
+    one flat gather through the stacked ``[meet, join]`` tables per height.
+    InvalidArgument, before any gather, for a leaf past the constants or a
+    code that is not one term, such as an operator short of operands.
+    """
+    n, size = plan.arity, plan.lattice.size
+    count = n + size
+    heights = [0] * count
+    levels = []  # per height above the leaves: row, table offset, left, right
+    halves = (size * size, 0)  # table offsets of a join and a meet
+    roots = []
+    for code in codes:
+        operands = []
+        if code and max(code) < n + size and min(code) >= _JOIN:
+            push, pop = operands.append, operands.pop
+            try:
+                for item in reversed(code):
+                    if item < 0:
+                        left = pop()
+                        right = pop()
+                        height = heights[left]
+                        if heights[right] > height:
+                            height = heights[right]
+                        if height == len(levels):
+                            levels.append([])
+                        levels[height] += (count, halves[item], left, right)
+                        heights.append(height + 1)
+                        item = count
+                        count += 1
+                    push(item)
+            except IndexError:  # an operator short of operands
+                operands = []
+        if len(operands) != 1:
+            raise InvalidArgument(f"not a term code of arity {n} on {size} elements: "
+                                  f"{code!r}")
+        roots.append(operands[0])
     levels = [np.array(level, dtype=np.intp).reshape(-1, 4).T for level in levels]
     tables = plan.tables.ravel()
-    out = np.empty((len(terms), len(plan.grid)), dtype=plan.dtype)
+    out = np.empty((len(codes), len(plan.grid)), dtype=plan.dtype)
     width = max(1, _NODE_ENTRIES // count)
     for start in range(0, len(plan.grid), width):
         inputs = plan.grid[start:start + width]
@@ -286,6 +349,30 @@ def enumerate_monotone_normal_forms(L: Lattice, arity: int):
             yield NormalForm(arity, tuple(coeffs))
 
 
+# The kinds ``_random_code`` chooses a node's kind from, each entry equally
+# likely: a projection (0), a constant (1), a meet or a join.
+_LEAF_KINDS, _KINDS = (0, 1), (0, 1, _MEET, _MEET, _JOIN, _JOIN)
+
+
+def _random_code(rng, arity: int, lattice_size: int, max_depth: int = 4) -> list:
+    """The code of a random term; leaves more likely as depth runs out.
+
+    Per node, in preorder: one ``rng.choice`` of its kind, then for a leaf
+    one ``rng.randrange`` of its index or value.
+    """
+    code, depths = [], [max_depth]
+    choice, randrange = rng.choice, rng.randrange
+    while depths:
+        depth = depths.pop()
+        kind = choice(_LEAF_KINDS if depth <= 0 else _KINDS)
+        if kind < 0:
+            code.append(kind)
+            depths += (depth - 1, depth - 1)
+        else:
+            code.append(arity + randrange(lattice_size) if kind else randrange(arity))
+    return code
+
+
 def random_polynomial(rng, arity: int, lattice_size: int,
                       max_depth: int = 4) -> WeightedPolynomial:
     """Sample a random term; leaves more likely as depth runs out.
@@ -297,18 +384,4 @@ def random_polynomial(rng, arity: int, lattice_size: int,
         raise InvalidArgument(
             f"random terms need arity and lattice size at least 1, "
             f"got {arity} and {lattice_size}")
-
-    def node(depth):
-        if depth <= 0:
-            kind = rng.choice(("var", "const"))
-        else:
-            kind = rng.choice(("var", "const", "meet", "meet", "join", "join"))
-        if kind == "var":
-            return Projection(rng.randrange(arity))
-        if kind == "const":
-            return Constant(rng.randrange(lattice_size))
-        left = node(depth - 1)
-        right = node(depth - 1)
-        return Meet(left, right) if kind == "meet" else Join(left, right)
-
-    return WeightedPolynomial(arity, node(max_depth))
+    return _term(arity, _random_code(rng, arity, lattice_size, max_depth))

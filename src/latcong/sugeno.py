@@ -59,6 +59,16 @@ class Capacity(NormalForm):
             raise ValidationError(
                 "capacity not monotone along subset inclusion")
 
+    @classmethod
+    def _unchecked(cls, lattice: Lattice, arity: int, values: tuple) -> "Capacity":
+        """A capacity from a tuple of ints already known to be one; no
+        validation."""
+        capacity = cls.__new__(cls)
+        object.__setattr__(capacity, "arity", arity)
+        object.__setattr__(capacity, "coefficients", values)
+        object.__setattr__(capacity, "lattice", lattice)
+        return capacity
+
     def _check_lattice(self, L: Lattice) -> None:
         """ForeignElement unless L is the capacity's lattice, or one of the
         same size and order."""
@@ -76,11 +86,13 @@ def enumerate_capacities(L: Lattice, n: int):
     """Every capacity on n criteria over L, in deterministic order.
 
     For n = 0 the empty set is also the full set, so only a one-element
-    lattice has a capacity.
+    lattice has a capacity.  The blocks hold only monotone pinned rows, so
+    each block is range-checked once and the capacities skip validation.
     """
     for block in _capacity_blocks(L, n):
-        for values in block.tolist():
-            yield Capacity(L, values)
+        check_elements(L.size, (block.min(), block.max()), "capacity value")
+        for values in map(tuple, block.tolist()):
+            yield Capacity._unchecked(L, n, values)
 
 
 # The subset expansion is the normal form with the capacity as coefficients.

@@ -42,8 +42,8 @@ from .constructions import (
 )
 from .errors import InvalidArgument, NotDistributive
 from .lattice import catalogue
-from .polynomials import _monotone_rows, _rebuild_rows, _term_rows, \
-    is_monotone, random_polynomial
+from .polynomials import _code_rows, _monotone_rows, _random_code, \
+    _rebuild_rows, is_monotone, random_polynomial
 from .sugeno import (
     Capacity,
     _capacity_blocks,
@@ -335,12 +335,14 @@ def check_decompositions() -> CheckResult:
         not problems, "; ".join(problems or details))
 
 
-def _random_terms(L):
-    """AC11's sample on L: 1000 random terms of arity 1 to 3, each arity
-    drawn just before its term, from ``RANDOM_SEED``."""
+def _random_codes(L):
+    """AC11's sample on L: 1000 random term codes of arity 1 to 3, each
+    arity drawn just before its code, from ``RANDOM_SEED``; as pairs of
+    arity and code."""
     rng = random.Random(RANDOM_SEED)
     for _ in range(1000):
-        yield random_polynomial(rng, rng.randint(1, 3), L.size, max_depth=4)
+        n = rng.randint(1, 3)
+        yield n, _random_code(rng, n, L.size, max_depth=4)
 
 
 # Terms per AC11 stack: all 1000 terms of a lattice held at once would
@@ -348,16 +350,17 @@ def _random_terms(L):
 TERMS_PER_STACK = 64
 
 
-def _term_groups(L):
-    """AC11's sample on L as lists of at most ``TERMS_PER_STACK`` terms of
-    one arity, each in draw order; a list is handed on once full."""
+def _code_groups(L):
+    """AC11's sample on L as pairs of an arity and a list of at most
+    ``TERMS_PER_STACK`` codes of that arity, each in draw order; a list is
+    handed on once full."""
     groups = {}
-    for p in _random_terms(L):
-        group = groups.setdefault(p.arity, [])
-        group.append(p)
+    for n, code in _random_codes(L):
+        group = groups.setdefault(n, [])
+        group.append(code)
         if len(group) == TERMS_PER_STACK:
-            yield groups.pop(p.arity)
-    yield from groups.values()
+            yield n, groups.pop(n)
+    yield from groups.items()
 
 
 def _polynomial_verdicts(L, n: int, stack):
@@ -369,18 +372,18 @@ def _polynomial_verdicts(L, n: int, stack):
 def check_polynomial_compatibility() -> CheckResult:
     """Randomly generated polynomial terms always preserve congruences.
 
-    The terms are lowered ``TERMS_PER_STACK`` of one arity at a time, as
-    one stack, and each stack is checked by one pass of each kernel.
+    The terms are drawn as codes and lowered ``TERMS_PER_STACK`` of one
+    arity at a time, as one stack, and each stack is checked by one pass of
+    each kernel.
     """
     problems = 0
     total = 0
     for name in ("chain(3)", "boolean(2)"):
         L = catalogue(name)
-        for terms in _term_groups(L):
-            n = terms[0].arity
-            stack = _term_rows(_plan(L, n), terms)
+        for n, codes in _code_groups(L):
+            stack = _code_rows(_plan(L, n), codes)
             problems += int((~_polynomial_verdicts(L, n, stack)).sum())
-            total += len(terms)
+            total += len(codes)
     return CheckResult(
         "AC11", "random polynomials are compatible",
         problems == 0, f"{problems} failures over {total} sampled terms")

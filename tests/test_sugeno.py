@@ -57,6 +57,23 @@ def test_capacities_enumerated_are_valid(b2):
     assert len(seen) == 16
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+@pytest.mark.parametrize("name", ["chain(1)", "chain(2)", "chain(3)", "chain(4)",
+                                  "chain(5)", "boolean(2)", "N5", "M3"])
+def test_enumerated_capacities_equal_checked_ones(name, n):
+    """The enumerator builds its capacities without validation; each must be
+    the capacity the checked constructor gives for the same values."""
+    L = catalogue(name)
+    capacities = list(enumerate_capacities(L, n))
+    assert len(capacities) == (L.size == 1 if n == 0 else len(set(capacities)))
+    for m in capacities:
+        checked = Capacity(L, m.coefficients)
+        assert m == checked and hash(m) == hash(checked) and repr(m) == repr(checked)
+        assert (m.arity, m.lattice) == (checked.arity, checked.lattice) == (n, L)
+        assert type(m.coefficients) is tuple \
+            and all(type(v) is int for v in m.coefficients)
+
+
 def test_sugeno_worked_example(c3, m_c3):
     assert sugeno_eval(c3, m_c3, (2, 0)) == 1
     assert sugeno_eval_pointwise(c3, m_c3, (2, 0)) == 1

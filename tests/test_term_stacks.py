@@ -1,9 +1,11 @@
 """Stacked term lowering and AC11's stack verdicts, against the oracles.
 
-``polynomials._term_rows`` lowers a whole list of terms by height, and AC11
-counts its failures from one lowering and one pass of each kernel per stack
-of terms of one arity; a check that reports "0 failures" whether or not its
-kernels run shows nothing, so the kernels are also run on tables that fail.
+``polynomials._code_rows`` lowers a whole list of term codes by height, and
+``_term_rows`` lowers term objects through their codes.  AC11 draws codes
+and counts its failures from one lowering and one pass of each kernel per
+stack of codes of one arity; a check that reports "0 failures" whether or
+not its kernels run shows nothing, so the kernels are also run on tables
+that fail.
 """
 
 import hashlib
@@ -20,8 +22,8 @@ from latcong.compat import _compatible_rows, _pairs
 from latcong.errors import ArityMismatch, ForeignElement, InvalidArgument
 from latcong.lattice import catalogue
 from latcong.polynomials import Constant, Join, Meet, Projection, \
-    WeightedPolynomial, _monotone_rows, _term_rows, evaluate, \
-    random_polynomial, to_normal_form, to_table
+    WeightedPolynomial, _code_rows, _monotone_rows, _term, _term_rows, \
+    evaluate, random_polynomial, to_normal_form, to_table
 from latcong.tables import FunctionTable, _plan
 
 LATTICES = {name: catalogue(name) for name in ("chain(3)", "boolean(2)", "N5", "M3")}
@@ -155,6 +157,38 @@ def test_lowering_rejects_a_foreign_node_it_walks():
         _term_rows(_plan(catalogue("chain(3)"), 1), [p])
 
 
+@pytest.mark.parametrize("code", [
+    [4], [5], [0, 7], [-1, 0, 5],  # a leaf past the constants of chain(3) at n = 1
+    [], [-1, 0], [-2, -1, 0, 1], [-1],  # an operator short of operands
+    [0, 1], [-1, 0, 1, 2],  # operands left over
+    [-3, 0, 1],  # no such operator
+])
+def test_malformed_code_raises_before_any_gather(code):
+    """Rows 4-6 are the meets and joins of the good codes before it, so a
+    leaf 4 or 5 would read another term's node."""
+    L = catalogue("chain(3)")
+    good = [[-1, 0, 1], [-2, -1, 0, 3, 2], [3]]
+    assert _code_rows(_plan(L, 1), good).tolist() == [[0, 0, 0], [1, 1, 2], [2, 2, 2]]
+    with pytest.raises(InvalidArgument, match="not a term code of arity 1 on 3"):
+        _code_rows(_plan(L, 1), good + [code])
+
+
+def test_random_polynomial_keeps_its_rng_stream():
+    """The terms drawn and the generator state after each draw, for seeds
+    0-49, arities 1-5, lattice sizes 1-6 and depths 0-6, one generator per
+    seed: the draw through codes must consume the stream as the recursive
+    draw of term objects did."""
+    digest = hashlib.sha256()
+    for seed in range(50):
+        rng = random.Random(seed)
+        for n, size, depth in itertools.product(range(1, 6), range(1, 7), range(7)):
+            p = random_polynomial(rng, n, size, max_depth=depth)
+            digest.update(io.serialize_polynomial(p).encode())
+            digest.update(repr(rng.getstate()).encode())
+    assert digest.hexdigest() \
+        == "936ac596c88f2c450aba16240b05f635992395a6ea4f5cbfb806e54844ef141e"
+
+
 @pytest.mark.parametrize("arity,size", [(0, 3), (-1, 3), (2, 0), (1, -2), (0, 0)])
 def test_random_polynomial_rejects_empty_ranges_before_drawing(arity, size):
     for seed in range(20):
@@ -171,9 +205,9 @@ def test_random_polynomial_rejects_empty_ranges_before_drawing(arity, size):
 def test_ac11_sample_is_pinned():
     """The terms AC11 draws, in draw order: the grouping by arity must not
     change what is sampled."""
-    lines = [f"{name} {p.arity} {io.serialize_polynomial(p).strip()}"
+    lines = [f"{name} {n} {io.serialize_polynomial(_term(n, code)).strip()}"
              for name in ("chain(3)", "boolean(2)")
-             for p in verify._random_terms(catalogue(name))]
+             for n, code in verify._random_codes(catalogue(name))]
     assert len(lines) == 2000
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() \
         == "1841357d37d6b5f12fded24e118ce616b5250fac664f854d9c785d67816bd2c5"
@@ -206,32 +240,73 @@ def test_ac11_row_verdicts_match_oracles(name, n):
 
 def test_ac11_stacks_partition_the_sample():
     L = catalogue("boolean(2)")
-    sample = list(verify._random_terms(L))
-    groups = list(verify._term_groups(L))
-    for group in groups:
+    sample = list(verify._random_codes(L))
+    groups = list(verify._code_groups(L))
+    for n, group in groups:
         assert 0 < len(group) <= verify.TERMS_PER_STACK
-        assert {p.arity for p in group} == {group[0].arity}
+    # Each group holds exactly the codes drawn with the arity it carries.
+    assert {n for n, group in groups} == {1, 2, 3}
     for n in (1, 2, 3):
-        assert [p for group in groups if group[0].arity == n for p in group] \
-            == [p for p in sample if p.arity == n]
+        assert [code for m, group in groups if m == n for code in group] \
+            == [code for m, code in sample if m == n]
 
 
 def test_ac11_counts_the_rows_its_kernels_reject(monkeypatch):
     """Breaking the first lowered table of each stack (top at the
     all-bottom input, bottom at the all-top one) fails one term per stack."""
 
-    def broken(plan, terms):
-        stack = _term_rows(plan, terms)
+    def broken(plan, codes):
+        stack = _code_rows(plan, codes)
         stack[0, 0], stack[0, -1] = plan.lattice.top, plan.lattice.bottom
         return stack
 
-    stacks = sum(len(list(verify._term_groups(catalogue(name))))
+    stacks = sum(len(list(verify._code_groups(catalogue(name))))
                  for name in ("chain(3)", "boolean(2)"))
-    monkeypatch.setattr(verify, "_term_rows", broken)
+    monkeypatch.setattr(verify, "_code_rows", broken)
     result = verify.check_polynomial_compatibility()
     assert not result.passed
     assert result.detail == f"{stacks} failures over 2000 sampled terms"
     assert stacks > 6
+
+
+@pytest.mark.parametrize("name", ["chain(3)", "boolean(2)"])
+def test_ac11_code_stacks_match_decoded_terms(name):
+    """Every code AC11 draws lowers to the rows of its decoded term, through
+    the object lowering and through the recursive oracle."""
+    L = catalogue(name)
+    total = 0
+    for n, codes in verify._code_groups(L):
+        plan = _plan(L, n)
+        terms = [_term(n, code) for code in codes]
+        stack = _code_rows(plan, codes)
+        assert stack.tolist() == _term_rows(plan, terms).tolist()
+        assert stack.tolist() == _oracle_rows(L, terms, n)
+        total += len(codes)
+    assert total == 1000
+
+
+def test_ac11_builds_no_term_objects(monkeypatch):
+    """AC11 lowers the codes it draws: no node, no polynomial, no arity walk."""
+    built = []
+
+    def counting(cls):
+        init = cls.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(cls.__name__)
+            init(self, *args, **kwargs)
+        return counted
+
+    for cls in (Projection, Constant, Meet, Join, WeightedPolynomial):
+        monkeypatch.setattr(cls, "__init__", counting(cls))
+    monkeypatch.setattr(polynomials, "_max_projection",
+                        lambda node: built.append("_max_projection"))
+    Meet(Projection(0), Constant(1))
+    assert built == ["Projection", "Constant", "Meet"]
+    built.clear()
+    result = verify.check_polynomial_compatibility()
+    assert result.passed and result.detail == "0 failures over 2000 sampled terms"
+    assert built == []
 
 
 def test_monotone_kernel_on_one_row_is_the_stack_verdict():
