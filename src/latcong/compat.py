@@ -20,7 +20,7 @@ import numpy as np
 
 from .congruences import all_congruences, principal_congruences
 from .errors import BudgetExceeded, InvalidArgument, NotMonotone
-from .lattice import Lattice, check_elements
+from .lattice import Lattice, _integer, check_elements
 from .polynomials import NormalForm, _rebuild_rows, boolean_restriction, \
     is_monotone, normal_form_table
 from .sugeno import enumerate_capacities
@@ -140,7 +140,7 @@ def enumerate_monotone_tables(L: Lattice, n: int, filter: str = "all",
     """
     if filter not in ("all", "aggregation"):
         raise InvalidArgument(f"unknown filter {filter!r}")
-    emitted = 0
+    budget, emitted = _integer(budget, "budget"), 0
     for block in _map_blocks(L, n, L, pinned=filter == "aggregation"):
         check_elements(L.size, (block.min(), block.max()), "output")
         for row in map(tuple, block[:budget - emitted].tolist()):

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, InvalidArgument, NotDistributive, \
     SizeMismatch
-from .lattice import Lattice, _integer, check_elements
+from .lattice import Lattice, _integer, check_elements, check_type
 
 # The most labels, and the most cover flags, in one walk of ``all_congruences``.
 MERGE_LABELS = 1 << 18
@@ -101,11 +101,12 @@ class Congruence:
 
 
 def _as_congruence(L, partition):
+    size = check_type(L, Lattice).size
     cong = partition if isinstance(partition, Congruence) \
-        else Congruence.from_blocks(partition, L.size)
-    if cong.lattice_size != L.size:
+        else Congruence.from_blocks(partition, size)
+    if cong.lattice_size != size:
         raise SizeMismatch(
-            f"partition of {cong.lattice_size} elements on lattice of size {L.size}")
+            f"partition of {cong.lattice_size} elements on lattice of size {size}")
     return cong
 
 
@@ -145,7 +146,7 @@ def formula_relation(L: Lattice, a: int, b: int) -> Congruence:
     not assumed.  Raises ForeignElement for an element outside the carrier
     and InvalidArgument unless a <= b.
     """
-    if not L.leq(a, b):
+    if not check_type(L, Lattice).leq(a, b):
         raise InvalidArgument(f"expected a <= b, got ({a}, {b})")
     return Congruence((L.join_table[b] * L.size + L.meet_table[a]).tolist())
 
@@ -160,7 +161,7 @@ def principal_congruence(L: Lattice, a: int, b: int) -> Congruence:
     Only valid on distributive lattices.  An arbitrary pair is first replaced
     by (a ^ b, a v b): any congruence collapsing one collapses the other.
     """
-    a, b = check_elements(L.size, (a, b), "element")
+    a, b = check_elements(check_type(L, Lattice).size, (a, b), "element")
     if not L.is_distributive:
         raise NotDistributive(
             "closed-form principal congruences need distributivity; "
@@ -191,7 +192,7 @@ def principal_congruence_oracle(L: Lattice, a: int, b: int) -> Congruence:
     Works on any lattice: merge the pair, then keep merging the images of
     merged pairs under one-sided meets and joins until a fixpoint.
     """
-    a, b = check_elements(L.size, (a, b), "element")
+    a, b = check_elements(check_type(L, Lattice).size, (a, b), "element")
     n = L.size
     parent = list(range(n))
     meet, join = L.meet_table, L.join_table
@@ -214,7 +215,7 @@ def principal_congruence_fixpoint(L: Lattice, a: int, b: int) -> Congruence:
     and merges the classes the crossing ones join, until no pair crosses a
     class.
     """
-    a, b = check_elements(L.size, (a, b), "element")
+    a, b = check_elements(check_type(L, Lattice).size, (a, b), "element")
     label = np.arange(L.size)
     label[max(a, b)] = min(a, b)
     while True:
@@ -262,7 +263,7 @@ def principal_congruences(L: Lattice) -> tuple[Congruence, ...]:
     then (j_*, j) is perspective to (a, b)).  The identity is not among them.
     """
     found = {principal_congruence_fixpoint(L, a, j)
-             for a, j in L.join_irreducible_covers}
+             for a, j in check_type(L, Lattice).join_irreducible_covers}
     return tuple(sorted(found, key=lambda c: c.class_of))
 
 
@@ -277,7 +278,7 @@ def all_congruences(L: Lattice) -> tuple[Congruence, ...]:
     most ``MERGE_LABELS`` labels and cover flags at a time.  Output is
     sorted for determinism.
     """
-    n = L.size
+    n = check_type(L, Lattice).size
     low, high = np.array(L.covers, dtype=np.intp).reshape(-1, 2).T
     gens = np.reshape([g.class_of for g in principal_congruences(L)], (-1, n))
     collapses = gens[:, low] == gens[:, high]
@@ -308,7 +309,7 @@ def all_congruences_bruteforce(L: Lattice, max_size: int = 8) -> tuple[Congruenc
     Bell numbers explode quickly, so this oracle refuses lattices larger than
     ``max_size``.
     """
-    if L.size > max_size:
+    if check_type(L, Lattice).size > max_size:
         raise BudgetExceeded(
             f"partition enumeration gated to size <= {max_size}, got {L.size}")
     out = [Congruence(p) for p in _partitions(L.size) if is_congruence(L, Congruence(p))]

@@ -16,10 +16,10 @@ import math
 import numpy as np
 
 from .errors import InvalidArgument, NotDistributive, ValidationError
-from .lattice import Lattice, _integer, check_elements
+from .lattice import Lattice, _integer, check_elements, check_type
 from .polynomials import _coefficient_rows, _rebuild_rows
 from .sugeno import Capacity
-from .tables import _apply, _plan, check_type
+from .tables import _apply, _plan
 
 
 class ProductLattice(Lattice):
@@ -143,7 +143,8 @@ def horizontal_sum(summands) -> HorizontalSumLattice:
 # Each split is a row kernel over a stack of capacities on the whole, given
 # with the stacks of the factor or summand capacities to compare against;
 # a projected or split stack is one gather of the whole stack.  The single
-# calls run the kernel on a stack of one.
+# calls run the kernel and the gather on a stack of one, as AC10 runs them
+# on blocks.
 
 
 def _capacity_row(L, kind: type, m: Capacity) -> np.ndarray:
@@ -244,9 +245,7 @@ def product_decomposition_check(P: ProductLattice, m: Capacity) -> bool:
     k of the integral is the integral on factor k of the projected capacity
     and projected inputs."""
     rows = _capacity_row(P, ProductLattice, m)
-    parts = [np.array([project_capacity(P, m, k).coefficients])
-             for k in range(len(P.factors))]
-    return bool(_product_rows(P, rows, parts)[0])
+    return bool(_product_rows(P, rows, _factor_rows(P, rows))[0])
 
 
 def horizontal_sum_decomposition_check(H: HorizontalSumLattice, m: Capacity,
@@ -258,6 +257,4 @@ def horizontal_sum_decomposition_check(H: HorizontalSumLattice, m: Capacity,
     just observe the outcome.
     """
     rows = _capacity_row(H, HorizontalSumLattice, m)
-    parts = [np.array([split_capacity(H, m, k).coefficients])
-             for k in range(len(H.summands))]
-    return bool(_sum_rows(H, rows, parts, report_only)[0])
+    return bool(_sum_rows(H, rows, _summand_rows(H, rows), report_only)[0])

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from .errors import ForeignElement, ParseError, ValidationError
 from .lattice import MAX_SIZE, Lattice, build_from_covers, check_elements
-from .polynomials import Constant, Join, Meet, Projection, \
-    WeightedPolynomial, _max_projection
+from .polynomials import Constant, Join, Meet, Projection, WeightedPolynomial
 from .sugeno import Capacity
 from .tables import FunctionTable, all_inputs, check_input, encode
 
@@ -19,8 +18,8 @@ from .tables import FunctionTable, all_inputs, check_input, encode
 # smallest carrier.  Above it the entry count is too large to list, and on
 # a huge ``n`` computing it would take the memory of the number itself.
 MAX_ARITY = 20
-# Deepest polynomial term, so that the parser and every recursive walk over
-# the term (evaluation, printing, equality) stay within Python's stack.
+# Deepest polynomial term, so that the parser and the recursive walks over
+# the term (printing, equality, hashing) stay within Python's stack.
 MAX_DEPTH = 256
 
 
@@ -238,6 +237,7 @@ def parse_polynomial(text: str, arity: int | None = None) -> WeightedPolynomial:
     if not tokens:
         raise ParseError("empty polynomial")
     pos = 0
+    top_index = -1
 
     def expect(token):
         nonlocal pos
@@ -251,7 +251,7 @@ def parse_polynomial(text: str, arity: int | None = None) -> WeightedPolynomial:
 
     def parse_node(level):
         """The node at nesting ``level`` and the depth of its subtree."""
-        nonlocal pos
+        nonlocal pos, top_index
         if level > MAX_DEPTH:
             raise too_deep()
         expect("(")
@@ -269,6 +269,7 @@ def parse_polynomial(text: str, arity: int | None = None) -> WeightedPolynomial:
                                  f"got {tokens[pos]!r}")
             pos += 1
             node = Projection(value) if head == "var" else Constant(value)
+            top_index = max(top_index, value if head == "var" else -1)
             depth = 1
         elif head in ("meet", "join"):
             args = []
@@ -291,9 +292,7 @@ def parse_polynomial(text: str, arity: int | None = None) -> WeightedPolynomial:
         raise too_deep()
     if pos != len(tokens):
         raise ParseError(f"trailing tokens after polynomial: {tokens[pos]!r}")
-    if arity is None:
-        arity = _max_projection(root) + 1
-    return WeightedPolynomial(arity, root)
+    return WeightedPolynomial(top_index + 1 if arity is None else arity, root)
 
 
 def serialize_polynomial(p: WeightedPolynomial) -> str:

@@ -183,6 +183,13 @@ def _integer(value, what):
     raise InvalidArgument(f"{what} must be an int, not {value!r}")
 
 
+def check_type(value, kind: type):
+    """``value``; InvalidArgument unless it is an instance of ``kind``."""
+    if not isinstance(value, kind):
+        raise InvalidArgument(f"expected a {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
 def _predecessors(size, covers):
     """The distinct input predecessors of each element; the pairs are
     checked in input order, so an error names the first bad one."""
@@ -351,7 +358,7 @@ def _induction(le, lower, height, out):
 
 def med_dual_check(L: Lattice) -> bool:
     """Whether the join-of-meets median agrees with ``L.med`` on all triples."""
-    meet, join = L.meet_table, L.join_table
+    meet, join = check_type(L, Lattice).meet_table, L.join_table
     for x in range(L.size):
         primal = meet[meet[join[x][:, None], join], join[:, x][None, :]]
         dual = join[join[meet[x][:, None], meet], meet[:, x][None, :]]
@@ -362,7 +369,7 @@ def med_dual_check(L: Lattice) -> bool:
 
 def is_isomorphic(a: Lattice, b: Lattice) -> bool:
     """Brute-force order-isomorphism test; intended for small test lattices."""
-    if a.size != b.size:
+    if check_type(a, Lattice).size != check_type(b, Lattice).size:
         return False
     n = a.size
     # Degree profiles prune most permutations before the full scan.

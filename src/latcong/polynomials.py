@@ -8,9 +8,10 @@ of coefficient-guarded meets.  The empty meet is top.
 
 Inside this module a term of arity n also has a flat code: its nodes in
 preorder as ints, a leaf as its node-buffer row (projection i as i, constant
-c as n + c), a meet as -1 and a join as -2.  ``_code_rows`` is the one
-lowering, of a list of codes at a plan's inputs; ``_term_rows`` hands it
-the codes of term objects, for ``to_table``, ``evaluate`` and
+c as n + c), a meet as -1 and a join as -2.  ``_code`` is the one walk over
+a term tree, with a stack of its own: it checks a term on construction and
+flattens it for ``_term_rows``, which hands the codes of term objects to
+``_code_rows``, the one lowering, for ``to_table``, ``evaluate`` and
 ``to_normal_form``.  ``_random_code`` draws codes, which AC11 lowers as
 they are and ``random_polynomial`` decodes into a term.
 """
@@ -22,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArityMismatch, InvalidArgument
-from .lattice import Lattice, _integer, check_elements
+from .lattice import Lattice, _integer, check_elements, check_type
 from .tables import FunctionTable, _Plan, _join_rows, _map_blocks, \
-    _plan, _vertex_rows, check_arity, check_input, check_table, check_type
+    _plan, _vertex_rows, check_arity, check_input, check_table
 
 # The two-element chain: input k of its n-th power, in encoding order, lies
 # under input k' exactly when the subset mask k lies in the mask k'.
@@ -56,25 +57,6 @@ class Join:
 Node = Projection | Constant | Meet | Join
 
 
-def _max_projection(node) -> int:
-    """Largest projection index in the term, -1 if it has none.
-
-    A negative index fits no arity, so it raises ArityMismatch here; an
-    index or constant that is not an int, or a node that is not a
-    Projection, Constant, Meet or Join, raises InvalidArgument.
-    """
-    if isinstance(node, Projection):
-        if _integer(node.index, "projection index") < 0:
-            raise ArityMismatch(f"negative projection index {node.index}")
-        return node.index
-    if isinstance(node, Constant):
-        _integer(node.value, "constant")
-        return -1
-    if isinstance(node, (Meet, Join)):
-        return max(_max_projection(node.left), _max_projection(node.right))
-    raise InvalidArgument(f"not a term node: {node!r}")
-
-
 @dataclass(frozen=True)
 class WeightedPolynomial:
     """Expression tree plus its declared arity."""
@@ -83,10 +65,7 @@ class WeightedPolynomial:
     root: Node
 
     def __post_init__(self):
-        top_index = _max_projection(self.root)
-        if top_index >= check_arity(self.arity):
-            raise ArityMismatch(
-                f"projection {top_index} exceeds declared arity {self.arity}")
+        _code(self.root, check_arity(self.arity), [])
 
 
 def _arity(p) -> int:
@@ -96,7 +75,7 @@ def _arity(p) -> int:
 
 def evaluate(L: Lattice, p: WeightedPolynomial, x) -> int:
     """Evaluate the term at an input vector via the lattice tables."""
-    plan = _Plan(L, [check_input(L.size, _arity(p), x)])
+    plan = _Plan(L, [check_input(check_type(L, Lattice).size, _arity(p), x)])
     return int(_term_rows(plan, [p])[0, 0])
 
 
@@ -111,7 +90,10 @@ _MEET, _JOIN = -1, -2
 
 def _code(root, n: int, constants: list) -> list:
     """The code of a term of arity n; its constants are appended to
-    ``constants`` so the caller can range-check them before any gather."""
+    ``constants`` so the caller can range-check them before any gather.
+    InvalidArgument for a foreign node or a leaf that is not an int (bools
+    are not), ArityMismatch for the first projection in preorder outside
+    0..n-1."""
     code, rights = [], []
     append, node = code.append, root
     while True:
@@ -122,10 +104,19 @@ def _code(root, n: int, constants: list) -> list:
             node = node.left
             continue
         if kind is Projection:
-            append(node.index)
+            index = node.index
+            if type(index) is not int:
+                index = _integer(index, "projection index")
+            if not 0 <= index < n:
+                raise ArityMismatch(f"negative projection index {index}" if index < 0
+                                    else f"projection {index} exceeds declared arity {n}")
+            append(index)
         elif kind is Constant:
-            constants.append(node.value)
-            append(n + node.value)
+            value = node.value
+            if type(value) is not int:
+                value = _integer(value, "constant")
+            constants.append(value)
+            append(n + value)
         else:
             raise InvalidArgument(f"not a term node: {node!r}")
         if not rights:
@@ -249,15 +240,20 @@ class NormalForm:
         lattice that holds its coefficients."""
 
     def is_monotone_in_masks(self, L: Lattice) -> bool:
-        """Coefficient table nondecreasing along subset inclusion."""
-        g, leq = self.coefficients, L.leq_table
-        return all(leq[g[mask & ~(1 << i)], g[mask]] for mask in range(1 << self.arity)
-                   for i in range(self.arity) if mask >> i & 1)
+        """Coefficient table nondecreasing along subset inclusion.
+
+        Per coordinate i, one gather of the order compares the masks with
+        bit i set to the same masks without it.  Checked as
+        ``_coefficient_rows`` checks.
+        """
+        g = _coefficient_rows(L, self)[0]
+        return all(L.leq_table[pairs[:, 0], pairs[:, 1]].all()
+                   for pairs in (g.reshape(-1, 2, 1 << i) for i in range(self.arity)))
 
 
 def to_normal_form(L: Lattice, p: WeightedPolynomial) -> NormalForm:
     """Read the coefficients off the boolean vertices."""
-    plan = _Plan(L, _vertex_rows(L, _arity(p)))
+    plan = _Plan(L, _vertex_rows(check_type(L, Lattice), _arity(p)))
     return NormalForm(p.arity, tuple(_term_rows(plan, [p])[0].tolist()))
 
 
@@ -289,18 +285,22 @@ def eval_normal_form(L: Lattice, nf: NormalForm, x) -> int:
 
 
 def normal_form_to_polynomial(nf: NormalForm) -> WeightedPolynomial:
-    """Syntactic join-of-meets realization of a coefficient table."""
+    """Syntactic join-of-meets realization of a coefficient table.
+
+    The 2**n meets are joined in pairs, level by level, so the term is at
+    most 2n + 1 deep.  InvalidArgument unless nf is a NormalForm.
+    """
+    n = check_type(nf, NormalForm).arity
     terms = []
-    for mask in range(1 << nf.arity):
+    for mask in range(1 << n):
         term: Node = Constant(nf.coefficients[mask])
-        for i in range(nf.arity):
+        for i in range(n):
             if mask >> i & 1:
                 term = Meet(term, Projection(i))
         terms.append(term)
-    root = terms[0]
-    for term in terms[1:]:
-        root = Join(root, term)
-    return WeightedPolynomial(nf.arity, root)
+    while len(terms) > 1:
+        terms = [Join(a, b) for a, b in zip(terms[::2], terms[1::2])]
+    return WeightedPolynomial(n, terms[0])
 
 
 def _monotone_rows(plan, stack) -> np.ndarray:
@@ -378,10 +378,11 @@ def random_polynomial(rng, arity: int, lattice_size: int,
     """Sample a random term; leaves more likely as depth runs out.
 
     Raises InvalidArgument, before drawing, unless the arity and the
-    lattice size are ints of at least 1.
+    lattice size are ints of at least 1 and the depth is an int.
     """
     if _integer(arity, "arity") < 1 or _integer(lattice_size, "lattice size") < 1:
         raise InvalidArgument(
             f"random terms need arity and lattice size at least 1, "
             f"got {arity} and {lattice_size}")
-    return _term(arity, _random_code(rng, arity, lattice_size, max_depth))
+    return _term(arity, _random_code(rng, arity, lattice_size,
+                                     _integer(max_depth, "max depth")))

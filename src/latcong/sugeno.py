@@ -18,12 +18,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ForeignElement, NotAChain, NotAggregation, ValidationError
-from .lattice import Lattice, check_elements
+from .lattice import Lattice, check_elements, check_type
 from .polynomials import _CHAIN2, NormalForm, _at_point, _coefficient_rows, \
     _rebuild_rows, boolean_restriction, eval_normal_form, is_monotone, \
     normal_form_table
 from .tables import FunctionTable, _apply, _join_rows, _map_blocks, _plan, \
-    check_arity, check_table, check_type
+    check_arity, check_table
 
 
 @dataclass(frozen=True, init=False, slots=True)

@@ -18,8 +18,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import ArityMismatch, ForeignElement, InvalidArgument, TooLarge
-from .lattice import Lattice, _integer, check_elements
+from .errors import ArityMismatch, ForeignElement, TooLarge
+from .lattice import Lattice, _integer, check_elements, check_type
 
 # The most entries an input grid or an enumerator's order matrix may have.
 MAX_ENTRIES = 1 << 24
@@ -99,16 +99,10 @@ def check_input(size: int, arity: int, x) -> tuple[int, ...]:
     return x
 
 
-def check_type(value, kind: type):
-    """``value``; InvalidArgument unless it is an instance of ``kind``."""
-    if not isinstance(value, kind):
-        raise InvalidArgument(f"expected a {kind.__name__}, got {type(value).__name__}")
-    return value
-
-
 def check_table(L, f: FunctionTable) -> None:
-    """Raise InvalidArgument unless f is a table, ForeignElement unless over L."""
-    if check_type(f, FunctionTable).size != L.size:
+    """Raise InvalidArgument unless L is a Lattice and f a table,
+    ForeignElement unless f is over L."""
+    if check_type(f, FunctionTable).size != check_type(L, Lattice).size:
         raise ForeignElement(
             f"table over carrier {f.size} used with lattice of size {L.size}")
 
@@ -223,8 +217,9 @@ class _Plan:
 
 @lru_cache(maxsize=64)
 def _plan(L: Lattice, n: int) -> _Plan:
-    """The plan over the full input grid of arity n."""
-    return _Plan(L, input_grid(L.size, n))
+    """The plan over the full input grid of arity n; InvalidArgument unless
+    L is a Lattice."""
+    return _Plan(L, input_grid(check_type(L, Lattice).size, n))
 
 
 def _apply(table, a, b):
@@ -337,6 +332,7 @@ def _map_blocks(P: Lattice, n: int, L: Lattice, pinned: bool = False):
     M_{n-j}.
     """
     n = check_arity(n)
+    check_type(L, Lattice)
     values, order = np.arange(L.size, dtype=row_dtype(L.size))[:, None], L.leq_table
     neighbours = _earlier_neighbours(P.leq_table)
     curried = 0

@@ -188,6 +188,14 @@ def is_monotone_all_pairs(L, table):
     return True
 
 
+def monotone_on_subsets(L, rows, n):
+    """Per row of 2**n coefficients: every pair of masks S within T, not
+    just one-bit steps, has coefficient[S] <= coefficient[T]."""
+    below = {(a, b) for a in range(L.size) for b in range(L.size) if L.leq(a, b)}
+    pairs = [(s, t) for t in range(1 << n) for s in range(1 << n) if s & t == s]
+    return [all((row[s], row[t]) in below for s, t in pairs) for row in rows]
+
+
 def is_compatible_all_tuples(L, table):
     """Full-tuple compatibility against the brute-force congruence set."""
     grid = list(itertools.product(range(L.size), repeat=table.arity))

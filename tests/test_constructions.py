@@ -343,8 +343,9 @@ def test_product_check_catches_a_wrong_projection(monkeypatch, names, n):
     P = direct_product([relabelled(catalogue(name), 3) for name in names])
     capacities = list(enumerate_capacities(P, n))
     other = capacities[len(capacities) // 2]
-    monkeypatch.setattr(constructions, "project_capacity",
-                        lambda P, m, k: project_capacity(P, other, k))
+    factor_rows = constructions._factor_rows
+    monkeypatch.setattr(constructions, "_factor_rows",
+                        lambda P, rows: factor_rows(P, np.array([other.coefficients])))
     verdicts = [product_decomposition_check(P, m) for m in capacities]
     assert verdicts == [_product_splits(P, m, other) for m in capacities]
     assert set(verdicts) == {True, False}
@@ -356,8 +357,9 @@ def test_sum_check_catches_a_wrong_split(monkeypatch, names):
     H = horizontal_sum([relabelled(catalogue(name), 3) for name in names])
     capacities = list(enumerate_capacities(H, 2))
     other = capacities[len(capacities) // 2]
-    monkeypatch.setattr(constructions, "split_capacity",
-                        lambda H, m, k: split_capacity(H, other, k))
+    summand_rows = constructions._summand_rows
+    monkeypatch.setattr(constructions, "_summand_rows",
+                        lambda H, rows: summand_rows(H, np.array([other.coefficients])))
     verdicts = [horizontal_sum_decomposition_check(H, m, report_only=True)
                 for m in capacities]
     assert verdicts == [_sum_splits(H, m, other) for m in capacities]

@@ -9,16 +9,19 @@ import numpy as np
 import pytest
 
 from conftest import relabelled
-from latcong import Capacity, Constant, FunctionTable, LatcongError, NormalForm, \
-    Projection, WeightedPolynomial, all_inputs, boolean_restriction, \
+from latcong import Capacity, Congruence, Constant, FunctionTable, LatcongError, \
+    NormalForm, Projection, WeightedPolynomial, all_congruences, \
+    all_congruences_bruteforce, all_inputs, boolean_restriction, \
     capacity_from_function, catalogue, check_comonotone_maxitive, \
     check_horizontally_maxitive, check_idempotent, check_min_homogeneous, \
-    compare_formulations, enumerate_capacities, enumerate_monotone_normal_forms, \
-    enumerate_monotone_tables, eval_normal_form, evaluate, formula_relation, \
-    formula_relation_is_congruence, is_compatible, is_monotone, \
-    median_decomposition_check, principal_congruence, principal_congruence_oracle, \
-    random_polynomial, sugeno_eval, sugeno_eval_levels, sugeno_eval_pointwise, \
-    sugeno_table, synthesize, to_table, verify_equivalence_suite
+    compare_formulations, congruence_join, enumerate_capacities, \
+    enumerate_monotone_normal_forms, enumerate_monotone_tables, eval_normal_form, \
+    evaluate, formula_relation, formula_relation_is_congruence, is_compatible, \
+    is_congruence, is_isomorphic, is_monotone, med_dual_check, \
+    median_decomposition_check, normal_form_to_polynomial, principal_congruence, \
+    principal_congruence_oracle, principal_congruences, random_polynomial, \
+    sugeno_eval, sugeno_eval_levels, sugeno_eval_pointwise, sugeno_table, \
+    synthesize, to_normal_form, to_table, verify_equivalence_suite
 from latcong.congruences import principal_congruence_fixpoint
 from latcong.constructions import direct_product, horizontal_sum, \
     horizontal_sum_decomposition_check, product_decomposition_check, \
@@ -104,6 +107,44 @@ OBJECTS = {
     "sugeno_table lattice": lambda v: sugeno_table(v, M),
     "Capacity lattice": lambda v: Capacity(v, (0, 2)),
 }
+# Per call: a function of the value in one slot that must hold a Lattice, or,
+# for the last three, a NormalForm or an int.
+THETA = Congruence((0, 0, 1))
+NOT_LATTICES = {
+    "is_compatible": lambda v: is_compatible(v, F),
+    "median_decomposition_check": lambda v: median_decomposition_check(v, F),
+    "synthesize": lambda v: synthesize(v, F),
+    "is_monotone": lambda v: is_monotone(v, F),
+    "boolean_restriction": lambda v: boolean_restriction(v, F),
+    "capacity_from_function": lambda v: capacity_from_function(v, F),
+    "to_table": lambda v: to_table(v, X0),
+    "evaluate": lambda v: evaluate(v, X0, [1]),
+    "to_normal_form": lambda v: to_normal_form(v, X0),
+    "compare_formulations": lambda v: compare_formulations(v, 1),
+    "verify_equivalence_suite": lambda v: verify_equivalence_suite(v, 1),
+    "enumerate_monotone_tables": lambda v: list(enumerate_monotone_tables(v, 1)),
+    "enumerate_monotone_normal_forms":
+        lambda v: list(enumerate_monotone_normal_forms(v, 1)),
+    "enumerate_capacities": lambda v: list(enumerate_capacities(v, 1)),
+    "all_congruences": all_congruences,
+    "principal_congruences": principal_congruences,
+    "is_congruence": lambda v: is_congruence(v, THETA),
+    "congruence_join": lambda v: congruence_join(v, THETA, THETA),
+    "formula_relation": lambda v: formula_relation(v, 0, 1),
+    "formula_relation_is_congruence": lambda v: formula_relation_is_congruence(v, 0, 1),
+    "principal_congruence": lambda v: principal_congruence(v, 0, 1),
+    "principal_congruence_oracle": lambda v: principal_congruence_oracle(v, 0, 1),
+    "principal_congruence_fixpoint": lambda v: principal_congruence_fixpoint(v, 0, 1),
+    "all_congruences_bruteforce": all_congruences_bruteforce,
+    "is_isomorphic left": lambda v: is_isomorphic(v, L),
+    "is_isomorphic right": lambda v: is_isomorphic(L, v),
+    "med_dual_check": med_dual_check,
+    "normal_form_to_polynomial": normal_form_to_polynomial,
+    "enumerate_monotone_tables budget":
+        lambda v: list(enumerate_monotone_tables(L, 1, budget=v)),
+    "random_polynomial max_depth":
+        lambda v: random_polynomial(random.Random(5), 2, SIZE, max_depth=v),
+}
 # ``SIZE`` is the first value outside the carrier; as an arity it is valid.
 BAD = [1.5, "1", True, -1]
 NUMPY = [np.int64, np.uint8]
@@ -144,6 +185,15 @@ def test_an_object_of_the_wrong_type_is_rejected(name, value):
     ``coefficients`` or ``size``."""
     with pytest.raises(InvalidArgument, match="expected a"):
         OBJECTS[name](value)
+
+
+@pytest.mark.parametrize("value", ["chain(3)", None], ids=repr)
+@pytest.mark.parametrize("name", NOT_LATTICES)
+def test_what_is_not_a_lattice_is_rejected(name, value):
+    """These raised a raw AttributeError on ``size``, ``leq`` or another
+    attribute of a lattice, or a raw TypeError on the int."""
+    with pytest.raises(InvalidArgument):
+        NOT_LATTICES[name](value)
 
 
 @pytest.mark.parametrize("kind", NUMPY, ids=lambda k: k.__name__)

@@ -217,6 +217,14 @@ def test_negative_projection_rejected():
             io.parse_polynomial("(join (var 0) (var -1))", arity=arity)
 
 
+@pytest.mark.parametrize("text,arity", [
+    ("(const 1)", 0), ("(var 0)", 1), ("(meet (var 2) (var 0) (var 1))", 3),
+    ("(join (var 3) (meet (const 9) (var 7)))", 8),
+])
+def test_default_arity_is_one_past_the_largest_var(text, arity):
+    assert io.parse_polynomial(text).arity == arity
+
+
 def test_polynomial_parse_errors():
     for bad in ("", "(frob 1)", "(var x)", "(meet (var 0))",
                 "(var 0) trailing", "(join (var 0) (var 1)"):

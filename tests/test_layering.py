@@ -52,3 +52,15 @@ def test_every_imported_name_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = {(path.stem, name) for name in imported - used}
     assert unused - UNUSED_ON_PURPOSE == set()
+
+
+def test_no_function_in_polynomials_calls_itself():
+    """Terms are walked with explicit stacks, so a term as deep as the
+    library builds is checked and lowered without a RecursionError."""
+    found = [f"{node.name}:{inner.lineno}"
+             for node in ast.walk(_tree("polynomials"))
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for inner in ast.walk(node)
+             if isinstance(inner, ast.Call)
+             and getattr(inner.func, "id", getattr(inner.func, "attr", None)) == node.name]
+    assert found == []

@@ -4,8 +4,8 @@ import pytest
 
 import oracles
 from latcong.compat import is_compatible, normal_form_table
-from latcong import tables
-from latcong.errors import ArityMismatch, ForeignElement, TooLarge
+from latcong import io, tables
+from latcong.errors import ArityMismatch, ForeignElement, InvalidArgument, TooLarge
 from latcong.lattice import catalogue
 from latcong.polynomials import (
     Constant,
@@ -129,6 +129,67 @@ def test_normal_form_mask_monotonicity_flag(c3):
     assert not NormalForm(2, (0, 2, 0, 1)).is_monotone_in_masks(c3)
     for nf in enumerate_monotone_normal_forms(c3, 2):
         assert nf.is_monotone_in_masks(c3)
+
+
+def _perturbed(L, rows, seed):
+    """Each row with one coefficient set to a random element, and each row
+    reversed (mask m takes the coefficient of the complement of m)."""
+    rng = random.Random(seed)
+    out = []
+    for row in rows:
+        changed = list(row)
+        changed[rng.randrange(len(row))] = rng.randrange(L.size)
+        out += (tuple(changed), row[::-1])
+    return out
+
+
+@pytest.mark.parametrize("n", range(5))
+@pytest.mark.parametrize("name", ["chain(3)", "N5", "M3"])
+def test_mask_monotonicity_matches_subset_oracle(name, n):
+    """All enumerated rows up to 8000; N5 and M3 have 235 789 and 74 229 at
+    n = 4, of which every 30th and every 10th are taken."""
+    L = catalogue(name)
+    rows = [nf.coefficients for nf in enumerate_monotone_normal_forms(L, n)]
+    rows = rows[::-(-len(rows) // 8000)]
+    rows += _perturbed(L, rows, f"{name} {n}")
+    verdicts = [NormalForm(n, row).is_monotone_in_masks(L) for row in rows]
+    assert verdicts == oracles.monotone_on_subsets(L, rows, n)
+    assert n == 0 or False in verdicts
+
+
+@pytest.mark.parametrize("coefficient", [-1, 3, 7])
+def test_mask_monotonicity_needs_elements_of_the_lattice(c3, coefficient):
+    """-1 used to wrap round to the top and give a verdict; 7 raised IndexError."""
+    with pytest.raises(ForeignElement, match=f"coefficient {coefficient} outside"):
+        NormalForm(1, (0, coefficient)).is_monotone_in_masks(c3)
+    with pytest.raises(InvalidArgument, match="expected a Lattice"):
+        NormalForm(1, (0, 1)).is_monotone_in_masks("chain(3)")
+
+
+def _depth(node):
+    """The depth of a term, walked with an explicit stack."""
+    deepest, stack = 0, [(node, 1)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        if isinstance(node, (Meet, Join)):
+            stack += ((node.left, depth + 1), (node.right, depth + 1))
+    return deepest
+
+
+@pytest.mark.parametrize("n", [10, 11])
+def test_normal_form_terms_are_at_most_2n_plus_1_deep(c3, n):
+    """The 2**n meets are joined in pairs; joined left to right, the term
+    was 2**n + n deep and equality (n = 9) or construction (n = 10) raised
+    RecursionError."""
+    nf = NormalForm(n, tuple(min(2, bin(mask).count("1") // 4) for mask in range(1 << n)))
+    p = normal_form_to_polynomial(nf)
+    assert _depth(p.root) == 2 * n + 1
+    q = normal_form_to_polynomial(nf)
+    assert p == q and hash(p) == hash(q)
+    text = io.serialize_polynomial(p)
+    assert io.parse_polynomial(text) == io.parse_polynomial(text, arity=n) == p
+    assert to_normal_form(c3, p) == nf
 
 
 def test_monotone_normal_form_count(c3):

@@ -157,6 +157,38 @@ def test_lowering_rejects_a_foreign_node_it_walks():
         _term_rows(_plan(catalogue("chain(3)"), 1), [p])
 
 
+@pytest.mark.parametrize("root,error,message", [
+    (Projection(-1), ArityMismatch, "^negative projection index -1$"),
+    (Projection(2), ArityMismatch, "^projection 2 exceeds declared arity 2$"),
+    (Join(Projection(5), Projection(-1)), ArityMismatch, "^projection 5 exceeds"),
+    (Meet(Projection(-3), Projection(5)), ArityMismatch, "^negative projection index -3$"),
+    (Projection(1.0), InvalidArgument, "projection index must be an int"),
+    (Join(Projection(0), Projection(True)), InvalidArgument,
+     "projection index must be an int"),
+    (Meet(Projection(0), Constant(False)), InvalidArgument, "constant must be an int"),
+    (Constant("1"), InvalidArgument, "constant must be an int"),
+])
+def test_construction_checks_every_leaf(root, error, message):
+    """The first bad leaf in preorder is named."""
+    with pytest.raises(error, match=message):
+        WeightedPolynomial(2, root)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_a_spine_of_5000_operators_builds_and_lowers(side):
+    """x ^ 1 v 1 ^ 1 ... is 1 everywhere on chain(3).  The recursive arity
+    walk raised RecursionError on building it."""
+    node = Projection(0)
+    for k in range(5000):
+        op = Meet if k % 2 == 0 else Join
+        node = op(node, Constant(1)) if side == "left" else op(Constant(1), node)
+    p = WeightedPolynomial(1, node)
+    L = catalogue("chain(3)")
+    assert to_table(L, p).values == (1, 1, 1)
+    assert [evaluate(L, p, (x,)) for x in range(3)] == [1, 1, 1]
+    assert to_normal_form(L, p).coefficients == (1, 1)
+
+
 @pytest.mark.parametrize("code", [
     [4], [5], [0, 7], [-1, 0, 5],  # a leaf past the constants of chain(3) at n = 1
     [], [-1, 0], [-2, -1, 0, 1], [-1],  # an operator short of operands
@@ -299,8 +331,8 @@ def test_ac11_builds_no_term_objects(monkeypatch):
 
     for cls in (Projection, Constant, Meet, Join, WeightedPolynomial):
         monkeypatch.setattr(cls, "__init__", counting(cls))
-    monkeypatch.setattr(polynomials, "_max_projection",
-                        lambda node: built.append("_max_projection"))
+    monkeypatch.setattr(polynomials, "_code",
+                        lambda root, n, constants: built.append("_code"))
     Meet(Projection(0), Constant(1))
     assert built == ["Projection", "Constant", "Meet"]
     built.clear()
