@@ -20,7 +20,7 @@ import numpy as np
 
 from .congruences import all_congruences, principal_congruences
 from .errors import BudgetExceeded, InvalidArgument, NotMonotone
-from .lattice import Lattice, _integer, check_elements
+from .lattice import Lattice, _integer, check_elements, check_type
 from .polynomials import NormalForm, _rebuild_rows, boolean_restriction, \
     is_monotone, normal_form_table
 from .sugeno import enumerate_capacities
@@ -141,6 +141,8 @@ def enumerate_monotone_tables(L: Lattice, n: int, filter: str = "all",
     if filter not in ("all", "aggregation"):
         raise InvalidArgument(f"unknown filter {filter!r}")
     budget, emitted = _integer(budget, "budget"), 0
+    if budget < 0:
+        raise InvalidArgument(f"budget must be non-negative, got {budget}")
     for block in _map_blocks(L, n, L, pinned=filter == "aggregation"):
         check_elements(L.size, (block.min(), block.max()), "output")
         for row in map(tuple, block[:budget - emitted].tolist()):
@@ -210,7 +212,7 @@ def verify_equivalence_suite(L: Lattice, n: int,
     stack; only compatible or disagreeing rows are visited one by one.
     """
     n = check_arity(n)
-    plan, pairs = _plan(L, n), _pairs(L, n, "principal-only")
+    plan, pairs = _plan(check_type(L, Lattice), n), _pairs(L, n, "principal-only")
     vertices = plan.vertices
     monotone = 0
     compatible = 0

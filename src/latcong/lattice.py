@@ -296,12 +296,13 @@ def _meet_join_tables(leq, lower, height):
     and results of the check.
     """
     n = len(leq)
-    upper = [[] for _ in range(n)]
+    upper, levels = [[] for _ in range(n)], [[] for _ in range(max(height) + 1)]
     for b, below in enumerate(lower):
+        levels[height[b]].append(b)
         for a in below:
             upper[a].append(b)
     meet, join = np.empty((n, n), np.int64), np.empty((n, n), np.int64)
-    _induction(leq, lower, height, meet)
+    _induction(leq, levels, lower, meet)
     scratch = join.reshape(-1).view(np.float32)
     floats, counts = scratch[:n * n].reshape(n, n), scratch[n * n:].reshape(n, n)
     np.copyto(floats, leq)
@@ -312,44 +313,36 @@ def _meet_join_tables(leq, lower, height):
     if bad.any():
         i, j = np.argwhere(bad)[0]
         raise NotALattice(f"elements {i} and {j} have no unique meet")
-    _induction(leq.T, upper, [-h for h in height], join)
+    _induction(leq.T, levels[::-1], upper, join)
     return meet, join
 
 
-def _induction(le, lower, height, out):
+def _induction(le, levels, lower, out):
     """Write into ``out`` the meet table of the order ``le`` whose lower
-    covers are ``lower``, batch by batch.
+    covers are ``lower``, one of the ``levels`` at a time.
 
-    A batch is the elements of one ``height`` with the same number of lower
-    covers.  Batch by batch, the elements run through a linear extension;
+    Each level holds the elements of one height, the first the bottom
+    alone, so level by level the elements run through a linear extension;
     an entry of ``out`` holds its element's rank in it times 2**16 plus the
     element, so the greatest of a set of meets is their largest entry.
     ``out`` starts as x's entry where x <= y and 0 elsewhere, below every
     entry but the bottom's, so row x is the maximum of its own start row
-    and the rows of x's lower covers: a gather of (x, covers of x...) and
-    a max, about ``ROWS`` rows at a time to bound the temporaries.
+    and the rows of x's lower covers.  A level is one index array of rows
+    (x, covers of x...), each padded with x to the widest, as x's own row
+    again changes no maximum; it is gathered and maxed about ``ROWS`` rows
+    at a time to bound the temporaries.
     """
-    batches = {}
-    for x, below in enumerate(lower):
-        batches.setdefault((height[x], len(below)), []).append(x)
-    order, rows, steps = [], [], []
-    for (_, count), xs in sorted(batches.items()):
-        step = max(1, ROWS // (count + 1))
-        for i in range(0, len(xs), step):
-            part = xs[i:i + step]
-            if count:  # else part is the bottom, whose start row is its row
-                steps.append((len(order), len(part), count + 1))
-                rows += [y for x in part for y in (x, *lower[x])]
-            order += part
-    order, rows = np.array(order), np.array(rows)
+    order = np.array([x for level in levels for x in level])
     entry = np.empty(len(order), np.int64)
     entry[order] = np.arange(len(order)) << 16 | order
     np.multiply(le, entry[:, None], out=out)
-    first = 0
-    for at, k, width in steps:
-        block = rows[first:first + k * width].reshape(k, width)
-        out[order[at:at + k]] = np.maximum.reduce(out.take(block, axis=0), axis=1)
-        first += k * width
+    for level in levels[1:]:  # levels[0] is the bottom, whose start row is its row
+        width = 1 + max(len(lower[x]) for x in level)
+        index = np.array([([x, *lower[x]] + [x] * width)[:width] for x in level])
+        step = max(1, ROWS // width)
+        for i in range(0, len(level), step):
+            block = index[i:i + step]
+            out[block[:, 0]] = np.maximum.reduce(out.take(block, axis=0), axis=1)
     np.bitwise_and(out, 0xFFFF, out=out)
 
 

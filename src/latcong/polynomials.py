@@ -218,7 +218,7 @@ def _code_rows(plan, codes) -> np.ndarray:
 
 def to_table(L: Lattice, p: WeightedPolynomial) -> FunctionTable:
     """Lower a polynomial to its table over all inputs."""
-    rows = _term_rows(_plan(L, _arity(p)), [p])
+    rows = _term_rows(_plan(check_type(L, Lattice), _arity(p)), [p])
     return FunctionTable(p.arity, L.size, rows[0].tolist())
 
 

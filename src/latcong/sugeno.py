@@ -274,7 +274,7 @@ def compare_formulations(L: Lattice, n: int) -> FormulationReport:
     one.
     """
     n = check_arity(n)
-    plan = _plan(L, n)
+    plan = _plan(check_type(L, Lattice), n)
     found = []
     count = 0
     for block in _capacity_blocks(L, n):

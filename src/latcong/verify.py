@@ -345,22 +345,13 @@ def _random_codes(L):
         yield n, _random_code(rng, n, L.size, max_depth=4)
 
 
-# Terms per AC11 stack: all 1000 terms of a lattice held at once would
-# raise the peak memory of `latcong verify` by about 1.3 MB.
-TERMS_PER_STACK = 64
-
-
 def _code_groups(L):
-    """AC11's sample on L as pairs of an arity and a list of at most
-    ``TERMS_PER_STACK`` codes of that arity, each in draw order; a list is
-    handed on once full."""
+    """AC11's sample on L as pairs of an arity and the list of every code
+    drawn with that arity, in draw order."""
     groups = {}
     for n, code in _random_codes(L):
-        group = groups.setdefault(n, [])
-        group.append(code)
-        if len(group) == TERMS_PER_STACK:
-            yield n, groups.pop(n)
-    yield from groups.items()
+        groups.setdefault(n, []).append(code)
+    return groups.items()
 
 
 def _polynomial_verdicts(L, n: int, stack):
@@ -372,9 +363,8 @@ def _polynomial_verdicts(L, n: int, stack):
 def check_polynomial_compatibility() -> CheckResult:
     """Randomly generated polynomial terms always preserve congruences.
 
-    The terms are drawn as codes and lowered ``TERMS_PER_STACK`` of one
-    arity at a time, as one stack, and each stack is checked by one pass of
-    each kernel.
+    The terms are drawn as codes and lowered as one stack per lattice and
+    arity, and each stack is checked by one pass of each kernel.
     """
     problems = 0
     total = 0

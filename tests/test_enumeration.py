@@ -10,7 +10,7 @@ import oracles
 from conftest import relabelled
 from latcong import tables
 from latcong.compat import enumerate_monotone_tables, verify_equivalence_suite
-from latcong.errors import ArityMismatch, BudgetExceeded, TooLarge
+from latcong.errors import ArityMismatch, BudgetExceeded, InvalidArgument, TooLarge
 from latcong.lattice import build_from_covers, catalogue
 from latcong.polynomials import _CHAIN2, enumerate_monotone_normal_forms
 from latcong.sugeno import enumerate_capacities
@@ -160,6 +160,14 @@ def test_budget_yields_exactly_budget_tables(budget):
     assert [f.values for f in islice(stream, budget)] == everything[:budget]
     with pytest.raises(BudgetExceeded):
         next(stream)
+
+
+def test_a_negative_budget_is_rejected_before_any_table():
+    """``budget=-1`` used to yield 9 of the 10 tables, then BudgetExceeded."""
+    yielded = []
+    with pytest.raises(InvalidArgument, match="budget"):
+        yielded.extend(enumerate_monotone_tables(catalogue("chain(3)"), 1, budget=-1))
+    assert yielded == []
 
 
 def test_budget_equal_to_the_count_is_not_exceeded():

@@ -196,6 +196,15 @@ def test_what_is_not_a_lattice_is_rejected(name, value):
         NOT_LATTICES[name](value)
 
 
+@pytest.mark.parametrize("name", ["to_table", "compare_formulations",
+                                  "verify_equivalence_suite"])
+def test_an_unhashable_non_lattice_is_rejected(name):
+    """These raised a raw TypeError from the cache of ``tables._plan``,
+    which hashes its lattice before any check."""
+    with pytest.raises(InvalidArgument, match="expected a Lattice"):
+        NOT_LATTICES[name]([1])
+
+
 @pytest.mark.parametrize("kind", NUMPY, ids=lambda k: k.__name__)
 @pytest.mark.parametrize("name", {**ELEMENTS, **ARITIES})
 def test_numpy_integers_give_the_int_answer(name, kind):

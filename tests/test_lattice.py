@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import re
@@ -8,10 +9,12 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from conftest import CATALOGUE_NAMES, DISTRIBUTIVE_NAMES, relabelled, relabelling
-from latcong.constructions import ProductLattice
+from latcong import lattice
+from latcong.constructions import ProductLattice, direct_product, \
+    horizontal_sum
 from latcong.errors import CyclicCovers, ForeignElement, InvalidArgument, \
     NotALattice, NotBounded, TooLarge, UnknownName
-from latcong.lattice import MAX_SIZE, build_from_covers, catalogue, \
+from latcong.lattice import MAX_SIZE, Lattice, build_from_covers, catalogue, \
     is_isomorphic, med_dual_check
 from test_random_lattices import LATTICES as RANDOM_LATTICES
 
@@ -237,6 +240,43 @@ def test_tables_are_the_bound_scans_on_the_random_population(idx, seed):
         assert table.dtype == np.int64 and not table.flags.writeable
         assert np.array_equal(table, oracle_table(L, bound))
 
+
+
+# In N5*chain(2) and boolean(3)+chain(4), the elements of some height
+# differ in their number of lower covers, and of some in their number of
+# upper covers; in the others, the elements of one height do not.
+CHUNKED = {L.name: L for L in [
+    catalogue("N5"), catalogue("M3"), catalogue("boolean(3)"), catalogue("chain(5)"),
+    direct_product([catalogue("N5"), catalogue("chain(2)")]),
+    horizontal_sum([catalogue("M3"), catalogue("chain(3)"), catalogue("boolean(2)")]),
+    horizontal_sum([catalogue("boolean(3)"), catalogue("chain(4)")])]}
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 5])
+@pytest.mark.parametrize("name", CHUNKED)
+def test_tables_do_not_depend_on_the_rows_per_gather(monkeypatch, name, rows):
+    """With 1 to 3 rows a gather takes one element at a time; with 5, two
+    at a time where no element of the level has more than one cover."""
+    L = CHUNKED[name]
+    monkeypatch.setattr(lattice, "ROWS", rows)
+    again = Lattice(L.size, L.covers)
+    assert np.array_equal(again.meet_table, L.meet_table)
+    assert np.array_equal(again.join_table, L.join_table)
+    assert np.array_equal(again.meet_table, oracle_table(L, oracles.greatest_lower_bound))
+    assert np.array_equal(again.join_table, oracle_table(L, oracles.least_upper_bound))
+
+
+@pytest.mark.parametrize("name, meet, join", [
+    ("boolean(9)", "8dad109994d28f56e126dc9db7cd7267ba190e9190831d2d900fcc1fb6f621ca",
+     "fd8401015b430dbeccb2375f8fbe426101054bb0a7fb3b137b0933b0456f9367"),
+    ("chain(512)", "fb943b825947600ef63a1f07203bb69086bb2ac5746a3fe9851ae29eb75d061c",
+     "46a702c5d0f37f17d72e63357d12b4eefa7dfec50192806c046e41785a8ae72a")])
+def test_largest_tables_are_pinned(name, meet, join):
+    """The sha256 of the int64 table bytes, at sizes the bound scans are too
+    slow for."""
+    L = catalogue(name)
+    assert hashlib.sha256(L.meet_table.tobytes()).hexdigest() == meet
+    assert hashlib.sha256(L.join_table.tobytes()).hexdigest() == join
 
 def test_least_table_weight_is_a_normal_float():
     """The tables weight the element of rank r by 4**-r; the least weight

@@ -1,6 +1,7 @@
 """The import structure of the package, read from its source with ``ast``."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -64,3 +65,18 @@ def test_no_function_in_polynomials_calls_itself():
              if isinstance(inner, ast.Call)
              and getattr(inner.func, "id", getattr(inner.func, "attr", None)) == node.name]
     assert found == []
+
+
+def test_every_constant_is_used():
+    """Every module-level ALL-CAPS name in the package is read somewhere in
+    it, as a name or an attribute, so a bound no code keeps cannot linger."""
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    defined = {(module, target.id) for module, tree in trees.items()
+               for node in tree.body if isinstance(node, ast.Assign)
+               for target in node.targets
+               if isinstance(target, ast.Name)
+               and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", target.id)}
+    read = {getattr(node, "id", getattr(node, "attr", None))
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+    assert {(module, name) for module, name in defined if name not in read} == set()

@@ -274,13 +274,10 @@ def test_ac11_stacks_partition_the_sample():
     L = catalogue("boolean(2)")
     sample = list(verify._random_codes(L))
     groups = list(verify._code_groups(L))
+    # One group per arity, holding exactly the codes drawn with it.
+    assert sorted(n for n, group in groups) == [1, 2, 3]
     for n, group in groups:
-        assert 0 < len(group) <= verify.TERMS_PER_STACK
-    # Each group holds exactly the codes drawn with the arity it carries.
-    assert {n for n, group in groups} == {1, 2, 3}
-    for n in (1, 2, 3):
-        assert [code for m, group in groups if m == n for code in group] \
-            == [code for m, code in sample if m == n]
+        assert group == [code for m, code in sample if m == n]
 
 
 def test_ac11_counts_the_rows_its_kernels_reject(monkeypatch):
@@ -298,7 +295,7 @@ def test_ac11_counts_the_rows_its_kernels_reject(monkeypatch):
     result = verify.check_polynomial_compatibility()
     assert not result.passed
     assert result.detail == f"{stacks} failures over 2000 sampled terms"
-    assert stacks > 6
+    assert stacks == 6
 
 
 @pytest.mark.parametrize("name", ["chain(3)", "boolean(2)"])
