@@ -99,7 +99,7 @@ def cmd_principal(args):
 def cmd_compat(args):
     L = _load_lattice(args)
     table = _load_function(args, L)
-    return _verdict(is_compatible(L, table, mode=args.mode))
+    return _verdict(is_compatible(L, table))
 
 
 def cmd_median_check(args):
@@ -245,8 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     lattice_flag(p)
     p.add_argument("--function", metavar="FILE")
     p.add_argument("--poly", metavar="FILE")
-    p.add_argument("--mode", choices=("principal-only", "all"),
-                   default="principal-only")
     p.set_defaults(handler=cmd_compat)
 
     p = sub.add_parser("median-check",

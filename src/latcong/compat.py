@@ -18,7 +18,7 @@ from itertools import islice
 
 import numpy as np
 
-from .congruences import all_congruences, principal_congruences
+from .congruences import principal_congruences
 from .errors import BudgetExceeded, InvalidArgument, NotMonotone
 from .lattice import Lattice, _integer, check_elements, check_type
 from .polynomials import NormalForm, _rebuild_rows, boolean_restriction, \
@@ -39,41 +39,32 @@ __all__ = [
     "EquivalenceReport",
 ]
 
-_CONGRUENCE_SETS = {"principal-only": principal_congruences, "all": all_congruences}
-
-
 # --- kernels on table stacks (see ``tables``) -----------------------------------
 
 
 @lru_cache(maxsize=64)
-def _pairs(L: Lattice, n: int, mode: str):
-    """Input pairs that one nontrivial congruence relates in one coordinate.
+def _pairs(L: Lattice, n: int):
+    """Input pairs that one principal congruence relates, one per input.
 
-    Per congruence of the set ``mode`` and coordinate k, each input x is
-    paired with x where x_k moves to the least-numbered member of its
-    class; congruent outputs are transitive, so that covers every related
-    pair.  Returns the congruence index, the two input indices of each pair
-    and the class-equality table of each congruence.
+    Per congruence and input x, x is paired with the input that moves every
+    coordinate to the least-numbered member of its class, when that differs
+    from x.  Inputs related coordinatewise move to the same input, so by
+    transitivity these pairs cover every related pair.  Returns the
+    congruence index, the two input indices of each pair and the
+    class-equality table of each congruence.
     """
-    if mode not in _CONGRUENCE_SETS:
-        raise InvalidArgument(
-            f"unknown mode {mode!r}; use 'principal-only' or 'all'")
     plan = _plan(L, n)
-    grid = plan.grid
-    classes = np.array([c.class_of for c in _CONGRUENCE_SETS[mode](L)
-                        if c.num_classes < L.size],
+    classes = np.array([c.class_of for c in principal_congruences(L)],
                        dtype=np.intp).reshape(-1, L.size)
     same = classes[:, :, None] == classes[:, None, :]
-    first = same.argmax(axis=2)
-    which, left, k = np.nonzero(first[:, grid] != grid)
-    x = grid[left, k]
-    right = left + (first[which, x] - x) * plan.strides[k]
-    return which, left, right, same
+    moved = same.argmax(axis=2)[:, plan.grid] @ plan.strides
+    which, left = np.nonzero(moved != np.arange(len(plan.grid)))
+    return which, left, moved[which, left], same
 
 
-def _compatible_rows(pairs, stack) -> np.ndarray:
-    """Per row: congruent inputs, one coordinate apart, give congruent outputs."""
-    which, left, right, same = pairs
+def _compatible_rows(plan, stack) -> np.ndarray:
+    """Per row of a full-grid stack: congruent inputs give congruent outputs."""
+    which, left, right, same = _pairs(plan.lattice, plan.arity)
     return same[which, stack[:, left], stack[:, right]].all(axis=1)
 
 
@@ -92,19 +83,18 @@ def _median_rows(plan, stack) -> np.ndarray:
 # --- the four characterizations, one table at a time ----------------------------
 
 
-def is_compatible(L: Lattice, f: FunctionTable, mode: str = "principal-only") -> bool:
+def is_compatible(L: Lattice, f: FunctionTable) -> bool:
     """Whether congruent inputs always map to congruent outputs.
 
-    Checked one coordinate at a time: perturbing a single coordinate within
-    its congruence class must keep the output in class.  Transitivity of the
-    congruence telescopes this to full tuples.  The principal congruences of
-    covering pairs suffice (every congruence is a join of them, and
-    preservation is stable under joins); mode='all' re-checks against the
-    full congruence lattice.
+    For a congruence, every input is compared with the input whose
+    coordinates all move to the least-numbered member of their class: f
+    preserves the congruence exactly when each such pair of outputs is
+    congruent, since inputs related coordinatewise move to the same input.
+    The principal congruences of covering pairs suffice (every congruence is
+    a join of them, and preservation is stable under joins).
     """
     check_table(L, f)
-    pairs = _pairs(L, f.arity, mode)
-    return bool(_compatible_rows(pairs, np.array([f.values]))[0])
+    return bool(_compatible_rows(_plan(L, f.arity), np.array([f.values]))[0])
 
 
 def median_decomposition_check(L: Lattice, f: FunctionTable) -> bool:
@@ -212,7 +202,7 @@ def verify_equivalence_suite(L: Lattice, n: int,
     stack; only compatible or disagreeing rows are visited one by one.
     """
     n = check_arity(n)
-    plan, pairs = _plan(check_type(L, Lattice), n), _pairs(L, n, "principal-only")
+    plan = _plan(check_type(L, Lattice), n)
     vertices = plan.vertices
     monotone = 0
     compatible = 0
@@ -225,7 +215,7 @@ def verify_equivalence_suite(L: Lattice, n: int,
     while block := [f.values for f in islice(tables, BLOCK)]:
         monotone += len(block)
         stack = np.array(block, dtype=plan.dtype)
-        comp = _compatible_rows(pairs, stack)
+        comp = _compatible_rows(plan, stack)
         med = _median_rows(plan, stack)
         restrictions = stack[:, vertices]
         rebuilt = (_rebuild_rows(plan, restrictions) == stack).all(axis=1)
@@ -257,7 +247,7 @@ def verify_equivalence_suite(L: Lattice, n: int,
         capacity_count += len(block)
         coefficients = np.array(block, dtype=plan.dtype)
         integrals = _rebuild_rows(plan, coefficients)
-        comp = _compatible_rows(pairs, integrals)
+        comp = _compatible_rows(plan, integrals)
         back = (integrals[:, vertices] == coefficients).all(axis=1)
         for r in np.flatnonzero(~comp | ~back).tolist():
             if not comp[r]:

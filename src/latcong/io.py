@@ -8,7 +8,7 @@ a file that parses is a file whose object holds its invariants.
 
 from __future__ import annotations
 
-from .errors import ForeignElement, ParseError, ValidationError
+from .errors import ForeignElement, InvalidArgument, ParseError, ValidationError
 from .lattice import MAX_SIZE, Lattice, build_from_covers, check_elements
 from .polynomials import Constant, Join, Meet, Projection, WeightedPolynomial
 from .sugeno import Capacity
@@ -38,6 +38,19 @@ def _int(token, lineno, what="index"):
         return int(token)
     except ValueError:
         raise ParseError(f"expected an integer {what}, got {token!r}", lineno)
+
+
+def _text(text, what, words=False):
+    """``text`` if a parser reads it back unchanged, else InvalidArgument:
+    a non-empty str without '#', one token or, with ``words``, several
+    joined by single spaces."""
+    tokens = text.split() if isinstance(text, str) else []
+    if not tokens or " ".join(tokens) != text or "#" in text \
+            or (len(tokens) > 1 and not words):
+        shape = "words joined by single spaces" if words else "one word"
+        raise InvalidArgument(
+            f"{what} {text!r} would not read back; it must be {shape}, without '#'")
+    return text
 
 
 def _once(seen, line, lineno):
@@ -144,9 +157,11 @@ def parse_lattice(text: str) -> Lattice:
 
 
 def serialize_lattice(L: Lattice) -> str:
-    lines = [f"lattice {L.name or 'unnamed'}", f"elements {L.size}"]
+    name = "unnamed" if L.name is None else _text(L.name, "lattice name")
+    lines = [f"lattice {name}", f"elements {L.size}"]
     lines.extend(f"cover {a} {b}" for a, b in L.covers)
-    lines.extend(f"label {e} {L.labels[e]}" for e in sorted(L.labels))
+    lines.extend(f"label {e} {_text(L.labels[e], 'label', words=True)}"
+                 for e in sorted(L.labels))
     return "\n".join(lines) + "\n"
 
 
@@ -186,7 +201,7 @@ def _subset_token(mask, n):
 
 
 def serialize_capacity(m: Capacity, name: str = "capacity") -> str:
-    lines = [f"capacity {name}", f"n {m.arity}"]
+    lines = [f"capacity {_text(name, 'capacity name')}", f"n {m.arity}"]
     lines.extend(f"m {_subset_token(mask, m.arity)} {m.coefficients[mask]}"
                  for mask in range(1 << m.arity))
     return "\n".join(lines) + "\n"
@@ -212,7 +227,7 @@ def parse_function_table(text: str, L: Lattice) -> tuple[str, FunctionTable]:
 
 
 def serialize_function_table(f: FunctionTable, name: str = "function") -> str:
-    lines = [f"function {name}", f"n {f.arity}"]
+    lines = [f"function {_text(name, 'function name')}", f"n {f.arity}"]
     for x, v in zip(all_inputs(f.size, f.arity), f.values):
         lines.append("f " + " ".join(map(str, x)) + f" -> {v}")
     return "\n".join(lines) + "\n"

@@ -21,8 +21,7 @@ from . import io
 # is_compatible and is_monotone are not called here; perfbench's tracer
 # rebinds them in every module that imports them, and its self-test looks
 # for them in this one.
-from .compat import _compatible_rows, _pairs, is_compatible, \
-    verify_equivalence_suite
+from .compat import _compatible_rows, is_compatible, verify_equivalence_suite
 from .congruences import (
     all_congruences,
     all_congruences_bruteforce,
@@ -356,8 +355,8 @@ def _code_groups(L):
 
 def _polynomial_verdicts(L, n: int, stack):
     """Per row of a stack of n-ary tables on L: monotone and compatible."""
-    return _monotone_rows(_plan(L, n), stack) \
-        & _compatible_rows(_pairs(L, n, "principal-only"), stack)
+    plan = _plan(L, n)
+    return _monotone_rows(plan, stack) & _compatible_rows(plan, stack)
 
 
 def check_polynomial_compatibility() -> CheckResult:

@@ -109,7 +109,7 @@ def test_compat_and_median(files, capsys):
                        "--function", files["su.fn"])
     assert (code, out.strip()) == (0, "true")
     code, out, _ = run(capsys, "compat", "--lattice", files["c3.lat"],
-                       "--function", files["bent.fn"], "--mode", "all")
+                       "--function", files["bent.fn"])
     assert (code, out.strip()) == (1, "false")
     code, out, _ = run(capsys, "median-check", "--lattice", files["c3.lat"],
                        "--function", files["bent.fn"])

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 import oracles
@@ -12,7 +15,8 @@ from latcong.compat import (
 from latcong.errors import BudgetExceeded, ForeignElement, LatcongError, \
     NotMonotone
 from latcong.lattice import catalogue
-from latcong.polynomials import eval_normal_form, is_monotone
+from latcong.polynomials import eval_normal_form, is_monotone, \
+    random_polynomial, to_table
 from latcong.sugeno import Capacity, capacity_from_function, sugeno_table
 from latcong.tables import FunctionTable, all_inputs
 
@@ -39,19 +43,44 @@ def test_compatibility_witness(c3):
 def test_principal_mode_matches_all_mode_and_oracle(name, n):
     L = catalogue(name)
     for f in enumerate_monotone_tables(L, n):
-        principal = is_compatible(L, f, mode="principal-only")
-        assert principal == is_compatible(L, f, mode="all")
-        assert principal == oracles.is_compatible_all_tuples(L, f)
+        assert is_compatible(L, f) == oracles.is_compatible_all_tuples(L, f)
 
 
-def test_unknown_congruence_mode_rejected(c3):
-    with pytest.raises(ValueError, match="unknown mode 'some'"):
-        is_compatible(c3, BENT, mode="some")
+def _random_binary_tables(L, seed, count=80):
+    """Seeded binary tables on L: uniform ones, and polynomial tables sent
+    through a compatible unary map that is not monotone, half of them with
+    one entry changed; compatible and not, and mostly not monotone."""
+    unary = [FunctionTable(1, L.size, u)
+             for u in itertools.product(range(L.size), repeat=L.size)]
+    maps = [u.values for u in unary if oracles.is_compatible_all_tuples(L, u)
+            and not oracles.is_monotone_all_pairs(L, u)]
+    rng = random.Random(seed)
+    for i in range(count):
+        if i % 3 == 0:
+            values = [rng.randrange(L.size) for _ in range(L.size ** 2)]
+        else:
+            p = to_table(L, random_polynomial(rng, 2, L.size, max_depth=3))
+            u = rng.choice(maps)
+            values = [u[v] for v in p.values]
+            if i % 3 == 2:
+                values[rng.randrange(len(values))] = rng.randrange(L.size)
+        yield FunctionTable(2, L.size, values)
 
 
-def test_unknown_mode_is_a_latcong_error(c3):
-    with pytest.raises(LatcongError, match="unknown mode 'some'"):
-        is_compatible(c3, BENT, mode="some")
+@pytest.mark.parametrize("name", ["chain(3)", "boolean(2)", "N5", "M3"])
+def test_compatibility_matches_oracle_on_random_binary_tables(name):
+    """The moved-input pairs rest on the congruence being an equivalence
+    only, so they decide tables that are not monotone as well."""
+    L = catalogue(name)
+    verdicts = set()
+    for f in _random_binary_tables(L, name):
+        if oracles.is_monotone_all_pairs(L, f):
+            continue
+        compatible = oracles.is_compatible_all_tuples(L, f)
+        assert is_compatible(L, f) == compatible, f.values
+        verdicts.add(compatible)
+    # every binary table on the simple lattice M3 is compatible
+    assert verdicts == ({True} if name == "M3" else {True, False})
 
 
 def test_unknown_filter_is_a_latcong_error(c3):

@@ -278,10 +278,11 @@ def test_largest_tables_are_pinned(name, meet, join):
     assert hashlib.sha256(L.meet_table.tobytes()).hexdigest() == meet
     assert hashlib.sha256(L.join_table.tobytes()).hexdigest() == join
 
-def test_least_table_weight_is_a_normal_float():
-    """The tables weight the element of rank r by 4**-r; the least weight
-    must stay a normal float64, so raising MAX_SIZE past 512 fails here."""
-    assert np.ldexp(1.0, -2 * (MAX_SIZE - 1)) >= np.finfo(float).tiny
+def test_max_size_fits_the_induction_entries():
+    """The meet and join induction packs rank * 2**16 + element into each
+    entry and masks the element out with 0xFFFF, so every element must fit
+    in 16 bits: raising MAX_SIZE past 2**16 fails here."""
+    assert MAX_SIZE <= 1 << 16
 
 
 def test_catalogue_size_guard():

@@ -15,8 +15,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from latcong import io
 from latcong.cli import main
-from latcong.errors import LatcongError
-from latcong.lattice import catalogue
+from latcong.errors import InvalidArgument, LatcongError
+from latcong.lattice import build_from_covers, catalogue
 from latcong.polynomials import random_polynomial
 from latcong.sugeno import Capacity, sugeno_table
 
@@ -153,3 +153,52 @@ def _check(paths, kind, text):
 def test_parsers_round_trip_or_raise(paths, case):
     kind, text = case
     _check(paths, kind, text)
+
+
+# Any str, with whitespace, '#' and the line breaks of str.splitlines often.
+names = st.text(st.one_of(st.sampled_from(" #\t\n\r\x0b\x0c\x1c\x85\u2028"),
+                          st.characters()))
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(names)
+@example("my chain")
+@example("lo#1")
+@example("a  b")
+@example("")
+@example("a b")
+@example("c3")
+def test_serializers_write_only_names_and_labels_that_read_back(text):
+    """Each serializer raises InvalidArgument, or parsing its output gives
+    the name or label back unchanged."""
+    cases = [
+        (lambda: io.serialize_lattice(build_from_covers(3, C3.covers, name=text)),
+         lambda out: io.parse_lattice(out).name),
+        (lambda: io.serialize_lattice(build_from_covers(3, C3.covers,
+                                                        labels={1: text})),
+         lambda out: io.parse_lattice(out).labels[1]),
+        (lambda: io.serialize_capacity(M, text),
+         lambda out: io.parse_capacity(out, C3)[0]),
+        (lambda: io.serialize_function_table(sugeno_table(C3, M), text),
+         lambda out: io.parse_function_table(out, C3)[0]),
+    ]
+    for write, read in cases:
+        try:
+            out = write()
+        except InvalidArgument:
+            continue
+        assert read(out) == text
+
+
+def test_names_that_read_back_are_written():
+    """A single word is a valid name and label; words joined by single
+    spaces only a label, and a None lattice name is written 'unnamed'."""
+    L = build_from_covers(3, C3.covers, labels={0: "lo 1", 2: "hi"})
+    assert io.parse_lattice(io.serialize_lattice(L)).labels == {0: "lo 1", 2: "hi"}
+    assert io.parse_lattice(io.serialize_lattice(L)).name == "unnamed"
+    assert io.parse_capacity(io.serialize_capacity(M, "m-1"), C3)[0] == "m-1"
+    for bad in ("my chain", "lo#1", "", " c3", 3):
+        with pytest.raises(InvalidArgument, match="would not read back"):
+            io.serialize_capacity(M, bad)
+    with pytest.raises(InvalidArgument, match="label 'a  b'"):
+        io.serialize_lattice(build_from_covers(3, C3.covers, labels={0: "a  b"}))

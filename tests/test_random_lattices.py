@@ -173,6 +173,14 @@ def test_congruence_lattice_matches_partition_filter(idx):
         assert is_congruence(L, cong)
 
 
+@pytest.mark.parametrize("idx", range(len(LATTICES)))
+def test_unary_compatibility_matches_oracle(idx):
+    """On every lattice, distributive or not, for every monotone unary table."""
+    L = LATTICES[idx]
+    for f in enumerate_monotone_tables(L, 1):
+        assert is_compatible(L, f) == oracles.is_compatible_all_tuples(L, f), f.values
+
+
 @pytest.mark.parametrize("idx", range(0, len(LATTICES), 3))
 def test_unary_equivalence_chain_on_distributive(idx):
     """Compatibility, median decomposition, and reconstruction agree for

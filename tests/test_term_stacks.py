@@ -18,7 +18,7 @@ import pytest
 import oracles
 from conftest import relabelled
 from latcong import io, polynomials, verify
-from latcong.compat import _compatible_rows, _pairs
+from latcong.compat import _compatible_rows
 from latcong.errors import ArityMismatch, ForeignElement, InvalidArgument
 from latcong.lattice import catalogue
 from latcong.polynomials import Constant, Join, Meet, Projection, \
@@ -264,7 +264,7 @@ def test_ac11_row_verdicts_match_oracles(name, n):
     monotone = [oracles.is_monotone_all_pairs(L, f) for f in tables]
     compatible = [oracles.is_compatible_all_tuples(L, f) for f in tables]
     assert _monotone_rows(_plan(L, n), stack).tolist() == monotone
-    assert _compatible_rows(_pairs(L, n, "principal-only"), stack).tolist() == compatible
+    assert _compatible_rows(_plan(L, n), stack).tolist() == compatible
     both = [m and c for m, c in zip(monotone, compatible)]
     assert verify._polynomial_verdicts(L, n, stack).tolist() == both
     assert True in both and False in both
