@@ -69,13 +69,17 @@ def _compatible_rows(plan, stack) -> np.ndarray:
 
 
 def _median_rows(plan, stack) -> np.ndarray:
-    """Per row: every slice is f(x) = med(f at x_k=bottom, x_k, f at x_k=top)."""
+    """Per row: every slice is f(x) = (f0 v x_k) ^ f1, with f0 and f1 the
+    values at x_k = bottom and top.
+
+    This is f(x) = med(f0, x_k, f1) in any lattice: at x_k = bottom either
+    form says f0 = f0 ^ f1, that is f0 <= f1, and then the median
+    (f0 v x_k) ^ (f1 v x_k) ^ (f0 v f1) is (f0 v x_k) ^ f1.
+    """
     meet, join = plan.meet, plan.join
     holds = np.ones(len(stack), dtype=bool)
     for lows, highs, x in zip(*plan.slices):
-        f0, f1 = stack[:, lows], stack[:, highs]
-        med = _apply(meet, _apply(meet, _apply(join, f0, x), _apply(join, f1, x)),
-                     _apply(join, f1, f0))
+        med = _apply(meet, _apply(join, stack[:, lows], x), stack[:, highs])
         holds &= (med == stack).all(axis=1)
     return holds
 

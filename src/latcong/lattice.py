@@ -78,13 +78,16 @@ class Lattice:
         ``(a, b)`` as a cover iff a lies in the strict down-set of no other
         predecessor of b; ``leq_table`` is unpacked from the bitsets once.
         Raises InvalidArgument for a size, cover entry or label key that is
-        not an int, a cover that is not a pair or labels that are not a
-        mapping, CyclicCovers, NotBounded, or NotALattice when the input
-        does not describe a finite bounded lattice, TooLarge above
+        not an int, a cover that is not a pair, a name that is neither None
+        nor a str or labels that are not a mapping, CyclicCovers,
+        NotBounded, or NotALattice when the input does not describe a
+        finite bounded lattice, TooLarge above
         ``MAX_SIZE`` elements, and ForeignElement for a label of an element
         outside ``0..size-1``.
         """
         size = _integer(size, "size")
+        if name is not None and not isinstance(name, str):
+            raise InvalidArgument(f"a lattice name is a str or None, not {name!r}")
         if size <= 0:
             raise NotBounded("a bounded lattice needs at least one element")
         if size > MAX_SIZE:

@@ -349,27 +349,41 @@ def enumerate_monotone_normal_forms(L: Lattice, arity: int):
             yield NormalForm(arity, tuple(coeffs))
 
 
-# The kinds ``_random_code`` chooses a node's kind from, each entry equally
-# likely: a projection (0), a constant (1), a meet or a join.
-_LEAF_KINDS, _KINDS = (0, 1), (0, 1, _MEET, _MEET, _JOIN, _JOIN)
+# The kinds ``_random_code`` draws a node's kind from, each entry equally
+# likely: a projection (0), a constant (1), a meet or a join; once depth
+# runs out, only the first two.
+_KINDS = (0, 1, _MEET, _MEET, _JOIN, _JOIN)
 
 
 def _random_code(rng, arity: int, lattice_size: int, max_depth: int = 4) -> list:
     """The code of a random term; leaves more likely as depth runs out.
 
-    Per node, in preorder: one ``rng.choice`` of its kind, then for a leaf
-    one ``rng.randrange`` of its index or value.
+    Per node, in preorder: its kind, then for a leaf its index or value.
+    Each is drawn below a count c as ``Random.choice`` and
+    ``Random.randrange`` draw it, by rejection on ``rng.getrandbits(k)``
+    with k the bit length of c: the same stream, one getrandbits per draw.
+    The arity and the lattice size must be ints of at least 1.
     """
     code, depths = [], [max_depth]
-    choice, randrange = rng.choice, rng.randrange
+    append, pop, getrandbits = code.append, depths.pop, rng.getrandbits
+    # Per leaf kind: the count, its bit length and the code of leaf 0.
+    leaves = ((arity, arity.bit_length(), 0),
+              (lattice_size, lattice_size.bit_length(), arity))
     while depths:
-        depth = depths.pop()
-        kind = choice(_LEAF_KINDS if depth <= 0 else _KINDS)
-        if kind < 0:
-            code.append(kind)
+        depth = pop()
+        kinds, bits = (6, 3) if depth > 0 else (2, 2)
+        kind = getrandbits(bits)
+        while kind >= kinds:
+            kind = getrandbits(bits)
+        if kind > 1:
+            append(_KINDS[kind])
             depths += (depth - 1, depth - 1)
-        else:
-            code.append(arity + randrange(lattice_size) if kind else randrange(arity))
+            continue
+        count, bits, first = leaves[kind]
+        leaf = getrandbits(bits)
+        while leaf >= count:
+            leaf = getrandbits(bits)
+        append(first + leaf)
     return code
 
 
@@ -380,9 +394,9 @@ def random_polynomial(rng, arity: int, lattice_size: int,
     Raises InvalidArgument, before drawing, unless the arity and the
     lattice size are ints of at least 1 and the depth is an int.
     """
-    if _integer(arity, "arity") < 1 or _integer(lattice_size, "lattice size") < 1:
+    n, size = _integer(arity, "arity"), _integer(lattice_size, "lattice size")
+    if n < 1 or size < 1:
         raise InvalidArgument(
             f"random terms need arity and lattice size at least 1, "
-            f"got {arity} and {lattice_size}")
-    return _term(arity, _random_code(rng, arity, lattice_size,
-                                     _integer(max_depth, "max depth")))
+            f"got {n} and {size}")
+    return _term(n, _random_code(rng, n, size, _integer(max_depth, "max depth")))

@@ -283,21 +283,25 @@ def _pointwise_order(order, rows):
     return out
 
 
-def _earlier_neighbours(order):
-    """Per position t, in index order: the maximal positions before t that
-    lie strictly under it, and the minimal ones strictly over it.
+@lru_cache(maxsize=64)
+def _earlier_neighbours(P: Lattice, j: int):
+    """Per input t of P^j, in encoding order: the maximal earlier inputs
+    that lie strictly under it, and the minimal ones strictly over it, as
+    tuples.  The caller checks the entry limit, so a cached entry never
+    bypasses a lower one.
 
     The values at earlier positions already keep order among themselves,
     for any numbering, so only these need checking.
     """
+    order = _pointwise_order(P.leq_table, input_grid(P.size, j))
     strictly = order & ~np.eye(len(order), dtype=bool)
     below, above = [], []
     for t in range(len(order)):
         lows = np.flatnonzero(strictly[:t, t])
-        below.append(lows[~strictly[np.ix_(lows, lows)].any(axis=1)].tolist())
+        below.append(tuple(lows[~strictly[np.ix_(lows, lows)].any(axis=1)].tolist()))
         highs = np.flatnonzero(strictly[t, :t])
-        above.append(highs[~strictly[np.ix_(highs, highs)].any(axis=0)].tolist())
-    return below, above
+        above.append(tuple(highs[~strictly[np.ix_(highs, highs)].any(axis=0)].tolist()))
+    return tuple(below), tuple(above)
 
 
 def _next_level(order, neighbours):
@@ -334,7 +338,7 @@ def _map_blocks(P: Lattice, n: int, L: Lattice, pinned: bool = False):
     n = check_arity(n)
     check_type(L, Lattice)
     values, order = np.arange(L.size, dtype=row_dtype(L.size))[:, None], L.leq_table
-    neighbours = _earlier_neighbours(P.leq_table)
+    neighbours = _earlier_neighbours(P, 1)
     curried = 0
     while curried < n - 1 and (rows := _next_level(order, neighbours)) is not None:
         values = values.take(rows, axis=0).reshape(len(rows), -1)
@@ -345,7 +349,7 @@ def _map_blocks(P: Lattice, n: int, L: Lattice, pinned: bool = False):
     j = n - curried
     grid = input_grid(P.size, j)
     check_entries(len(grid) ** 2, f"the order of the inputs of arity {j}")
-    positions = _earlier_neighbours(_pointwise_order(P.leq_table, grid))
+    positions = _earlier_neighbours(P, j)
     allowed = np.ones((len(grid), len(values)), dtype=bool)
     if pinned:
         for end, image in ((P.bottom, L.bottom), (P.top, L.top)):

@@ -75,15 +75,19 @@ def _comparable_pairs(L):
     return [(a, b) for a in range(L.size) for b in range(L.size) if L.leq(a, b)]
 
 
+# The catalogue lattices of the checks, each built once per process.
+_catalogue = lru_cache(maxsize=None)(catalogue)
+
+
 @lru_cache(maxsize=None)
 def _product_2x3():
-    return direct_product([catalogue("chain(2)"), catalogue("chain(3)")])
+    return direct_product([_catalogue("chain(2)"), _catalogue("chain(3)")])
 
 
 def check_principal_formula_matches_closure() -> CheckResult:
     """Closed-form principal congruences agree with the closure oracle."""
-    lattices = [catalogue(f"chain({k})") for k in (2, 3, 4, 5)]
-    lattices += [catalogue("boolean(2)"), catalogue("boolean(3)")]
+    lattices = [_catalogue(f"chain({k})") for k in (2, 3, 4, 5)]
+    lattices += [_catalogue("boolean(2)"), _catalogue("boolean(3)")]
     lattices.append(_product_2x3())
     pairs = 0
     mismatches = 0
@@ -103,7 +107,7 @@ def check_formula_needs_distributivity() -> CheckResult:
     details = []
     ok = True
     for name in ("N5", "M3"):
-        L = catalogue(name)
+        L = _catalogue(name)
         failures = 0
         for a, b in _comparable_pairs(L):
             rel = formula_relation(L, a, b)
@@ -123,7 +127,7 @@ def check_congruence_counts() -> CheckResult:
     problems = []
     details = []
     for k in (2, 3, 4, 5):
-        L = catalogue(f"chain({k})")
+        L = _catalogue(f"chain({k})")
         congs = all_congruences(L)
         expected = 2 ** (k - 1)
         details.append(f"chain({k}): {len(congs)}")
@@ -131,7 +135,7 @@ def check_congruence_counts() -> CheckResult:
             problems.append(f"chain({k}) gave {len(congs)}, expected {expected}")
         if k <= 4 and tuple(congs) != all_congruences_bruteforce(L):
             problems.append(f"chain({k}) join-closure differs from filtering")
-    B2 = catalogue("boolean(2)")
+    B2 = _catalogue("boolean(2)")
     congs = all_congruences(B2)
     details.append(f"boolean(2): {len(congs)}")
     if len(congs) != 4:
@@ -146,9 +150,9 @@ def check_congruence_counts() -> CheckResult:
 @lru_cache(maxsize=None)
 def _equivalence_reports():
     return (
-        verify_equivalence_suite(catalogue("chain(3)"), 1),
-        verify_equivalence_suite(catalogue("chain(3)"), 2),
-        verify_equivalence_suite(catalogue("boolean(2)"), 1),
+        verify_equivalence_suite(_catalogue("chain(3)"), 1),
+        verify_equivalence_suite(_catalogue("chain(3)"), 2),
+        verify_equivalence_suite(_catalogue("boolean(2)"), 1),
     )
 
 
@@ -217,7 +221,7 @@ def check_capacity_bijection() -> CheckResult:
     """Compatible aggregation tables correspond exactly to capacities."""
     problems = []
     details = []
-    for r, expected in ((verify_equivalence_suite(catalogue("chain(2)"), 2), 4),
+    for r, expected in ((verify_equivalence_suite(_catalogue("chain(2)"), 2), 4),
                         (_equivalence_reports()[1], 9)):
         name, n = r.lattice_name, r.arity
         details.append(
@@ -230,7 +234,7 @@ def check_capacity_bijection() -> CheckResult:
                 f"{r.compatible_aggregation_count} vs {r.capacity_count}")
         if not r.bijection_holds:
             problems.extend(r.integral_violations)
-    C3 = catalogue("chain(3)")
+    C3 = _catalogue("chain(3)")
     roundtrips = 0
     for n in (1, 2, 3):
         plan = _plan(C3, n)
@@ -250,14 +254,14 @@ def check_formulation_agreement() -> CheckResult:
     problems = []
     details = []
     for name in ("chain(3)", "chain(4)"):
-        L = catalogue(name)
+        L = _catalogue(name)
         for n in (2, 3):
             report = compare_formulations(L, n)
             if not report.agree:
                 problems.append(
                     f"{name} n={n}: {len(report.disagreements)} disagreements")
             details.append(f"{name} n={n}: {report.capacities} capacities agree")
-    side = compare_formulations(catalogue("boolean(2)"), 2)
+    side = compare_formulations(_catalogue("boolean(2)"), 2)
     details.append(
         f"boolean(2) n=2 comparator recorded {len(side.disagreements)} "
         f"disagreements (no assertion)")
@@ -282,7 +286,7 @@ def check_chain_properties() -> CheckResult:
     problems = []
     count = 0
     for name in ("chain(3)", "chain(4)"):
-        L = catalogue(name)
+        L = _catalogue(name)
         plan = _plan(L, 2)
         for block in _capacity_blocks(L, 2):
             count += len(block)
@@ -304,10 +308,10 @@ def check_decompositions() -> CheckResult:
     problems = []
     details = []
     # (lattice, split kernel, the gather of the parts' capacities)
-    splits = [(direct_product([catalogue(f) for f in factors]), _product_rows,
+    splits = [(direct_product([_catalogue(f) for f in factors]), _product_rows,
                _factor_rows)
               for factors in (("chain(2)", "chain(2)"), ("chain(2)", "chain(3)"))]
-    splits.append((horizontal_sum([catalogue("chain(3)"), catalogue("chain(3)")]),
+    splits.append((horizontal_sum([_catalogue("chain(3)"), _catalogue("chain(3)")]),
                    _sum_rows, _summand_rows))
     for L, split, parts in splits:
         count = 0
@@ -317,7 +321,7 @@ def check_decompositions() -> CheckResult:
             problems.extend(f"{L.name} capacity {row} fails splitting"
                             for row in _rows_where(~holds, block))
         details.append(f"{L.name}: {count} capacities")
-    bad = horizontal_sum([catalogue("chain(4)"), catalogue("chain(4)")])
+    bad = horizontal_sum([_catalogue("chain(4)"), _catalogue("chain(4)")])
     if bad.is_distributive:
         problems.append("chain(4)+chain(4) unexpectedly distributive")
     trivial = Capacity(bad, (bad.bottom, bad.bottom, bad.bottom, bad.top))
@@ -337,11 +341,15 @@ def check_decompositions() -> CheckResult:
 def _random_codes(L):
     """AC11's sample on L: 1000 random term codes of arity 1 to 3, each
     arity drawn just before its code, from ``RANDOM_SEED``; as pairs of
-    arity and code."""
+    arity and code.  The arity is drawn as ``rng.randint(1, 3)`` draws it,
+    by rejection on ``rng.getrandbits(2)``."""
     rng = random.Random(RANDOM_SEED)
+    getrandbits = rng.getrandbits
     for _ in range(1000):
-        n = rng.randint(1, 3)
-        yield n, _random_code(rng, n, L.size, max_depth=4)
+        n = getrandbits(2)
+        while n >= 3:
+            n = getrandbits(2)
+        yield n + 1, _random_code(rng, n + 1, L.size, max_depth=4)
 
 
 def _code_groups(L):
@@ -368,7 +376,7 @@ def check_polynomial_compatibility() -> CheckResult:
     problems = 0
     total = 0
     for name in ("chain(3)", "boolean(2)"):
-        L = catalogue(name)
+        L = _catalogue(name)
         for n, codes in _code_groups(L):
             stack = _code_rows(_plan(L, n), codes)
             problems += int((~_polynomial_verdicts(L, n, stack)).sum())
@@ -382,11 +390,11 @@ def check_roundtrips() -> CheckResult:
     """Every text format survives serialize -> parse -> serialize."""
     problems = []
     count = 0
-    lattices = [catalogue(f"chain({k})") for k in (2, 3, 4, 5)]
-    lattices += [catalogue("boolean(2)"), catalogue("boolean(3)"),
-                 catalogue("M3"), catalogue("N5")]
+    lattices = [_catalogue(f"chain({k})") for k in (2, 3, 4, 5)]
+    lattices += [_catalogue("boolean(2)"), _catalogue("boolean(3)"),
+                 _catalogue("M3"), _catalogue("N5")]
     lattices += [_product_2x3(),
-                 horizontal_sum([catalogue("chain(3)"), catalogue("chain(3)")])]
+                 horizontal_sum([_catalogue("chain(3)"), _catalogue("chain(3)")])]
     for L in lattices:
         count += 1
         text = io.serialize_lattice(L)
@@ -394,7 +402,7 @@ def check_roundtrips() -> CheckResult:
         if back != L or back.name != L.name or back.labels != L.labels \
                 or io.serialize_lattice(back) != text:
             problems.append(f"lattice {L.name} does not round-trip")
-    C3 = catalogue("chain(3)")
+    C3 = _catalogue("chain(3)")
     for i, m in enumerate(enumerate_capacities(C3, 2)):
         count += 1
         text = io.serialize_capacity(m, f"cap{i}")

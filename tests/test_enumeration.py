@@ -151,6 +151,33 @@ def test_enumerator_refuses_positions_over_the_limit(monkeypatch):
         next(enumerate_monotone_tables(catalogue("chain(3)"), 2))
 
 
+def test_enumerator_limit_holds_past_the_neighbour_cache(monkeypatch):
+    """The earlier neighbours of the inputs of P^j are cached per (P, j);
+    the entry limit is checked outside that cache, so a lower limit still
+    refuses after the lists were built under a higher one."""
+    L = catalogue("chain(3)")
+    everything = [f.values for f in enumerate_monotone_tables(L, 2)]
+    monkeypatch.setattr(tables, "MAX_ENTRIES", 99)  # maps from L^2 into L
+    assert [f.values for f in enumerate_monotone_tables(L, 2)] == everything
+    assert tables._earlier_neighbours.cache_info().currsize >= 2
+    monkeypatch.setattr(tables, "MAX_ENTRIES", 80)
+    with pytest.raises(TooLarge):
+        next(enumerate_monotone_tables(L, 2))
+
+
+@pytest.mark.parametrize("seed", [None, 3, 5])
+@pytest.mark.parametrize("name,n", [("chain(3)", 2), ("boolean(2)", 1), ("N5", 1)])
+def test_a_relabelled_lattice_past_the_neighbour_cache(name, n, seed):
+    """Once a lattice has filled the cache, its relabelling, another order
+    of the same size, still yields the oracle's maps."""
+    L = catalogue(name)
+    assert _enumerated(L, "tables", n) == _oracle(L, "tables", n)
+    M = relabelled(L, seed)
+    assert M != L
+    for kind in ("tables", "aggregation tables"):
+        assert _enumerated(M, kind, n) == _oracle(M, kind, n)
+
+
 @pytest.mark.parametrize("budget", [0, 1, 1023, 1024, 1500, 24695])
 def test_budget_yields_exactly_budget_tables(budget):
     L = catalogue("chain(4)")

@@ -23,6 +23,7 @@ from latcong import Capacity, Congruence, Constant, FunctionTable, LatcongError,
     sugeno_eval, sugeno_eval_levels, sugeno_eval_pointwise, sugeno_table, \
     synthesize, to_normal_form, to_table, verify_equivalence_suite
 from latcong.congruences import principal_congruence_fixpoint
+from latcong.lattice import Lattice, build_from_covers
 from latcong.constructions import direct_product, horizontal_sum, \
     horizontal_sum_decomposition_check, product_decomposition_check, \
     project_capacity, split_capacity
@@ -257,6 +258,18 @@ def test_a_construction_call_needs_its_kind_of_lattice(name, value):
     else:
         with pytest.raises(InvalidArgument, match=f"expected a {kind}"):
             call(lattice)
+
+
+@pytest.mark.parametrize("name", [5, b"x"], ids=repr)
+def test_a_lattice_name_that_is_not_a_str_is_rejected(name):
+    """A factor named 5 made direct_product and horizontal_sum raise a raw
+    TypeError from joining the factor names."""
+    for build in (Lattice, build_from_covers):
+        with pytest.raises(InvalidArgument, match="name"):
+            build(2, [(0, 1)], name=name)
+    assert build_from_covers(2, [(0, 1)]).name is None
+    assert direct_product([build_from_covers(2, [(0, 1)], name="two")] * 2).name \
+        == "two*two"
 
 
 # chain(4) and its reverse have the size of boolean(2), of the product P and

@@ -14,6 +14,9 @@ LAYERS = ["lattice", "congruences", "tables", "polynomials", "sugeno", "compat",
 # test_install_rebinds_every_import_and_dispatch_table checks that its
 # tracer rebinds these two names in ``verify``.
 UNUSED_ON_PURPOSE = {("verify", "is_monotone"), ("verify", "is_compatible")}
+# Public functions behind an ``lru_cache``; perfbench reads this one's
+# ``cache_info()`` (see ROADMAP item 1).
+PUBLIC_CACHES = {("congruences", "principal_congruences")}
 
 
 def _tree(name):
@@ -80,3 +83,36 @@ def test_every_constant_is_used():
             for tree in trees.values() for node in ast.walk(tree)
             if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
     assert {(module, name) for module, name in defined if name not in read} == set()
+
+
+def _cache_bindings(tree):
+    """The name that each ``lru_cache`` in a module is bound to, as a
+    decorator or as ``lru_cache(...)(f)`` assigned to a name; None for one
+    that is bound to nothing."""
+    parents = {child: node for node in ast.walk(tree)
+               for child in ast.iter_child_nodes(node)}
+    for node in ast.walk(tree):
+        if getattr(node, "id", getattr(node, "attr", None)) != "lru_cache":
+            continue
+        expr = node  # up through lru_cache(...) and lru_cache(...)(f)
+        while isinstance(parents.get(expr), ast.Call) and parents[expr].func is expr:
+            expr = parents[expr]
+        owner = parents.get(expr)
+        if isinstance(owner, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and expr in owner.decorator_list:
+            yield owner.name
+        elif isinstance(owner, ast.Assign) and owner.value is expr:
+            yield from (getattr(target, "id", None) for target in owner.targets)
+        else:
+            yield None
+
+
+def test_every_cache_is_bound_to_a_private_name():
+    """A cache hashes its arguments before the function can check them, so
+    a public cached call meets an unhashable argument with a raw TypeError;
+    each cache sits behind a private name, under a public call that checks."""
+    found = {(path.stem, name) for path in SOURCES
+             for name in _cache_bindings(ast.parse(path.read_text(), filename=str(path)))}
+    assert {("tables", "_plan"), ("verify", "_catalogue")} <= found
+    assert {(module, name) for module, name in found
+            if name is None or not name.startswith("_")} == PUBLIC_CACHES

@@ -6,6 +6,7 @@ brute-force monotone maps), never from the production code under test.
 """
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -13,8 +14,11 @@ import pytest
 import oracles
 from conftest import relabelled
 from latcong import compat, polynomials, tables
-from latcong.compat import EquivalenceReport, verify_equivalence_suite
+from latcong.compat import EquivalenceReport, median_decomposition_check, \
+    verify_equivalence_suite
+from latcong.constructions import direct_product, horizontal_sum
 from latcong.lattice import catalogue
+from latcong.polynomials import random_polynomial
 from latcong.tables import FunctionTable
 
 C3, N5 = catalogue("chain(3)"), catalogue("N5")
@@ -90,6 +94,55 @@ def test_kernels_on_a_stack_longer_than_a_block(name):
         f = FunctionTable(1, L.size, values)
         assert comp[r] == oracles.is_compatible_all_tuples(L, f), values
         assert med[r] == oracles.median_decomposition_holds(L, f), values
+
+
+# Non-distributive lattices for the median kernel: a product and a
+# horizontal sum with N5 or M3 inside.
+MEDIAN_LATTICES = {"N5": N5, "M3": catalogue("M3"),
+                   "N5*chain(2)": direct_product([N5, catalogue("chain(2)")]),
+                   "M3+N5": horizontal_sum([catalogue("M3"), N5])}
+
+
+def _median_stack(L, n, seed):
+    """Seeded n-ary tables on L: lowered random terms, one output changed in
+    every other row, then uniform tables, which are seldom monotone."""
+    rng = random.Random(seed)
+    plan = tables._plan(L, n)
+    terms = [random_polynomial(rng, n, L.size, max_depth=3) for _ in range(16)]
+    stack = polynomials._term_rows(plan, terms)
+    for row in stack[::2]:
+        row[rng.randrange(len(row))] = rng.randrange(L.size)
+    uniform = [[rng.randrange(L.size) for _ in range(L.size ** n)] for _ in range(8)]
+    return np.concatenate([stack, np.array(uniform, dtype=plan.dtype)])
+
+
+def _bounds_out_of_order(L, f):
+    """Whether some slice has f at x_k = bottom not under f at x_k = top."""
+    bottom, top = oracles.bottom_of(L), oracles.top_of(L)
+    return any(not L.leq(f.value_at(x[:k] + (bottom,) + x[k + 1:]),
+                         f.value_at(x[:k] + (top,) + x[k + 1:]))
+               for x in _points(L, f.arity) for k in range(f.arity))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("name", MEDIAN_LATTICES)
+def test_median_kernel_matches_oracle_off_monotone_tables(name, n):
+    """The kernel checks f = (f0 v x_k) ^ f1; the oracle checks the median
+    med(f0, x_k, f1) itself.  The stack holds both verdicts, and rows whose
+    f0 is not under f1 somewhere."""
+    L = MEDIAN_LATTICES[name]
+    stack = _median_stack(L, n, f"{name} {n}")
+    med = compat._median_rows(tables._plan(L, n), stack)
+    verdicts, out_of_order = set(), 0
+    for r, values in enumerate(stack.tolist()):
+        f = FunctionTable(n, L.size, values)
+        want = oracles.median_decomposition_holds(L, f)
+        assert med[r] == want, values
+        assert median_decomposition_check(L, f) == want, values
+        verdicts.add(want)
+        out_of_order += _bounds_out_of_order(L, f)
+    assert verdicts == {True, False}
+    assert out_of_order > 0
 
 
 @pytest.mark.parametrize("name,n", [("chain(3)", 2), ("chain(3) shuffled", 2),
