@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -38,6 +38,10 @@ __all__ = [
     "verify_equivalence_suite",
     "EquivalenceReport",
 ]
+
+# The most tables the enumerator yields by default, and the most tables one
+# arity down that the scan reads before it prunes.
+BUDGET = 10 ** 6
 
 # --- kernels on table stacks (see ``tables``) -----------------------------------
 
@@ -84,6 +88,55 @@ def _median_rows(plan, stack) -> np.ndarray:
     return holds
 
 
+def _verdicts(plan, stack, budget) -> np.ndarray:
+    """(3, T): per row of a stack of monotone tables, whether it is
+    compatible, has the median decomposition, and is rebuilt by the normal
+    form of its boolean vertices.
+
+    The kernels run only on candidate rows; every other row gets three
+    False verdicts.  When the three verdicts agree on every monotone table
+    one arity down (``_agrees``), a candidate is a row whose row slices
+    f(x, .) are all compatible; otherwise every row is one.  A row with an
+    incompatible slice then fails all three: a slice of a compatible table
+    is compatible; a slice of a table with the median decomposition has it
+    too, so it is compatible since arity n - 1 agrees; and a slice of a
+    rebuilt table is a polynomial, so it is compatible.
+    """
+    L, n = plan.lattice, plan.arity
+    rows = slice(None)
+    if n >= 2 and _agrees(L, n - 1, budget):
+        slices = stack.reshape(-1, L.size ** (n - 1))
+        rows = np.flatnonzero(_compatible_rows(_plan(L, n - 1), slices)
+                              .reshape(len(stack), L.size).all(axis=1))
+    verdicts = np.zeros((3, len(stack)), dtype=bool)
+    part = stack[rows]
+    verdicts[0, rows] = _compatible_rows(plan, part)
+    verdicts[1, rows] = _median_rows(plan, part)
+    rebuilt = _rebuild_rows(plan, part[:, plan.vertices])
+    verdicts[2, rows] = (rebuilt == part).all(axis=1)
+    return verdicts
+
+
+@lru_cache(maxsize=64)
+def _agrees(L: Lattice, n: int, budget: int) -> bool:
+    """Whether the three verdicts agree on every monotone table L^n -> L.
+
+    False also once more than ``budget`` tables have been read, so a scan
+    above arity n then runs its kernels on every row.  The tables come
+    straight from ``_map_blocks``, and each block is pruned by the arity
+    below in turn.
+    """
+    plan, seen = _plan(L, n), 0
+    for block in _map_blocks(L, n, L):
+        seen += len(block)
+        if seen > budget:
+            return False
+        comp, med, rebuilt = _verdicts(plan, block, budget)
+        if not ((comp == med) & (med == rebuilt)).all():
+            return False
+    return True
+
+
 # --- the four characterizations, one table at a time ----------------------------
 
 
@@ -124,7 +177,7 @@ def synthesize(L: Lattice, f: FunctionTable) -> tuple[NormalForm, bool]:
 
 
 def enumerate_monotone_tables(L: Lattice, n: int, filter: str = "all",
-                              budget: int = 10 ** 6):
+                              budget: int = BUDGET):
     """Yield every nondecreasing table L^n -> L, in value-tuple order.
 
     filter='aggregation' additionally pins the all-bottom input to bottom
@@ -203,7 +256,10 @@ def verify_equivalence_suite(L: Lattice, n: int,
     in bijection via boolean restriction.
 
     Tables and capacities are taken ``BLOCK`` at a time and checked as one
-    stack; only compatible or disagreeing rows are visited one by one.
+    stack; only compatible or disagreeing rows are visited one by one.  The
+    verdict kernels run only on the rows that ``_verdicts`` keeps: those
+    whose row slices are all compatible, once a pass one arity down has
+    found the three verdicts in agreement within ``BUDGET`` tables.
     """
     n = check_arity(n)
     plan = _plan(check_type(L, Lattice), n)
@@ -218,11 +274,10 @@ def verify_equivalence_suite(L: Lattice, n: int,
     tables = enumerate_monotone_tables(L, n, filter=filter)
     while block := [f.values for f in islice(tables, BLOCK)]:
         monotone += len(block)
-        stack = np.array(block, dtype=plan.dtype)
-        comp = _compatible_rows(plan, stack)
-        med = _median_rows(plan, stack)
-        restrictions = stack[:, vertices]
-        rebuilt = (_rebuild_rows(plan, restrictions) == stack).all(axis=1)
+        # One flat pass over the values; np.array on the tuples is slower.
+        stack = np.fromiter(chain.from_iterable(block), plan.dtype)
+        stack = stack.reshape(len(block), -1)
+        comp, med, rebuilt = _verdicts(plan, stack, BUDGET)
         agree = (comp == med) & (med == rebuilt)
         # The integral of a table's capacity is the rebuild of its boolean
         # restriction, so a compatible aggregation table is the integral of
@@ -237,7 +292,7 @@ def verify_equivalence_suite(L: Lattice, n: int,
                     f"median={bool(med[r])} reconstructed={bool(rebuilt[r])}")
                 continue
             compatible += 1
-            key = tuple(restrictions[r].tolist())
+            key = tuple(stack[r, vertices].tolist())
             clash = seen_restrictions.get(key)
             if clash is not None:
                 collisions.append(

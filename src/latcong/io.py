@@ -21,6 +21,8 @@ MAX_ARITY = 20
 # Deepest polynomial term, so that the parser and the recursive walks over
 # the term (printing, equality, hashing) stay within Python's stack.
 MAX_DEPTH = 256
+# The bit of each criterion written as a plain decimal, 1 to MAX_ARITY.
+_BITS = {str(i): 1 << (i - 1) for i in range(1, MAX_ARITY + 1)}
 
 
 def _lines(text):
@@ -169,18 +171,30 @@ def serialize_lattice(L: Lattice) -> str:
 
 
 def _parse_subset(token, n, lineno):
+    """The mask of a '{i,j,...}' token of distinct criteria in 1..n.
+
+    Parts written as plain decimals are looked up together in ``_BITS``; any
+    other token is walked part by part, which accepts what ``int`` accepts
+    and names the first bad part in its error.
+    """
     if not (token.startswith("{") and token.endswith("}")):
         raise ParseError(f"expected a subset like {{1,3}}, got {token!r}", lineno)
     body = token[1:-1]
+    parts = body.split(",") if body else []
+    try:
+        mask = sum(map(_BITS.__getitem__, parts))
+    except KeyError:
+        mask = -1
+    if mask >= 0 and not mask >> n and mask.bit_count() == len(parts):
+        return mask
     mask = 0
-    if body:
-        for part in body.split(","):
-            i = _int(part, lineno, "criterion")
-            if not 1 <= i <= n:
-                raise ParseError(f"criterion {i} outside 1..{n}", lineno)
-            if mask >> (i - 1) & 1:
-                raise ParseError(f"criterion {i} repeated in subset", lineno)
-            mask |= 1 << (i - 1)
+    for part in parts:
+        i = _int(part, lineno, "criterion")
+        if not 1 <= i <= n:
+            raise ParseError(f"criterion {i} outside 1..{n}", lineno)
+        if mask >> (i - 1) & 1:
+            raise ParseError(f"criterion {i} repeated in subset", lineno)
+        mask |= 1 << (i - 1)
     return mask
 
 

@@ -122,6 +122,31 @@ def test_capacity_subset_syntax_errors(c3):
         io.parse_capacity("capacity m\nm {} 0\n", c3)  # n line must come first
 
 
+@pytest.mark.parametrize("subset,message", [
+    ("{x}", "expected an integer criterion, got 'x'"),
+    ("{0}", "criterion 0 outside 1..3"),
+    ("{5}", "criterion 5 outside 1..3"),
+    ("{1,1}", "criterion 1 repeated in subset"),
+    ("{1,x,0}", "expected an integer criterion, got 'x'"),
+    ("{3,3,9}", "criterion 3 repeated in subset"),
+    ("{2,-1}", "criterion -1 outside 1..3"),
+    ("{1,}", "expected an integer criterion, got ''"),
+])
+def test_a_bad_subset_names_its_first_bad_part(c3, subset, message):
+    text = f"capacity m\nn 3\nm {subset} 0\n"
+    with pytest.raises(ParseError) as err:
+        io.parse_capacity(text, c3)
+    assert str(err.value) == f"line 3: {message}"
+
+
+@pytest.mark.parametrize("subset,mask", [
+    ("{}", 0), ("{3,1}", 5), ("{01}", 1), ("{+2,1}", 3), ("{1,2,3}", 7)])
+def test_any_spelling_int_reads_gives_the_same_mask(subset, mask):
+    """Plain decimals take the looked-up path; any other spelling that
+    ``int`` reads takes the part-by-part path to the same mask."""
+    assert io._parse_subset(subset, 3, 1) == mask
+
+
 def test_function_table_round_trip(c3):
     m = Capacity(c3, (0, 1, 0, 2))
     table = sugeno_table(c3, m)
