@@ -22,7 +22,7 @@ from .compat import (
 from .congruences import all_congruences, principal_congruence, \
     principal_congruence_fixpoint
 from .constructions import direct_product, horizontal_sum
-from .errors import ArityMismatch, LatcongError
+from .errors import ArityMismatch, LatcongError, ParseError
 from .lattice import Lattice
 from .polynomials import to_table
 from .sugeno import capacity_from_function, compare_formulations, sugeno_eval
@@ -30,7 +30,12 @@ from .tables import FunctionTable
 
 
 def _read(path):
-    return Path(path).read_text(encoding="utf-8")
+    """The text of a file; ParseError unless it is UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") \
+            from None
 
 
 def _load_lattice(args) -> Lattice:

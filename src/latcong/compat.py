@@ -88,26 +88,25 @@ def _median_rows(plan, stack) -> np.ndarray:
     return holds
 
 
-def _verdicts(plan, stack, budget) -> np.ndarray:
+def _verdicts(plan, stack, prune: bool) -> np.ndarray:
     """(3, T): per row of a stack of monotone tables, whether it is
     compatible, has the median decomposition, and is rebuilt by the normal
     form of its boolean vertices.
 
     The kernels run only on candidate rows; every other row gets three
-    False verdicts.  When the three verdicts agree on every monotone table
-    one arity down (``_agrees``), a candidate is a row whose row slices
-    f(x, .) are all compatible; otherwise every row is one.  A row with an
-    incompatible slice then fails all three: a slice of a compatible table
-    is compatible; a slice of a table with the median decomposition has it
-    too, so it is compatible since arity n - 1 agrees; and a slice of a
-    rebuilt table is a polynomial, so it is compatible.
+    False verdicts.  With ``prune``, set when the three verdicts agree on
+    every monotone table one arity down (``_agrees``), a candidate is a row
+    whose row slices f(x, .) are all compatible; otherwise every row is
+    one.  A row with an incompatible slice then fails all three: a slice of
+    a compatible table is compatible; a slice of a table with the median
+    decomposition has it too, so it is compatible since arity n - 1 agrees;
+    and a slice of a rebuilt table is a polynomial, so it is compatible.
     """
-    L, n = plan.lattice, plan.arity
     rows = slice(None)
-    if n >= 2 and _agrees(L, n - 1, budget):
-        slices = stack.reshape(-1, L.size ** (n - 1))
-        rows = np.flatnonzero(_compatible_rows(_plan(L, n - 1), slices)
-                              .reshape(len(stack), L.size).all(axis=1))
+    if prune:
+        L, n = plan.lattice, plan.arity
+        whole = _compatible_rows(_plan(L, n - 1), stack.reshape(-1, L.size ** (n - 1)))
+        rows = np.flatnonzero(whole.reshape(len(stack), L.size).all(axis=1))
     verdicts = np.zeros((3, len(stack)), dtype=bool)
     part = stack[rows]
     verdicts[0, rows] = _compatible_rows(plan, part)
@@ -117,21 +116,21 @@ def _verdicts(plan, stack, budget) -> np.ndarray:
     return verdicts
 
 
-@lru_cache(maxsize=64)
-def _agrees(L: Lattice, n: int, budget: int) -> bool:
+def _agrees(L: Lattice, n: int) -> bool:
     """Whether the three verdicts agree on every monotone table L^n -> L.
 
-    False also once more than ``budget`` tables have been read, so a scan
+    False also once more than ``BUDGET`` tables have been read, so a scan
     above arity n then runs its kernels on every row.  The tables come
-    straight from ``_map_blocks``, and each block is pruned by the arity
-    below in turn.
+    straight from ``_map_blocks``, each block pruned by the arity below,
+    which is decided once, first.
     """
     plan, seen = _plan(L, n), 0
+    prune = n >= 2 and _agrees(L, n - 1)
     for block in _map_blocks(L, n, L):
         seen += len(block)
-        if seen > budget:
+        if seen > BUDGET:
             return False
-        comp, med, rebuilt = _verdicts(plan, block, budget)
+        comp, med, rebuilt = _verdicts(plan, block, prune)
         if not ((comp == med) & (med == rebuilt)).all():
             return False
     return True
@@ -176,6 +175,11 @@ def synthesize(L: Lattice, f: FunctionTable) -> tuple[NormalForm, bool]:
     return nf, normal_form_table(L, nf) == f
 
 
+def _check_filter(filter) -> None:
+    if filter not in ("all", "aggregation"):
+        raise InvalidArgument(f"unknown filter {filter!r}")
+
+
 def enumerate_monotone_tables(L: Lattice, n: int, filter: str = "all",
                               budget: int = BUDGET):
     """Yield every nondecreasing table L^n -> L, in value-tuple order.
@@ -185,8 +189,7 @@ def enumerate_monotone_tables(L: Lattice, n: int, filter: str = "all",
     tables have been yielded and another would follow.  Each block of
     tables is range-checked once, so the tables themselves skip validation.
     """
-    if filter not in ("all", "aggregation"):
-        raise InvalidArgument(f"unknown filter {filter!r}")
+    _check_filter(filter)
     budget, emitted = _integer(budget, "budget"), 0
     if budget < 0:
         raise InvalidArgument(f"budget must be non-negative, got {budget}")
@@ -257,19 +260,15 @@ def verify_equivalence_suite(L: Lattice, n: int,
 
     Tables and capacities are taken ``BLOCK`` at a time and checked as one
     stack; only compatible or disagreeing rows are visited one by one.  The
-    verdict kernels run only on the rows that ``_verdicts`` keeps: those
-    whose row slices are all compatible, once a pass one arity down has
-    found the three verdicts in agreement within ``BUDGET`` tables.
+    verdict kernels run only on the candidate rows of ``_verdicts``, pruned
+    once the lower pass ``_agrees`` finds arity n - 1 in agreement.
     """
     n = check_arity(n)
     plan = _plan(check_type(L, Lattice), n)
-    vertices = plan.vertices
-    monotone = 0
-    compatible = 0
-    compatible_aggregation = 0
-    equivalence_violations = []
-    collisions = []
-    integral_violations = []
+    _check_filter(filter)
+    prune = n >= 2 and _agrees(L, n - 1)
+    monotone = compatible = compatible_aggregation = 0
+    equivalence_violations, collisions, integral_violations = [], [], []
     seen_restrictions = {}
     tables = enumerate_monotone_tables(L, n, filter=filter)
     while block := [f.values for f in islice(tables, BLOCK)]:
@@ -277,13 +276,13 @@ def verify_equivalence_suite(L: Lattice, n: int,
         # One flat pass over the values; np.array on the tuples is slower.
         stack = np.fromiter(chain.from_iterable(block), plan.dtype)
         stack = stack.reshape(len(block), -1)
-        comp, med, rebuilt = _verdicts(plan, stack, BUDGET)
+        comp, med, rebuilt = _verdicts(plan, stack, prune)
         agree = (comp == med) & (med == rebuilt)
         # The integral of a table's capacity is the rebuild of its boolean
         # restriction, so a compatible aggregation table is the integral of
         # its own capacity exactly when it is rebuilt.
-        aggregation = (stack[:, vertices[0]] == L.bottom) \
-            & (stack[:, vertices[-1]] == L.top)
+        aggregation = (stack[:, plan.vertices[0]] == L.bottom) \
+            & (stack[:, plan.vertices[-1]] == L.top)
         for r in np.flatnonzero(comp | ~agree).tolist():
             values = block[r]
             if not agree[r]:
@@ -292,7 +291,7 @@ def verify_equivalence_suite(L: Lattice, n: int,
                     f"median={bool(med[r])} reconstructed={bool(rebuilt[r])}")
                 continue
             compatible += 1
-            key = tuple(stack[r, vertices].tolist())
+            key = tuple(stack[r, plan.vertices].tolist())
             clash = seen_restrictions.get(key)
             if clash is not None:
                 collisions.append(
@@ -307,7 +306,7 @@ def verify_equivalence_suite(L: Lattice, n: int,
         coefficients = np.array(block, dtype=plan.dtype)
         integrals = _rebuild_rows(plan, coefficients)
         comp = _compatible_rows(plan, integrals)
-        back = (integrals[:, vertices] == coefficients).all(axis=1)
+        back = (integrals[:, plan.vertices] == coefficients).all(axis=1)
         for r in np.flatnonzero(~comp | ~back).tolist():
             if not comp[r]:
                 integral_violations.append(

@@ -70,10 +70,10 @@ class Congruence:
 
     @classmethod
     def from_blocks(cls, blocks, size: int) -> "Congruence":
-        """Raises InvalidArgument for a block that is not an iterable of
-        ints (bools are not ints), SizeMismatch unless the blocks cover
-        ``0 .. size-1`` once."""
-        class_of = [None] * size
+        """Raises InvalidArgument for a size that is not an int or a block
+        that is not an iterable of ints (bools are not ints), SizeMismatch
+        unless the blocks cover ``0 .. size-1`` once."""
+        class_of = [None] * _integer(size, "size")
         for tag, block in enumerate(blocks):
             try:
                 members = [_integer(e, "member") for e in block]
@@ -309,7 +309,7 @@ def all_congruences_bruteforce(L: Lattice, max_size: int = 8) -> tuple[Congruenc
     Bell numbers explode quickly, so this oracle refuses lattices larger than
     ``max_size``.
     """
-    if check_type(L, Lattice).size > max_size:
+    if check_type(L, Lattice).size > _integer(max_size, "max_size"):
         raise BudgetExceeded(
             f"partition enumeration gated to size <= {max_size}, got {L.size}")
     out = [Congruence(p) for p in _partitions(L.size) if is_congruence(L, Congruence(p))]

@@ -9,7 +9,7 @@ a file that parses is a file whose object holds its invariants.
 from __future__ import annotations
 
 from .errors import ForeignElement, InvalidArgument, ParseError, ValidationError
-from .lattice import MAX_SIZE, Lattice, build_from_covers, check_elements
+from .lattice import MAX_SIZE, Lattice, build_from_covers, check_elements, check_type
 from .polynomials import Constant, Join, Meet, Projection, WeightedPolynomial
 from .sugeno import Capacity
 from .tables import FunctionTable, all_inputs, check_input, encode
@@ -225,6 +225,8 @@ def serialize_capacity(m: Capacity, name: str = "capacity") -> str:
 
 
 def parse_function_table(text: str, L: Lattice) -> tuple[str, FunctionTable]:
+    check_type(L, Lattice)
+
     def entry(tokens, n, lineno):
         if len(tokens) != n + 3 or tokens[n + 1] != "->":
             raise ParseError(f"expected: f <x1> .. <x{n}> -> <value>", lineno)

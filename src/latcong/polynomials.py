@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ArityMismatch, InvalidArgument
 from .lattice import Lattice, _integer, check_elements, check_type
 from .tables import FunctionTable, _Plan, _join_rows, _map_blocks, \
-    _plan, _vertex_rows, check_arity, check_input, check_table
+    _plan, _vertex_rows, check_arity, check_input, check_power, check_table
 
 # The two-element chain: input k of its n-th power, in encoding order, lies
 # under input k' exactly when the subset mask k lies in the mask k'.
@@ -230,10 +230,18 @@ class NormalForm:
     coefficients: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.coefficients) != 1 << check_arity(self.arity):
-            raise ArityMismatch(
-                f"expected {1 << self.arity} coefficients for arity {self.arity}, "
-                f"got {len(self.coefficients)}")
+        arity = check_arity(self.arity)
+        try:
+            coefficients = tuple(self.coefficients)
+        except TypeError:
+            raise InvalidArgument(
+                f"coefficients must be a sequence, not {self.coefficients!r}") from None
+        count = check_power(2, arity, f"the coefficients of arity {arity}")
+        if len(coefficients) != count:
+            raise ArityMismatch(f"expected {count} coefficients for arity {arity}, "
+                                f"got {len(coefficients)}")
+        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "coefficients", coefficients)
 
     def _check_lattice(self, L: Lattice) -> None:
         """Nothing to check: a bare normal form may be evaluated on any

@@ -34,7 +34,7 @@ def encode(x, size: int) -> int:
 
 def all_inputs(size: int, arity: int):
     """Every input tuple, in encoding order."""
-    return itertools.product(range(size), repeat=check_arity(arity))
+    return itertools.product(range(_integer(size, "size")), repeat=check_arity(arity))
 
 
 def input_grid(size: int, arity: int):
@@ -42,8 +42,8 @@ def input_grid(size: int, arity: int):
 
     Raises TooLarge, before allocating, for a grid above ``MAX_ENTRIES``.
     """
-    check_entries(size ** arity * arity, f"the input grid of arity {arity}")
-    return np.indices((size,) * arity).reshape(arity, size ** arity).T
+    inputs = check_power(size, arity, f"the input grid of arity {arity}", arity)
+    return np.indices((size,) * arity).reshape(arity, inputs).T
 
 
 @dataclass(unsafe_hash=True, slots=True)
@@ -56,9 +56,11 @@ class FunctionTable:
 
     def __post_init__(self):
         self.arity = check_arity(self.arity)
+        self.size = _integer(self.size, "size")
         self.values = check_elements(self.size, self.values, "output")
-        if len(self.values) != self.size ** self.arity:
-            raise ArityMismatch(f"expected {self.size ** self.arity} entries for "
+        entries = check_power(self.size, self.arity, f"a table of arity {self.arity}")
+        if len(self.values) != entries:
+            raise ArityMismatch(f"expected {entries} entries for "
                                 f"arity {self.arity}, got {len(self.values)}")
 
     @classmethod
@@ -91,6 +93,17 @@ def check_entries(entries: int, what: str) -> None:
                        f"the limit is {MAX_ENTRIES}")
 
 
+def check_power(base: int, exponent: int, what: str, width: int = 1) -> int:
+    """``base ** exponent``, after raising TooLarge unless ``width`` entries
+    for each of that many fit.  From base 2 on, an exponent that alone puts
+    the power above ``MAX_ENTRIES`` is refused before the power is formed."""
+    if base >= 2 and exponent >= MAX_ENTRIES.bit_length():
+        raise TooLarge(f"{what} would have more than {MAX_ENTRIES} entries, the limit")
+    power = base ** exponent
+    check_entries(power * width, what)
+    return power
+
+
 def check_input(size: int, arity: int, x) -> tuple[int, ...]:
     """The input as a tuple of ints, after checking its elements and length."""
     x = check_elements(size, x, "input")
@@ -109,7 +122,7 @@ def check_table(L, f: FunctionTable) -> None:
 
 def _vertex_rows(L, arity: int):
     """The ``(2**arity, arity)`` stack of boolean vertices, one per subset mask."""
-    check_entries((1 << arity) * arity, f"the boolean vertices of arity {arity}")
+    check_power(2, arity, f"the boolean vertices of arity {arity}", arity)
     bits = (np.arange(1 << arity)[:, None] >> np.arange(arity)) & 1
     return np.where(bits, L.top, L.bottom)
 
@@ -176,8 +189,8 @@ class _Plan:
         """(2**n, k): per subset mask and input x, the meet of the
         coordinates of x that the mask selects; the empty meet is top.  The
         masks with bit i set are the masks below ``1 << i`` met with x_i."""
-        check_entries((1 << self.arity) * len(self.grid),
-                      f"the selected meets of arity {self.arity}")
+        check_power(2, self.arity, f"the selected meets of arity {self.arity}",
+                    len(self.grid))
         out = np.empty((1 << self.arity, len(self.grid)), dtype=self.dtype)
         out[0] = self.lattice.top
         for i, column in enumerate(self.grid.T):

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from latcong import io, tables
@@ -38,6 +40,10 @@ def files(tmp_path_factory):
     write("neg.lat", "lattice g\nelements 2\ncover 0 1\nlabel -1 neg\n")
     write("huge.cap", "capacity x\nn 100000000\n")
     write("huge.fn", "function f\nn 100000000\n")
+    write("far.poly", "(var 5000000)\n")
+    latin1 = root / "latin1.txt"
+    latin1.write_bytes("lattice café\n".encode("latin-1"))
+    paths["latin1.txt"] = str(latin1)
     deep = "(var 0)"
     for _ in range(1499):
         deep = f"(meet {deep} (var 0))"
@@ -223,6 +229,37 @@ def test_polynomial_of_too_many_inputs_exits_2(files, capsys, command):
     assert out == ""
     assert err.startswith("error: the input grid of arity 31 would have")
     assert "Traceback" not in err
+
+
+def test_a_far_projection_exits_2_before_forming_its_grid(files, capsys):
+    """The grid of arity 5000001 is refused by its arity alone; forming
+    3 ** 5000001 first took about 1.5 s and its message raised ValueError."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, "compat", "--poly", files["far.poly"],
+                         "--lattice", files["c3.lat"])
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert err == ("error: the input grid of arity 5000001 would have more than "
+                   f"{tables.MAX_ENTRIES} entries, the limit\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["info", "--lattice", "latin1.txt"],
+    ["compat", "--lattice", "c3.lat", "--function", "latin1.txt"],
+    ["compat", "--lattice", "c3.lat", "--poly", "latin1.txt"],
+    ["capacity-of", "--lattice", "c3.lat", "--function", "latin1.txt"],
+    ["sugeno", "--lattice", "c3.lat", "--capacity", "latin1.txt", "--input", "0", "1"],
+    ["product", "c3.lat", "latin1.txt"],
+    ["hsum", "c3.lat", "latin1.txt"],
+], ids=["info --lattice", "compat --function", "compat --poly", "capacity-of --function",
+        "sugeno --capacity", "product", "hsum"])
+def test_a_file_that_is_not_utf8_exits_2(files, capsys, argv):
+    code, out, err = run(capsys, *[files.get(a, a) for a in argv])
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: {files['latin1.txt']}: not UTF-8 "
+                   "(invalid continuation byte at byte 11)\n")
 
 
 def test_selected_meets_over_the_limit_exit_2(files, capsys, monkeypatch):

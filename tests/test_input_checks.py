@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import relabelled
+from latcong import io, tables
 from latcong import Capacity, Congruence, Constant, FunctionTable, LatcongError, \
     NormalForm, Projection, WeightedPolynomial, all_congruences, \
     all_congruences_bruteforce, all_inputs, boolean_restriction, \
@@ -27,7 +28,7 @@ from latcong.lattice import Lattice, build_from_covers
 from latcong.constructions import direct_product, horizontal_sum, \
     horizontal_sum_decomposition_check, product_decomposition_check, \
     project_capacity, split_capacity
-from latcong.errors import ForeignElement, InvalidArgument
+from latcong.errors import ForeignElement, InvalidArgument, TooLarge
 
 L = catalogue("chain(3)")
 SIZE = L.size
@@ -137,6 +138,9 @@ NOT_LATTICES = {
     "principal_congruence_oracle": lambda v: principal_congruence_oracle(v, 0, 1),
     "principal_congruence_fixpoint": lambda v: principal_congruence_fixpoint(v, 0, 1),
     "all_congruences_bruteforce": all_congruences_bruteforce,
+    "parse_function_table":
+        lambda v: io.parse_function_table(io.serialize_function_table(F), v),
+    "parse_capacity": lambda v: io.parse_capacity(io.serialize_capacity(M), v),
     "is_isomorphic left": lambda v: is_isomorphic(v, L),
     "is_isomorphic right": lambda v: is_isomorphic(L, v),
     "med_dual_check": med_dual_check,
@@ -145,6 +149,16 @@ NOT_LATTICES = {
         lambda v: list(enumerate_monotone_tables(L, 1, budget=v)),
     "random_polynomial max_depth":
         lambda v: random_polynomial(random.Random(5), 2, SIZE, max_depth=v),
+}
+# Per call: a function of a count that must be an int (a carrier size or a
+# bound), and a valid value for it.
+SIZES = {
+    "FunctionTable size": (lambda s: FunctionTable(1, s, (0, 1, 2)), SIZE),
+    "all_inputs size": (lambda s: list(all_inputs(s, 1)), SIZE),
+    "Congruence.from_blocks size":
+        (lambda s: Congruence.from_blocks([[0], [1], [2]], s), SIZE),
+    "all_congruences_bruteforce max_size":
+        (lambda s: all_congruences_bruteforce(L, max_size=s), 8),
 }
 # ``SIZE`` is the first value outside the carrier; as an arity it is valid.
 BAD = [1.5, "1", True, -1]
@@ -206,11 +220,56 @@ def test_an_unhashable_non_lattice_is_rejected(name):
         NOT_LATTICES[name]([1])
 
 
+@pytest.mark.parametrize("value", [1.5, "3", True, None], ids=repr)
+@pytest.mark.parametrize("name", SIZES)
+def test_a_size_that_is_not_an_int_is_rejected(name, value):
+    """These raised a raw TypeError from ``range``, a list product or a
+    comparison."""
+    with pytest.raises(InvalidArgument, match="must be an int"):
+        SIZES[name][0](value)
+
+
 @pytest.mark.parametrize("kind", NUMPY, ids=lambda k: k.__name__)
-@pytest.mark.parametrize("name", {**ELEMENTS, **ARITIES})
+@pytest.mark.parametrize("name", {**ELEMENTS, **ARITIES, **SIZES})
 def test_numpy_integers_give_the_int_answer(name, kind):
-    call, good = {**ELEMENTS, **ARITIES}[name]
+    call, good = {**ELEMENTS, **ARITIES, **SIZES}[name]
     assert call(kind(good)) == call(good)
+
+
+def test_normal_form_coefficients_are_kept_as_a_tuple():
+    """A list was kept as it was given, so the normal form differed from
+    the one over the same tuple and could not be hashed."""
+    nf = NormalForm(np.int64(1), [0, 2])
+    assert nf == NF and hash(nf) == hash(NF)
+    assert type(nf.coefficients) is tuple and type(nf.arity) is int
+    with pytest.raises(InvalidArgument, match="coefficients must be a sequence"):
+        NormalForm(1, None)
+
+
+# Per call: a function of an arity that no array of the package can hold.
+HUGE = {
+    "FunctionTable": lambda n: FunctionTable(n, SIZE, [0]),
+    "NormalForm": lambda n: NormalForm(n, (0,)),
+    "to_normal_form": lambda n: to_normal_form(L, io.parse_polynomial(f"(var {n - 1})")),
+    "enumerate_capacities": lambda n: list(enumerate_capacities(L, n)),
+    "compare_formulations": lambda n: compare_formulations(L, n),
+    "to_table": lambda n: to_table(L, WeightedPolynomial(n, Projection(0))),
+    "verify_equivalence_suite": lambda n: verify_equivalence_suite(L, n),
+}
+
+
+@pytest.mark.parametrize("name", HUGE)
+def test_a_huge_arity_names_the_limit(name):
+    """These formatted a count of tens of thousands of digits into their
+    message and raised a raw ValueError; the arity alone now rules the
+    array out, before the count is formed."""
+    limit = f"more than {tables.MAX_ENTRIES} entries, the limit"
+    with pytest.raises(TooLarge, match=limit):
+        HUGE[name](10 ** 5)
+
+
+def test_a_one_element_table_of_any_arity_is_valid():
+    assert FunctionTable(10 ** 5, 1, [0]).values == (0,)
 
 
 def test_function_table_identity_is_its_arity_size_and_values():

@@ -17,6 +17,22 @@ UNUSED_ON_PURPOSE = {("verify", "is_monotone"), ("verify", "is_compatible")}
 # Public functions behind an ``lru_cache``; perfbench reads this one's
 # ``cache_info()`` (see ROADMAP item 1).
 PUBLIC_CACHES = {("congruences", "principal_congruences")}
+# Every ``lru_cache`` in the package, each with why it is there; a new one
+# is added here on purpose or fails ``test_every_cache_is_pinned``.
+CACHES = {
+    ("compat", "_pairs"): "the congruence pairs of a lattice and arity, read by every "
+                          "compatibility call",
+    ("congruences", "principal_congruences"): "the join-irreducible congruences, "
+                                               "built once per lattice",
+    ("tables", "_typed_tables"): "the meet and join tables in the row dtype, shared by "
+                                 "every plan of a lattice",
+    ("tables", "_plan"): "the index arrays of the kernels per lattice and arity",
+    ("tables", "_earlier_neighbours"): "the order of the inputs of P^j, read by every "
+                                       "enumeration over P",
+    ("verify", "_catalogue"): "the checks' catalogue lattices, built once per process",
+    ("verify", "_product_2x3"): "the product chain(2) x chain(3) that AC01 and AC12 share",
+    ("verify", "_equivalence_reports"): "the scans that AC04 to AC07 share",
+}
 
 
 def _tree(name):
@@ -107,12 +123,22 @@ def _cache_bindings(tree):
             yield None
 
 
+def _caches():
+    return [(path.stem, name) for path in SOURCES
+            for name in _cache_bindings(ast.parse(path.read_text(), filename=str(path)))]
+
+
 def test_every_cache_is_bound_to_a_private_name():
     """A cache hashes its arguments before the function can check them, so
     a public cached call meets an unhashable argument with a raw TypeError;
     each cache sits behind a private name, under a public call that checks."""
-    found = {(path.stem, name) for path in SOURCES
-             for name in _cache_bindings(ast.parse(path.read_text(), filename=str(path)))}
-    assert {("tables", "_plan"), ("verify", "_catalogue")} <= found
-    assert {(module, name) for module, name in found
+    assert {(module, name) for module, name in _caches()
             if name is None or not name.startswith("_")} == PUBLIC_CACHES
+
+
+def test_every_cache_is_pinned():
+    """A cache keeps state between calls, so each one is listed with its
+    reason, and the list is the whole set."""
+    found = _caches()
+    assert len(found) == len(set(found))
+    assert set(found) == set(CACHES)
