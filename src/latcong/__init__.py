@@ -32,7 +32,7 @@ from .congruences import (
     formula_relation_is_congruence,
     is_congruence,
     principal_congruence,
-    principal_congruence_oracle,
+    principal_congruence_fixpoint,
     principal_congruences,
 )
 from .tables import FunctionTable, all_inputs

@@ -186,6 +186,13 @@ def _integer(value, what):
     raise InvalidArgument(f"{what} must be an int, not {value!r}")
 
 
+def _size(value):
+    """``value`` as an int; InvalidArgument unless it is one and not negative."""
+    if (value := _integer(value, "size")) < 0:
+        raise InvalidArgument(f"size must not be negative, got {value}")
+    return value
+
+
 def check_type(value, kind: type):
     """``value``; InvalidArgument unless it is an instance of ``kind``."""
     if not isinstance(value, kind):

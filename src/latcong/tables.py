@@ -19,7 +19,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import ArityMismatch, ForeignElement, TooLarge
-from .lattice import Lattice, _integer, check_elements, check_type
+from .lattice import Lattice, _integer, _size, check_elements, check_type
 
 # The most entries an input grid or an enumerator's order matrix may have.
 MAX_ENTRIES = 1 << 24
@@ -34,7 +34,7 @@ def encode(x, size: int) -> int:
 
 def all_inputs(size: int, arity: int):
     """Every input tuple, in encoding order."""
-    return itertools.product(range(_integer(size, "size")), repeat=check_arity(arity))
+    return itertools.product(range(_size(size)), repeat=check_arity(arity))
 
 
 def input_grid(size: int, arity: int):
@@ -56,7 +56,7 @@ class FunctionTable:
 
     def __post_init__(self):
         self.arity = check_arity(self.arity)
-        self.size = _integer(self.size, "size")
+        self.size = _size(self.size)
         self.values = check_elements(self.size, self.values, "output")
         entries = check_power(self.size, self.arity, f"a table of arity {self.arity}")
         if len(self.values) != entries:
@@ -360,8 +360,11 @@ def _map_blocks(P: Lattice, n: int, L: Lattice, pinned: bool = False):
 
     # The last step maps the inputs of P^j into M_{n-j}.
     j = n - curried
-    grid = input_grid(P.size, j)
-    check_entries(len(grid) ** 2, f"the order of the inputs of arity {j}")
+    try:
+        grid = input_grid(P.size, j)
+        check_entries(len(grid) ** 2, f"the order of the inputs of arity {j}")
+    except TooLarge as exc:
+        raise TooLarge(f"the monotone maps of arity {n}: {exc}") from None
     positions = _earlier_neighbours(P, j)
     allowed = np.ones((len(grid), len(values)), dtype=bool)
     if pinned:

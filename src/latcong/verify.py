@@ -1,7 +1,7 @@
 """The repository's verification checklist, runnable as a batch.
 
 Each check pits an implementation against an independent route: closed-form
-principal congruences against iterative closure, join-closure congruence
+principal congruences against the fixpoint closure, join-closure congruence
 counts against raw partition filtering, the four characterizations of
 compatibility against each other over exhaustive enumerations, and the
 three integral formulations against each other on chains.  Checks return
@@ -28,7 +28,7 @@ from .congruences import (
     formula_relation,
     is_congruence,
     principal_congruence,
-    principal_congruence_oracle,
+    principal_congruence_fixpoint,
 )
 from .constructions import (
     _factor_rows,
@@ -85,7 +85,7 @@ def _product_2x3():
 
 
 def check_principal_formula_matches_closure() -> CheckResult:
-    """Closed-form principal congruences agree with the closure oracle."""
+    """Closed-form principal congruences agree with the fixpoint closure."""
     lattices = [_catalogue(f"chain({k})") for k in (2, 3, 4, 5)]
     lattices += [_catalogue("boolean(2)"), _catalogue("boolean(3)")]
     lattices.append(_product_2x3())
@@ -94,7 +94,7 @@ def check_principal_formula_matches_closure() -> CheckResult:
     for L in lattices:
         for a, b in _comparable_pairs(L):
             pairs += 1
-            if principal_congruence(L, a, b) != principal_congruence_oracle(L, a, b):
+            if principal_congruence(L, a, b) != principal_congruence_fixpoint(L, a, b):
                 mismatches += 1
     return CheckResult(
         "AC01", "principal congruence formula vs closure",
@@ -113,7 +113,7 @@ def check_formula_needs_distributivity() -> CheckResult:
             rel = formula_relation(L, a, b)
             if not is_congruence(L, rel):
                 failures += 1
-            elif rel != principal_congruence_oracle(L, a, b):
+            elif rel != principal_congruence_fixpoint(L, a, b):
                 failures += 1
         ok = ok and failures > 0
         details.append(f"{name}: {failures} failing pairs")

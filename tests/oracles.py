@@ -2,7 +2,8 @@
 
 Everything here takes the slowest, most literal route on purpose: bounds
 are found by scanning the order relation, congruences by filtering every
-set partition through the two-pair definition, and monotonicity and
+set partition through the two-pair definition or, pair by pair, by a
+union-find closure over ``L.meet`` and ``L.join``, and monotonicity and
 compatibility by comparing all input pairs.  None of it shares code with
 the production algorithms it checks.
 """
@@ -10,7 +11,7 @@ the production algorithms it checks.
 import itertools
 from functools import lru_cache
 
-from latcong.congruences import Congruence, principal_congruence_oracle
+from latcong.congruences import Congruence
 from latcong.polynomials import Constant, Meet, Projection
 
 
@@ -113,6 +114,43 @@ def least_congruence_containing(L, a, b):
         [sorted(set(class_of)).index(key) for key in class_of])
 
 
+@lru_cache(maxsize=None)
+def operation_rows(L):
+    """Every meet and every join as nested lists, ``meet[x][c]`` and
+    ``join[x][c]``, read once per lattice through ``L.meet`` and ``L.join``."""
+    n = range(L.size)
+    return ([[L.meet(x, c) for c in n] for x in n],
+            [[L.join(x, c) for c in n] for x in n])
+
+
+def union_find_closure(L, a, b):
+    """Least congruence collapsing a and b on any lattice, by union-find:
+    a pair that merges two classes queues its images under the meet and the
+    join with every element, and a pair already in one class is dropped.
+    The merging pairs span each class, so their images suffice."""
+    meet, join = operation_rows(L)
+    parent = list(range(L.size))
+
+    def root(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def merged(x, y):
+        rx, ry = root(x), root(y)
+        parent[ry] = rx
+        return rx != ry
+
+    queue = [(a, b)]
+    while queue:
+        x, y = queue.pop()
+        if merged(x, y):
+            for rows in (meet, join):
+                queue.extend(zip(rows[x], rows[y]))
+    return Congruence.from_class_of([root(x) for x in range(L.size)])
+
+
 def join_of_partitions(theta, psi):
     """The transitive closure of the union of two partitions, grown as a set
     of pairs until composing it with itself adds nothing."""
@@ -133,7 +171,7 @@ def all_congruences_closure(L):
     """Con L as the closure of the cover principals under
     ``join_of_partitions``: each round joins every new congruence with every
     principal, until a round finds nothing new."""
-    principals = {principal_congruence_oracle(L, a, b) for a, b in L.covers}
+    principals = {union_find_closure(L, a, b) for a, b in L.covers}
     found = {Congruence.identity(L.size)}
     fresh = set(found)
     while fresh:

@@ -2,9 +2,9 @@ import time
 
 import pytest
 
+import oracles
 from latcong import io, tables
 from latcong.cli import main
-from latcong.congruences import principal_congruence_oracle
 from latcong.lattice import catalogue
 from latcong.sugeno import Capacity, sugeno_table
 
@@ -94,7 +94,7 @@ def test_principal_matches_oracle(files, capsys, key, name):
         for b in range(L.size):
             code, out, _ = run(capsys, "principal", str(a), str(b),
                                "--lattice", files[key])
-            assert (code, out) == (0, f"{principal_congruence_oracle(L, a, b)}\n")
+            assert (code, out) == (0, f"{oracles.union_find_closure(L, a, b)}\n")
 
 
 def test_principal_range_check(files, capsys):

@@ -32,8 +32,7 @@ def test_compatibility_examples(c3):
 
 def test_compatibility_witness(c3):
     # the interval congruence {0,1}{2} separates f(0)=0 from f(1)=2
-    from latcong.congruences import principal_congruence_oracle
-    theta = principal_congruence_oracle(c3, 0, 1)
+    theta = oracles.union_find_closure(c3, 0, 1)
     assert theta.relates(0, 1)
     assert not theta.relates(BENT.values[0], BENT.values[1])
 

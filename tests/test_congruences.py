@@ -1,7 +1,9 @@
 import itertools
+import re
 
 import pytest
 
+import latcong
 import oracles
 from conftest import assert_joins_are_members, relabelled
 from latcong.congruences import (
@@ -14,7 +16,6 @@ from latcong.congruences import (
     is_congruence,
     principal_congruence,
     principal_congruence_fixpoint,
-    principal_congruence_oracle,
     principal_congruences,
 )
 from latcong.constructions import direct_product, horizontal_sum
@@ -78,13 +79,22 @@ def test_principal_congruence_examples(c3, b2):
 def test_principal_congruence_arbitrary_pair_reduction(b2):
     # the two incomparable atoms reduce through (meet, join) = (bottom, top)
     assert principal_congruence(b2, 1, 2) == principal_congruence(b2, 0, 3)
-    assert principal_congruence_oracle(b2, 1, 2) == \
-        principal_congruence_oracle(b2, 0, 3)
+    assert principal_congruence_fixpoint(b2, 1, 2) == \
+        principal_congruence_fixpoint(b2, 0, 3) == oracles.union_find_closure(b2, 0, 3)
 
 
 def test_principal_congruence_requires_distributivity(n5):
     with pytest.raises(NotDistributive):
         principal_congruence(n5, 0, 1)
+
+
+def test_the_closure_named_off_distributive_lattices_is_public(n5):
+    """The NotDistributive message names a closure that ``latcong`` exports
+    and that works on N5."""
+    with pytest.raises(NotDistributive) as info:
+        principal_congruence(n5, 0, 1)
+    closure = getattr(latcong, re.search(r"use (\w+)", str(info.value)).group(1))
+    assert closure(n5, 0, 1) == oracles.union_find_closure(n5, 0, 1)
 
 
 @pytest.mark.parametrize("name", ["chain(2)", "chain(3)", "chain(4)",
@@ -93,25 +103,27 @@ def test_oracle_is_least_congruence(name):
     """Closure result equals the intersection of all qualifying congruences."""
     L = catalogue(name)
     for a, b in itertools.combinations(range(L.size), 2):
-        assert principal_congruence_oracle(L, a, b) == \
+        assert oracles.union_find_closure(L, a, b) == \
             oracles.least_congruence_containing(L, a, b)
 
 
 def test_oracle_is_least_congruence_on_product():
     P = direct_product([catalogue("chain(2)"), catalogue("chain(3)")])
     for a, b in itertools.combinations(range(P.size), 2):
-        assert principal_congruence_oracle(P, a, b) == \
+        assert oracles.union_find_closure(P, a, b) == \
             oracles.least_congruence_containing(P, a, b)
 
 
 def test_oracle_on_reflexive_pair(m3):
     for x in range(m3.size):
-        assert principal_congruence_oracle(m3, x, x) == Congruence.identity(5)
+        assert oracles.union_find_closure(m3, x, x) == Congruence.identity(5)
+        assert principal_congruence_fixpoint(m3, x, x) == Congruence.identity(5)
 
 
 def test_diamond_is_simple(m3):
     for a, b in itertools.combinations(range(m3.size), 2):
-        assert principal_congruence_oracle(m3, a, b) == Congruence.total(5)
+        assert principal_congruence_fixpoint(m3, a, b) == Congruence.total(5)
+        assert oracles.union_find_closure(m3, a, b) == Congruence.total(5)
 
 
 @pytest.mark.parametrize("name", ["chain(2)", "chain(3)", "chain(4)",
@@ -122,12 +134,11 @@ def test_formula_matches_oracle_on_distributive(name):
         for b in range(L.size):
             if L.leq(a, b):
                 assert formula_relation(L, a, b) == \
-                    principal_congruence_oracle(L, a, b)
+                    oracles.union_find_closure(L, a, b)
 
 
 @pytest.mark.parametrize("a,b", [(-1, 0), (0, -1), (3, 0), (0, 3), (-1, 3)])
-@pytest.mark.parametrize("closure", [principal_congruence_oracle,
-                                     principal_congruence_fixpoint,
+@pytest.mark.parametrize("closure", [principal_congruence_fixpoint,
                                      principal_congruence, formula_relation])
 def test_pair_outside_carrier_rejected(c3, closure, a, b):
     """A negative element must not wrap around; a large one must not reach
@@ -177,7 +188,7 @@ def test_formula_failure_modes_recorded(n5, m3):
                 rel = formula_relation(L, a, b)
                 if not is_congruence(L, rel):
                     failures += 1
-                elif rel != principal_congruence_oracle(L, a, b):
+                elif rel != oracles.union_find_closure(L, a, b):
                     failures += 1
         assert failures > 0
 
@@ -227,8 +238,8 @@ def test_congruence_classes_are_convex(name):
 
 
 def test_congruence_join_examples(c4):
-    theta = principal_congruence_oracle(c4, 0, 1)
-    psi = principal_congruence_oracle(c4, 2, 3)
+    theta = oracles.union_find_closure(c4, 0, 1)
+    psi = oracles.union_find_closure(c4, 2, 3)
     assert congruence_join(c4, theta, Congruence.identity(4)) == theta
     assert congruence_join(c4, theta, theta) == theta
     assert str(congruence_join(c4, theta, psi)) == "{0,1}{2,3}"
@@ -303,12 +314,12 @@ GATE_LATTICES = {
 
 @pytest.mark.parametrize("name", sorted(GATE_LATTICES))
 def test_fixpoint_matches_oracle_on_every_ordered_pair(name):
-    """The numpy fixpoint and the Python closure agree on every pair,
-    including a == b and a above b."""
+    """The numpy fixpoint and the union-find closure of ``oracles`` agree
+    on every pair, including a == b and a above b."""
     L = GATE_LATTICES[name]()
     for a, b in itertools.product(range(L.size), repeat=2):
         assert principal_congruence_fixpoint(L, a, b) == \
-            principal_congruence_oracle(L, a, b)
+            oracles.union_find_closure(L, a, b)
 
 
 @pytest.mark.parametrize("name", ["chain(4)", "boolean(2)", "M3", "N5",

@@ -20,10 +20,9 @@ from latcong import Capacity, Congruence, Constant, FunctionTable, LatcongError,
     evaluate, formula_relation, formula_relation_is_congruence, is_compatible, \
     is_congruence, is_isomorphic, is_monotone, med_dual_check, \
     median_decomposition_check, normal_form_to_polynomial, principal_congruence, \
-    principal_congruence_oracle, principal_congruences, random_polynomial, \
+    principal_congruence_fixpoint, principal_congruences, random_polynomial, \
     sugeno_eval, sugeno_eval_levels, sugeno_eval_pointwise, sugeno_table, \
     synthesize, to_normal_form, to_table, verify_equivalence_suite
-from latcong.congruences import principal_congruence_fixpoint
 from latcong.lattice import Lattice, build_from_covers
 from latcong.constructions import direct_product, horizontal_sum, \
     horizontal_sum_decomposition_check, product_decomposition_check, \
@@ -44,7 +43,6 @@ ELEMENTS = {
     "Lattice.join": (lambda v: L.join(1, v), 0),
     "Lattice.med": (lambda v: L.med(0, 1, v), 2),
     "principal_congruence": (lambda v: principal_congruence(L, v, 1), 0),
-    "principal_congruence_oracle": (lambda v: principal_congruence_oracle(L, 1, v), 2),
     "principal_congruence_fixpoint":
         (lambda v: principal_congruence_fixpoint(L, v, 0), 2),
     "formula_relation": (lambda v: formula_relation(L, 0, v), 1),
@@ -135,7 +133,6 @@ NOT_LATTICES = {
     "formula_relation": lambda v: formula_relation(v, 0, 1),
     "formula_relation_is_congruence": lambda v: formula_relation_is_congruence(v, 0, 1),
     "principal_congruence": lambda v: principal_congruence(v, 0, 1),
-    "principal_congruence_oracle": lambda v: principal_congruence_oracle(v, 0, 1),
     "principal_congruence_fixpoint": lambda v: principal_congruence_fixpoint(v, 0, 1),
     "all_congruences_bruteforce": all_congruences_bruteforce,
     "parse_function_table":
@@ -150,13 +147,15 @@ NOT_LATTICES = {
     "random_polynomial max_depth":
         lambda v: random_polynomial(random.Random(5), 2, SIZE, max_depth=v),
 }
-# Per call: a function of a count that must be an int (a carrier size or a
-# bound), and a valid value for it.
+# Per call: a function of a count that must be an int and not negative (a
+# carrier size or a bound), and a valid value for it.
 SIZES = {
     "FunctionTable size": (lambda s: FunctionTable(1, s, (0, 1, 2)), SIZE),
     "all_inputs size": (lambda s: list(all_inputs(s, 1)), SIZE),
     "Congruence.from_blocks size":
         (lambda s: Congruence.from_blocks([[0], [1], [2]], s), SIZE),
+    "Congruence.identity size": (lambda s: Congruence.identity(s), SIZE),
+    "Congruence.total size": (lambda s: Congruence.total(s), SIZE),
     "all_congruences_bruteforce max_size":
         (lambda s: all_congruences_bruteforce(L, max_size=s), 8),
 }
@@ -220,11 +219,14 @@ def test_an_unhashable_non_lattice_is_rejected(name):
         NOT_LATTICES[name]([1])
 
 
-@pytest.mark.parametrize("value", [1.5, "3", True, None], ids=repr)
+@pytest.mark.parametrize("value", [1.5, "3", True, None, -1], ids=repr)
 @pytest.mark.parametrize("name", SIZES)
 def test_a_size_that_is_not_an_int_is_rejected(name, value):
     """These raised a raw TypeError from ``range``, a list product or a
-    comparison."""
+    comparison; a negative size gave no inputs or an empty congruence."""
+    if value == -1:
+        _rejects(SIZES[name][0], value)
+        return
     with pytest.raises(InvalidArgument, match="must be an int"):
         SIZES[name][0](value)
 
@@ -252,6 +254,7 @@ HUGE = {
     "NormalForm": lambda n: NormalForm(n, (0,)),
     "to_normal_form": lambda n: to_normal_form(L, io.parse_polynomial(f"(var {n - 1})")),
     "enumerate_capacities": lambda n: list(enumerate_capacities(L, n)),
+    "enumerate_monotone_tables": lambda n: list(enumerate_monotone_tables(L, n)),
     "compare_formulations": lambda n: compare_formulations(L, n),
     "to_table": lambda n: to_table(L, WeightedPolynomial(n, Projection(0))),
     "verify_equivalence_suite": lambda n: verify_equivalence_suite(L, n),
@@ -262,10 +265,12 @@ HUGE = {
 def test_a_huge_arity_names_the_limit(name):
     """These formatted a count of tens of thousands of digits into their
     message and raised a raw ValueError; the arity alone now rules the
-    array out, before the count is formed."""
+    array out, before the count is formed.  The message names the arity
+    asked for, not that of an enumerator's last curried step."""
     limit = f"more than {tables.MAX_ENTRIES} entries, the limit"
-    with pytest.raises(TooLarge, match=limit):
+    with pytest.raises(TooLarge, match=limit) as info:
         HUGE[name](10 ** 5)
+    assert "arity 100000" in str(info.value)
 
 
 def test_a_one_element_table_of_any_arity_is_valid():

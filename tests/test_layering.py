@@ -142,3 +142,23 @@ def test_every_cache_is_pinned():
     found = _caches()
     assert len(found) == len(set(found))
     assert set(found) == set(CACHES)
+
+
+# What ``tests/oracles.py`` may take from the package: the data classes it
+# builds its answers from, and no algorithm.
+ORACLE_IMPORTS = {"Congruence", "Constant", "Meet", "Projection"}
+
+
+def test_oracles_import_only_data_classes():
+    """The oracles share no code with what they check: a reference that
+    called the package's closure would agree with it by construction."""
+    path = Path(__file__).parent / "oracles.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    taken = {alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom)
+             and (node.module or "").split(".")[0] == "latcong"
+             for alias in node.names}
+    modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names}
+    assert taken <= ORACLE_IMPORTS
+    assert not {name for name in modules if name.split(".")[0] == "latcong"}
