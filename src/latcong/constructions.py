@@ -1,22 +1,25 @@
 """Direct products and horizontal sums of bounded lattices.
 
-Both constructions return full Lattice objects carrying enough metadata to
-move capacities and input vectors between the whole and its parts, so the
-splitting behaviour of the Sugeno integral can be verified exhaustively:
-on a product the integral works coordinatewise, and on a distributive
-horizontal sum it is the join of the per-summand integrals of the split
-capacity and input.
+Both constructions return full Lattice objects that carry, per factor or
+summand, a map onto the part and a map back into the whole, so the
+splitting behaviour of the Sugeno integral can be verified exhaustively by
+one kernel: the integral is the join of the part integrals of the mapped
+capacity and input, each mapped back.  On a product this is the
+coordinatewise split, since an element is the join of its coordinates, each
+with the others at bottom; on a horizontal sum it is claimed only when the
+sum is distributive.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InvalidArgument, NotDistributive, ValidationError
-from .lattice import Lattice, _integer, check_elements, check_type
+from .lattice import Lattice, _integer, check_elements, check_size, check_type
 from .polynomials import _coefficient_rows, _rebuild_rows
 from .sugeno import Capacity
 from .tables import _apply, _plan
@@ -33,12 +36,13 @@ class ProductLattice(Lattice):
         factors = _lattices(factors, "factors")
         if not factors:
             raise ValidationError("a product needs at least one factor")
+        check_size(math.prod(f.size for f in factors))
         tuples = tuple(itertools.product(*(range(f.size) for f in factors)))
-        strides = [math.prod(f.size for f in factors[k + 1:])
-                   for k in range(len(factors))]
+        self._strides = [math.prod(f.size for f in factors[k + 1:])
+                         for k in range(len(factors))]
         # In a product, y covers x exactly when one coordinate steps up a
         # cover of its factor and the others stay put.
-        covers = [(i, i + (c - x[k]) * strides[k])
+        covers = [(i, i + (c - x[k]) * self._strides[k])
                   for i, x in enumerate(tuples)
                   for k, f in enumerate(factors)
                   for a, c in f.covers if a == x[k]]
@@ -46,6 +50,16 @@ class ProductLattice(Lattice):
         super().__init__(len(tuples), covers, name="*".join(names))
         self.factors = factors
         self.tuples = tuples
+
+    @cached_property
+    def _parts(self):
+        """Per factor k: the factor; ``down_k``, coordinate k of each
+        element; and ``up_k``, each element of the factor at coordinate k
+        with every other coordinate at its factor's bottom."""
+        coordinates = np.array(self.tuples).reshape(self.size, -1)
+        return tuple((f, coordinates[:, k],
+                      self.bottom + (np.arange(f.size) - f.bottom) * self._strides[k])
+                     for k, f in enumerate(self.factors))
 
     def component(self, element: int, k: int) -> int:
         """Coordinate k of an element.  ForeignElement for an element outside
@@ -119,6 +133,14 @@ class HorizontalSumLattice(Lattice):
         self.embeddings = tuple(dict(m) for m in embed)
         self.preimages = tuple({h: e for e, h in m.items()} for m in embed)
 
+    @cached_property
+    def _parts(self):
+        """Per summand k: the summand; ``down_k``, the image of each element
+        as ``to_summand`` gives it; and ``up_k``, the embedding."""
+        return tuple((s, np.array([back.get(v, s.bottom) for v in range(self.size)]),
+                      np.array([m[e] for e in range(s.size)]))
+                     for s, back, m in zip(self.summands, self.preimages, self.embeddings))
+
     def belongs_to(self, element: int, k: int) -> bool:
         """Bottom and top belong to every summand; interiors to their own.
         ForeignElement for an element outside the carrier, InvalidArgument
@@ -140,11 +162,11 @@ def horizontal_sum(summands) -> HorizontalSumLattice:
 
 # --- Sugeno decomposition checks -------------------------------------------
 #
-# Each split is a row kernel over a stack of capacities on the whole, given
-# with the stacks of the factor or summand capacities to compare against;
-# a projected or split stack is one gather of the whole stack.  The single
-# calls run the kernel and the gather on a stack of one, as AC10 runs them
-# on blocks.
+# A product or sum X maps the whole onto each factor or summand k by
+# ``down_k`` and part k back into X by ``up_k``.  The split is one row kernel
+# over a stack of capacities on X and the stacks of the part capacities; a
+# part stack is one gather through ``down_k``.  The single calls run both
+# on a stack of one, as AC10 runs them on blocks.
 
 
 def _capacity_row(L, kind: type, m: Capacity) -> np.ndarray:
@@ -153,90 +175,48 @@ def _capacity_row(L, kind: type, m: Capacity) -> np.ndarray:
     return _coefficient_rows(check_type(L, kind), check_type(m, Capacity))
 
 
-def _coordinates(P: ProductLattice):
-    """The (size, factors) array: coordinate k of each element of P."""
-    return np.array(P.tuples).reshape(P.size, len(P.factors))
+def _part_rows(X, rows) -> list:
+    """Per part k of a product or sum X, ``down_k`` of capacity rows on X:
+    the factor-k projections or the summand-k shares."""
+    return [down[rows] for _, down, _ in X._parts]
 
 
-def _factor_rows(P: ProductLattice, rows) -> list:
-    """Per factor k, the coordinate-k projections of capacity rows on P."""
-    coordinates = _coordinates(P)
-    return [coordinates[:, k][rows] for k in range(len(P.factors))]
-
-
-def _summand_images(H: HorizontalSumLattice, k: int):
-    """Per element of H, its image in summand k, as ``to_summand`` gives it."""
-    back, bottom = H.preimages[k], H.summands[k].bottom
-    return np.array([back.get(v, bottom) for v in range(H.size)])
-
-
-def _summand_rows(H: HorizontalSumLattice, rows) -> list:
-    """Per summand k, the summand-k shares of capacity rows on H."""
-    return [_summand_images(H, k)[rows] for k in range(len(H.summands))]
+def _part_capacity(X, kind: type, m: Capacity, k: int, what: str) -> Capacity:
+    """The part-k capacity of m, as ``_part_rows`` gives it."""
+    rows = _capacity_row(X, kind, m)
+    part, down, _ = X._parts[_index(X._parts, k, what)]
+    return Capacity(part, down[rows[0]].tolist())
 
 
 def project_capacity(P: ProductLattice, m: Capacity, k: int) -> Capacity:
     """k-th coordinate projection of a product capacity."""
-    rows = _capacity_row(P, ProductLattice, m)
-    k = _index(P.factors, k, "factor")
-    return Capacity(P.factors[k], _factor_rows(P, rows)[k][0].tolist())
+    return _part_capacity(P, ProductLattice, m, k, "factor")
 
 
 def split_capacity(H: HorizontalSumLattice, m: Capacity, k: int) -> Capacity:
     """Summand-k share of a capacity: values outside the summand drop to bottom."""
-    rows = _capacity_row(H, HorizontalSumLattice, m)
-    k = _index(H.summands, k, "summand")
-    return Capacity(H.summands[k], _summand_rows(H, rows)[k][0].tolist())
+    return _part_capacity(H, HorizontalSumLattice, m, k, "summand")
 
 
-def _image_inputs(images, part_size: int, grid):
-    """Per input x (a row of ``grid``), the index of the input
-    ``(images[x_0], ..., images[x_{n-1}])`` of a part with ``part_size`` elements."""
-    return images[grid] @ part_size ** np.arange(grid.shape[1] - 1, -1, -1)
+def _split_rows(X, rows, parts, report_only: bool = False) -> np.ndarray:
+    """Per row of a stack of capacities on a product or sum X: the integral
+    is the join over the parts k of ``up_k`` of the integral of the row
+    ``parts[k]`` on part k at the ``down_k`` input.
 
-
-def _arity(rows) -> int:
-    """The arity of a stack of coefficient rows, one per subset mask."""
-    return rows.shape[1].bit_length() - 1
-
-
-def _product_rows(P: ProductLattice, rows, parts) -> np.ndarray:
-    """Per row of a stack of capacities on P: the integral works coordinatewise.
-
-    For every input, coordinate k of the integral must equal the integral
-    of row ``parts[k]`` on factor k at the coordinate-k input.  Both sides
-    are whole tables, compared by gathers.
-    """
-    plan = _plan(P, _arity(rows))
-    coordinates = _coordinates(P)
-    whole = _rebuild_rows(plan, rows)
-    holds = np.ones(len(rows), dtype=bool)
-    for k, (factor, part) in enumerate(zip(P.factors, parts)):
-        table = _rebuild_rows(_plan(factor, plan.arity), part)
-        at = _image_inputs(coordinates[:, k], factor.size, plan.grid)
-        holds &= (coordinates[:, k][whole] == table[:, at]).all(axis=1)
-    return holds
-
-
-def _sum_rows(H: HorizontalSumLattice, rows, parts,
-              report_only: bool = False) -> np.ndarray:
-    """Per row of a stack of capacities on H: the integral is the join of
-    the integrals of the rows ``parts[k]`` on the summands k, embedded.
-
-    The splitting claim is asserted only for distributive sums; with
+    The splitting is claimed only for distributive horizontal sums; with
     report_only=True the check runs on a non-distributive sum anyway.
     """
-    if not H.is_distributive and not report_only:
+    if isinstance(X, HorizontalSumLattice) and not X.is_distributive \
+            and not report_only:
         raise NotDistributive(
             "the horizontal-sum splitting is only claimed for distributive "
             "sums; rerun with report_only=True to record the outcome")
-    plan = _plan(H, _arity(rows))
-    joined = np.full((len(rows), len(plan.grid)), H.bottom, dtype=plan.dtype)
-    for k, (summand, part) in enumerate(zip(H.summands, parts)):
-        table = _rebuild_rows(_plan(summand, plan.arity), part)
-        at = _image_inputs(_summand_images(H, k), summand.size, plan.grid)
-        embedding = np.array([H.embeddings[k][v] for v in range(summand.size)])
-        joined = _apply(plan.join, joined, embedding[table[:, at]])
+    plan = _plan(X, rows.shape[1].bit_length() - 1)
+    joined = np.full((len(rows), len(plan.grid)), X.bottom, dtype=plan.dtype)
+    for (part, down, up), stack in zip(X._parts, parts):
+        part_plan = _plan(part, plan.arity)
+        at = down[plan.grid] @ part_plan.strides
+        joined = _apply(plan.join, joined, up[_rebuild_rows(part_plan, stack)[:, at]])
     return (joined == _rebuild_rows(plan, rows)).all(axis=1)
 
 
@@ -245,7 +225,7 @@ def product_decomposition_check(P: ProductLattice, m: Capacity) -> bool:
     k of the integral is the integral on factor k of the projected capacity
     and projected inputs."""
     rows = _capacity_row(P, ProductLattice, m)
-    return bool(_product_rows(P, rows, _factor_rows(P, rows))[0])
+    return bool(_split_rows(P, rows, _part_rows(P, rows))[0])
 
 
 def horizontal_sum_decomposition_check(H: HorizontalSumLattice, m: Capacity,
@@ -257,4 +237,4 @@ def horizontal_sum_decomposition_check(H: HorizontalSumLattice, m: Capacity,
     just observe the outcome.
     """
     rows = _capacity_row(H, HorizontalSumLattice, m)
-    return bool(_sum_rows(H, rows, _summand_rows(H, rows), report_only)[0])
+    return bool(_split_rows(H, rows, _part_rows(H, rows), report_only)[0])

@@ -90,8 +90,7 @@ class Lattice:
             raise InvalidArgument(f"a lattice name is a str or None, not {name!r}")
         if size <= 0:
             raise NotBounded("a bounded lattice needs at least one element")
-        if size > MAX_SIZE:
-            raise TooLarge(f"{size} elements exceed the limit of {MAX_SIZE}")
+        check_size(size)
         leq, self.covers, lower, height = _order_and_covers(_predecessors(size, covers))
         self.size = size
         self.leq_table = leq
@@ -191,6 +190,12 @@ def _size(value):
     if (value := _integer(value, "size")) < 0:
         raise InvalidArgument(f"size must not be negative, got {value}")
     return value
+
+
+def check_size(size: int):
+    """TooLarge if a lattice of ``size`` elements would exceed ``MAX_SIZE``."""
+    if size > MAX_SIZE:
+        raise TooLarge(f"{size} elements exceed the limit of {MAX_SIZE}")
 
 
 def check_type(value, kind: type):

@@ -31,10 +31,8 @@ from .congruences import (
     principal_congruence_fixpoint,
 )
 from .constructions import (
-    _factor_rows,
-    _product_rows,
-    _sum_rows,
-    _summand_rows,
+    _part_rows,
+    _split_rows,
     direct_product,
     horizontal_sum,
     horizontal_sum_decomposition_check,
@@ -307,17 +305,12 @@ def check_decompositions() -> CheckResult:
     """Product and horizontal-sum splitting of the integral."""
     problems = []
     details = []
-    # (lattice, split kernel, the gather of the parts' capacities)
-    splits = [(direct_product([_catalogue(f) for f in factors]), _product_rows,
-               _factor_rows)
-              for factors in (("chain(2)", "chain(2)"), ("chain(2)", "chain(3)"))]
-    splits.append((horizontal_sum([_catalogue("chain(3)"), _catalogue("chain(3)")]),
-                   _sum_rows, _summand_rows))
-    for L, split, parts in splits:
+    for L in (direct_product([_catalogue("chain(2)")] * 2), _product_2x3(),
+              horizontal_sum([_catalogue("chain(3)"), _catalogue("chain(3)")])):
         count = 0
         for block in _capacity_blocks(L, 2):
             count += len(block)
-            holds = split(L, block, parts(L, block))
+            holds = _split_rows(L, block, _part_rows(L, block))
             problems.extend(f"{L.name} capacity {row} fails splitting"
                             for row in _rows_where(~holds, block))
         details.append(f"{L.name}: {count} capacities")

@@ -12,7 +12,7 @@ import pytest
 
 import oracles
 from latcong import verify
-from latcong.constructions import direct_product, horizontal_sum
+from latcong.constructions import ProductLattice, direct_product, horizontal_sum
 from latcong.lattice import catalogue
 from latcong.polynomials import _rebuild_rows
 from latcong.tables import FunctionTable
@@ -83,12 +83,12 @@ def test_ac09_reports_each_law_each_capacity_fails(broken_tables):
     assert lines[0] == "chain(3) capacity (0, 0, 1, 2) fails idempotent"
 
 
-def _shift_last_part(parts_of, parts_attr):
+def _shift_last_part(parts_of):
     """``parts_of`` with the coefficient of mask 1 moved up one index, in
-    the last part of every odd row."""
+    the last factor or summand of every odd row."""
     def broken(L, rows):
         parts = [part.copy() for part in parts_of(L, rows)]
-        size = getattr(L, parts_attr)[-1].size
+        size = (L.factors if isinstance(L, ProductLattice) else L.summands)[-1].size
         parts[-1][1::2, 1] = (parts[-1][1::2, 1] + 1) % size
         return parts
     return broken
@@ -101,10 +101,7 @@ def _shifted(parts):
 
 
 def test_ac10_reports_each_capacity_that_fails_splitting(monkeypatch):
-    monkeypatch.setattr(verify, "_factor_rows",
-                        _shift_last_part(verify._factor_rows, "factors"))
-    monkeypatch.setattr(verify, "_summand_rows",
-                        _shift_last_part(verify._summand_rows, "summands"))
+    monkeypatch.setattr(verify, "_part_rows", _shift_last_part(verify._part_rows))
     lines = []
     for names in (("chain(2)", "chain(2)"), ("chain(2)", "chain(3)")):
         P = direct_product([catalogue(name) for name in names])

@@ -172,6 +172,16 @@ def test_product_emits_parseable_lattice(files, capsys):
     assert "# factor 0" in out
 
 
+def test_product_above_the_size_limit_exits_2(tmp_path, capsys):
+    paths = []
+    for name in ("chain(512)", "chain(512)", "chain(2)"):
+        paths.append(tmp_path / f"{len(paths)}.lat")
+        paths[-1].write_text(io.serialize_lattice(catalogue(name)))
+    code, out, err = run(capsys, "product", *map(str, paths))
+    assert (code, out) == (2, "")
+    assert err == "error: 524288 elements exceed the limit of 512\n"
+
+
 def test_hsum_emits_parseable_lattice(files, capsys):
     code, out, _ = run(capsys, "hsum", files["c3.lat"], files["c3.lat"])
     assert code == 0

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from latcong.constructions import (
     split_capacity,
 )
 from latcong.errors import ForeignElement, InvalidArgument, NotDistributive, \
-    ValidationError
+    TooLarge, ValidationError
 from latcong.lattice import catalogue, is_isomorphic
 from latcong.sugeno import Capacity, enumerate_capacities, sugeno_eval
 from latcong.tables import row_dtype
@@ -157,6 +158,15 @@ def test_empty_constructions_rejected():
         horizontal_sum([])
     with pytest.raises(ValidationError):
         horizontal_sum([catalogue("chain(1)")])
+
+
+def test_a_product_above_the_size_limit_is_refused_before_it_is_listed():
+    """chain(512)^2 x chain(2) would list 524 288 tuples and their covers."""
+    factors = [catalogue("chain(512)")] * 2 + [catalogue("chain(2)")]
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match="^524288 elements exceed the limit of 512$"):
+        direct_product(factors)
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("build,parts", [
@@ -343,9 +353,9 @@ def test_product_check_catches_a_wrong_projection(monkeypatch, names, n):
     P = direct_product([relabelled(catalogue(name), 3) for name in names])
     capacities = list(enumerate_capacities(P, n))
     other = capacities[len(capacities) // 2]
-    factor_rows = constructions._factor_rows
-    monkeypatch.setattr(constructions, "_factor_rows",
-                        lambda P, rows: factor_rows(P, np.array([other.coefficients])))
+    part_rows = constructions._part_rows
+    monkeypatch.setattr(constructions, "_part_rows",
+                        lambda P, rows: part_rows(P, np.array([other.coefficients])))
     verdicts = [product_decomposition_check(P, m) for m in capacities]
     assert verdicts == [_product_splits(P, m, other) for m in capacities]
     assert set(verdicts) == {True, False}
@@ -357,13 +367,49 @@ def test_sum_check_catches_a_wrong_split(monkeypatch, names):
     H = horizontal_sum([relabelled(catalogue(name), 3) for name in names])
     capacities = list(enumerate_capacities(H, 2))
     other = capacities[len(capacities) // 2]
-    summand_rows = constructions._summand_rows
-    monkeypatch.setattr(constructions, "_summand_rows",
-                        lambda H, rows: summand_rows(H, np.array([other.coefficients])))
+    part_rows = constructions._part_rows
+    monkeypatch.setattr(constructions, "_part_rows",
+                        lambda H, rows: part_rows(H, np.array([other.coefficients])))
     verdicts = [horizontal_sum_decomposition_check(H, m, report_only=True)
                 for m in capacities]
     assert verdicts == [_sum_splits(H, m, other) for m in capacities]
     assert set(verdicts) == {True, False}
+
+
+# --- the part maps ------------------------------------------------------------
+
+# (construction, part names, seed of the relabelling; None reverses each chain)
+PART_MAPS = [(direct_product, ("chain(2)", "chain(3)"), 3),
+             (direct_product, ("chain(3)", "chain(2)"), None),
+             (direct_product, ("chain(2)", "N5", "chain(3)"), 4),
+             (horizontal_sum, ("chain(4)", "M3"), 5),
+             (horizontal_sum, ("chain(2)", "chain(3)", "chain(3)"), None)]
+
+
+@pytest.mark.parametrize("build,names,seed", PART_MAPS)
+def test_part_maps_match_the_public_attributes(build, names, seed):
+    """``down_k`` is ``component`` or ``to_summand``; ``up_k`` is the
+    embedding of a summand, or on a product puts every other coordinate at
+    its factor's bottom, so that each element is the join of its parts."""
+    X = build([relabelled(catalogue(name), seed) for name in names])
+    product = build is direct_product
+    parts = X.factors if product else X.summands
+    assert [part for part, _, _ in X._parts] == list(parts)
+    for k, (part, down, up) in enumerate(X._parts):
+        read = X.component if product else X.to_summand
+        assert down.tolist() == [read(e, k) for e in range(X.size)]
+        if product:
+            assert [X.tuples[v] for v in up.tolist()] == [
+                tuple(c if j == k else f.bottom for j, f in enumerate(parts))
+                for c in range(part.size)]
+        else:
+            assert up.tolist() == [X.embeddings[k][e] for e in range(part.size)]
+    if product:
+        for e in range(X.size):
+            joined = X.bottom
+            for _, down, up in X._parts:
+                joined = X.join(joined, up[down[e]].item())
+            assert joined == e
 
 
 # --- the split kernels, row by row ----------------------------------------------
@@ -406,14 +452,14 @@ PRODUCT_STACKS = [(("chain(2)", "chain(3)"), 2, 3), (("N5", "chain(2)"), 2, 4),
 def test_product_kernel_matches_oracle_row_by_row(names, n, seed):
     P = direct_product([relabelled(catalogue(name), seed) for name in names])
     rows = _capacity_stack(P, n)
-    projected = constructions._factor_rows(P, rows)
+    projected = constructions._part_rows(P, rows)
     assert [part.tolist() for part in projected] == [
         [list(oracles.projection(P, row, k)) for row in rows.tolist()]
         for k in range(len(P.factors))]
     parts = _perturbed_parts(projected, [f.size for f in P.factors], seed)
     want = [oracles.product_splits(P, row, [part[r].tolist() for part in parts])
             for r, row in enumerate(rows.tolist())]
-    _assert_verdicts(constructions._product_rows(P, rows, parts), want)
+    _assert_verdicts(constructions._split_rows(P, rows, parts), want)
 
 
 # (summand names, arity, seed of the relabelling; None reverses each chain)
@@ -426,18 +472,18 @@ SUM_STACKS = [(("chain(3)", "chain(3)"), 2, 3), (("chain(3)", "chain(3)"), 3, No
 def test_sum_kernel_matches_oracle_row_by_row(names, n, seed):
     H = horizontal_sum([relabelled(catalogue(name), seed) for name in names])
     rows = _capacity_stack(H, n)
-    shares = constructions._summand_rows(H, rows)
+    shares = constructions._part_rows(H, rows)
     assert [part.tolist() for part in shares] == [
         [list(oracles.summand_share(H, row, k)) for row in rows.tolist()]
         for k in range(len(H.summands))]
     parts = _perturbed_parts(shares, [s.size for s in H.summands], seed)
     want = [oracles.sum_splits(H, row, [part[r].tolist() for part in parts])
             for r, row in enumerate(rows.tolist())]
-    _assert_verdicts(constructions._sum_rows(H, rows, parts, report_only=True), want)
+    _assert_verdicts(constructions._split_rows(H, rows, parts, report_only=True), want)
 
 
 def test_sum_kernel_refuses_a_non_distributive_sum():
     H = horizontal_sum([catalogue("chain(4)"), catalogue("chain(4)")])
     rows = _capacity_stack(H, 2)
     with pytest.raises(NotDistributive):
-        constructions._sum_rows(H, rows, constructions._summand_rows(H, rows))
+        constructions._split_rows(H, rows, constructions._part_rows(H, rows))

@@ -30,7 +30,8 @@ CACHES = {
     ("tables", "_earlier_neighbours"): "the order of the inputs of P^j, read by every "
                                        "enumeration over P",
     ("verify", "_catalogue"): "the checks' catalogue lattices, built once per process",
-    ("verify", "_product_2x3"): "the product chain(2) x chain(3) that AC01 and AC12 share",
+    ("verify", "_product_2x3"): "the product chain(2) x chain(3) that AC01, AC10 and "
+                                "AC12 share",
     ("verify", "_equivalence_reports"): "the scans that AC04 to AC07 share",
 }
 
