@@ -148,7 +148,9 @@ def formula_relation(L: Lattice, a: int, b: int) -> Congruence:
     """
     if not check_type(L, Lattice).leq(a, b):
         raise InvalidArgument(f"expected a <= b, got ({a}, {b})")
-    return Congruence((L.join_table[b] * L.size + L.meet_table[a]).tolist())
+    # In intp: the tables are in the row dtype, too narrow for the product.
+    pairs = np.multiply(L.join_table[b], L.size, dtype=np.intp)
+    return Congruence((pairs + L.meet_table[a]).tolist())
 
 
 def formula_relation_is_congruence(L: Lattice, a: int, b: int) -> bool:

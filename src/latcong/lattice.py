@@ -8,7 +8,8 @@ integers ``0 .. size-1``; labels are display-only decoration.  The order,
 the true covers and each element's height come from one pass over the
 cover pairs in a topological order, with each down-set kept as an int
 bitset.  The meet and join tables come by induction over the covers, one
-level of height at a time, and one count product checks the meets.
+level of height at a time, and one count product checks the meets; they are
+kept once, as one stack in the smallest unsigned dtype of the carrier.
 """
 
 from __future__ import annotations
@@ -25,11 +26,17 @@ from .errors import CyclicCovers, ForeignElement, InvalidArgument, NotALattice, 
 Element = int
 
 # Largest carrier a Lattice accepts (boolean(9)), for memory: the meet and
-# join tables take 8 * size**2 bytes each, 2 MB at 512 elements, and every
-# congruence, table stack and plan built on a lattice grows with its size.
+# join tables take 2 bytes per entry above 256 elements, 1 MB together at 512
+# elements, and every congruence, table stack and plan built on a lattice
+# grows with its size.
 MAX_SIZE = 512
 # Rows of a meet or join table gathered at a time.
 ROWS = 64
+
+
+def row_dtype(size: int):
+    """Smallest unsigned dtype that holds every index below ``size``."""
+    return np.min_scalar_type(size - 1)
 
 
 def check_elements(size: int, values, what: str) -> tuple[int, ...]:
@@ -61,7 +68,11 @@ class Lattice:
     Attributes:
         size: number of elements.
         leq_table: read-only boolean matrix, ``leq_table[a, b]`` iff a <= b.
-        meet_table / join_table: read-only integer matrices of glb / lub.
+        tables: read-only ``(2, size, size)`` stack of the meet and join
+            tables in ``row_dtype(size)``: uint8 up to 256 elements, uint16
+            above.
+        meet_table / join_table: its two halves, ``meet_table[a, b]`` the
+            glb and ``join_table[a, b]`` the lub of a and b.
         bottom / top: the global minimum / maximum element.
         covers: tuple of pairs ``(a, b)`` with b covering a.
         name: optional display name.
@@ -96,7 +107,7 @@ class Lattice:
         self.leq_table = leq
         self.bottom = _unique_bottom(leq)
         self.top = _unique_top(leq)
-        self.meet_table, self.join_table = _meet_join_tables(leq, lower, height)
+        self.tables = _meet_join_tables(leq, lower, height)
         self.name = name
         try:
             self.labels = dict(labels) if labels else {}
@@ -104,8 +115,9 @@ class Lattice:
             raise InvalidArgument(f"labels must map elements to text, not {labels!r}") \
                 from None
         check_elements(size, [_integer(a, "label key") for a in self.labels], "label for")
-        for arr in (self.leq_table, self.meet_table, self.join_table):
-            arr.flags.writeable = False
+        leq.flags.writeable = self.tables.flags.writeable = False
+        # Taken after the flag is cleared, so the halves are read-only too.
+        self.meet_table, self.join_table = self.tables
         # Every plan and cache lookup hashes the lattice; the order is fixed.
         self._hash = hash((size, leq.tobytes()))
 
@@ -291,7 +303,8 @@ def _unique_top(leq):
 
 
 def _meet_join_tables(leq, lower, height):
-    """Meet and join tables by induction over the covers, a level at a time.
+    """The ``(2, n, n)`` stack of the meet and join tables in the row dtype,
+    by induction over the covers, a level at a time.
 
     If x <= y then x ^ y = x.  Otherwise x is not the bottom, and x ^ y is
     the greatest of the x' ^ y over the lower covers x' of x.  The elements
@@ -307,8 +320,9 @@ def _meet_join_tables(leq, lower, height):
     product (leq.T @ leq)[x, y] = |down(x) & down(y)|, and the error names
     the first pair in row-major order that fails.  A poset with a top in
     which every pair has a meet is a lattice, so the joins need no check.
-    Until the joins are written, their table holds the float32 operands
-    and results of the check.
+    The meets are checked as ranks, before the stack is allocated, with
+    the down-set sizes in rank order and the count product ``ROWS`` rows at
+    a time; the joins are computed in place in the stack.
     """
     n = len(leq)
     upper, levels = [[] for _ in range(n)], [[] for _ in range(max(height) + 1)]
@@ -316,41 +330,43 @@ def _meet_join_tables(leq, lower, height):
         levels[height[b]].append(b)
         for a in below:
             upper[a].append(b)
-    meet, join = np.empty((n, n), np.int64), np.empty((n, n), np.int64)
-    _induction(leq, levels, lower, meet)
-    scratch = join.reshape(-1).view(np.float32)
-    floats, counts = scratch[:n * n].reshape(n, n), scratch[n * n:].reshape(n, n)
-    np.copyto(floats, leq)
-    np.matmul(floats.T, floats, out=counts)
-    # mode "clip" writes straight into floats; "raise" would buffer it.
-    np.take(leq.sum(axis=0, dtype=np.float32), meet, out=floats, mode="clip")
-    bad = floats != counts
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        raise NotALattice(f"elements {i} and {j} have no unique meet")
-    _induction(leq.T, levels[::-1], upper, join)
-    return meet, join
+    meets = np.empty((n, n), row_dtype(n))
+    order = _induction(leq, levels, lower, meets)
+    counts = leq.astype(np.float32)
+    sizes = counts.sum(axis=0)[order]
+    for i in range(0, n, ROWS):
+        bad = sizes.take(meets[i:i + ROWS]) != counts[:, i:i + ROWS].T @ counts
+        if bad.any():
+            x, y = np.argwhere(bad)[0]
+            raise NotALattice(f"elements {i + x} and {y} have no unique meet")
+    del counts
+    tables = np.empty((2, n, n), meets.dtype)
+    _to_elements(order, meets, tables[0])
+    joins = tables[1]
+    _to_elements(_induction(leq.T, levels[::-1], upper, joins), joins, joins)
+    return tables
 
 
 def _induction(le, levels, lower, out):
     """Write into ``out`` the meet table of the order ``le`` whose lower
-    covers are ``lower``, one of the ``levels`` at a time.
+    covers are ``lower``, as ranks, one of the ``levels`` at a time; returns
+    the element of each rank.
 
     Each level holds the elements of one height, the first the bottom
     alone, so level by level the elements run through a linear extension;
-    an entry of ``out`` holds its element's rank in it times 2**16 plus the
-    element, so the greatest of a set of meets is their largest entry.
-    ``out`` starts as x's entry where x <= y and 0 elsewhere, below every
-    entry but the bottom's, so row x is the maximum of its own start row
-    and the rows of x's lower covers.  A level is one index array of rows
-    (x, covers of x...), each padded with x to the widest, as x's own row
-    again changes no maximum; it is gathered and maxed about ``ROWS`` rows
-    at a time to bound the temporaries.
+    an entry of ``out`` holds its element's rank in it, so the greatest of
+    a set of meets is their largest entry.  A rank is below the size, so it
+    fits ``out``'s row dtype.  ``out`` starts as x's rank where x <= y and
+    0, the bottom's rank, elsewhere, so row x is the maximum of its own
+    start row and the rows of x's lower covers.  A level is one index
+    array of rows (x, covers of x...), each padded with x to the widest, as
+    x's own row again changes no maximum; it is gathered and maxed about
+    ``ROWS`` rows at a time to bound the temporaries.
     """
-    order = np.array([x for level in levels for x in level])
-    entry = np.empty(len(order), np.int64)
-    entry[order] = np.arange(len(order)) << 16 | order
-    np.multiply(le, entry[:, None], out=out)
+    order = np.array([x for level in levels for x in level], dtype=out.dtype)
+    rank = np.empty(len(order), out.dtype)
+    rank[order] = np.arange(len(order))
+    np.multiply(le, rank[:, None], out=out)
     for level in levels[1:]:  # levels[0] is the bottom, whose start row is its row
         width = 1 + max(len(lower[x]) for x in level)
         index = np.array([([x, *lower[x]] + [x] * width)[:width] for x in level])
@@ -358,7 +374,15 @@ def _induction(le, levels, lower, out):
         for i in range(0, len(level), step):
             block = index[i:i + step]
             out[block[:, 0]] = np.maximum.reduce(out.take(block, axis=0), axis=1)
-    np.bitwise_and(out, 0xFFFF, out=out)
+    return order
+
+
+def _to_elements(order, ranks, out):
+    """Write ``order[ranks]`` into ``out``, which may be ``ranks`` itself,
+    ``ROWS`` rows at a time: a take makes an intp copy of its indices, which
+    for a whole table is four or eight times the table."""
+    for i in range(0, len(ranks), ROWS):
+        out[i:i + ROWS] = order.take(ranks[i:i + ROWS])
 
 
 # --- derived checks -------------------------------------------------------

@@ -19,7 +19,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import ArityMismatch, ForeignElement, TooLarge
-from .lattice import Lattice, _integer, _size, check_elements, check_type
+from .lattice import Lattice, _integer, _size, check_elements, check_type, row_dtype
 
 # The most entries an input grid or an enumerator's order matrix may have.
 MAX_ENTRIES = 1 << 24
@@ -132,23 +132,11 @@ def _vertex_rows(L, arity: int):
 # A stack is a (T, k) array of tables, one per row, in the smallest unsigned
 # dtype of the carrier, valued at the k inputs of a plan (all of L^n, or
 # one point).  The kernels evaluate a characterization for every row at once
-# by gathers through the meet and join tables; single calls run them on a
-# stack of one.
+# by gathers through the lattice's meet and join tables, which are in the
+# same dtype; single calls run them on a stack of one.
 
 # Rows per block of the monotone enumerators; it bounds their memory.
 BLOCK = 1024
-
-
-def row_dtype(size: int):
-    """Smallest unsigned dtype that holds every index below ``size``."""
-    return np.min_scalar_type(size - 1)
-
-
-@lru_cache(maxsize=64)
-def _typed_tables(L: Lattice):
-    """The ``(2, size, size)`` stack of the meet and join tables in the row
-    dtype, shared by every plan of L."""
-    return np.stack([L.meet_table, L.join_table]).astype(row_dtype(L.size))
 
 
 class _Plan:
@@ -159,8 +147,8 @@ class _Plan:
     def __init__(self, L: Lattice, grid):
         self.lattice, self.grid = L, np.asarray(grid, dtype=np.intp)
         self.arity = self.grid.shape[1]
-        self.dtype = row_dtype(L.size)
-        self.tables = _typed_tables(L)
+        self.tables = L.tables
+        self.dtype = self.tables.dtype
         self.meet, self.join = self.tables
 
     @cached_property

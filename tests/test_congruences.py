@@ -137,6 +137,21 @@ def test_formula_matches_oracle_on_distributive(name):
                     oracles.union_find_closure(L, a, b)
 
 
+@pytest.mark.parametrize("name", ["chain(17)", "boolean(5)", "chain(100)",
+                                  "boolean(8)", "boolean(9)"])
+def test_formula_matches_oracle_on_narrow_tables(name):
+    """The tables are uint8 up to 256 elements and uint16 up to 512, so the
+    class code join[b] * size + meet[a] would wrap, or overflow on
+    boolean(8), unless it is widened.  About a dozen covers spread over the
+    lattice, and the bottom with the top."""
+    L = catalogue(name)
+    pairs = [*L.covers[::-(-len(L.covers) // 12)], (L.bottom, L.top)]
+    for a, b in pairs:
+        want = oracles.union_find_closure(L, a, b)
+        assert formula_relation(L, a, b) == want
+        assert principal_congruence(L, b, a) == want
+
+
 @pytest.mark.parametrize("a,b", [(-1, 0), (0, -1), (3, 0), (0, 3), (-1, 3)])
 @pytest.mark.parametrize("closure", [principal_congruence_fixpoint,
                                      principal_congruence, formula_relation])

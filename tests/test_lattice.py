@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from latcong.constructions import ProductLattice, direct_product, \
 from latcong.errors import CyclicCovers, ForeignElement, InvalidArgument, \
     NotALattice, NotBounded, TooLarge, UnknownName
 from latcong.lattice import MAX_SIZE, Lattice, build_from_covers, catalogue, \
-    is_isomorphic, med_dual_check
+    is_isomorphic, med_dual_check, row_dtype
+from latcong.tables import _Plan, _plan, input_grid
 from test_random_lattices import LATTICES as RANDOM_LATTICES
 
 
@@ -231,13 +233,13 @@ def oracle_table(order, bound):
 @pytest.mark.parametrize("seed", ["plain", None, 3])
 @pytest.mark.parametrize("idx", range(len(RANDOM_LATTICES)))
 def test_tables_are_the_bound_scans_on_the_random_population(idx, seed):
-    """Whole tables, read-only int64, plain and renumbered."""
+    """Whole tables, read-only in the row dtype, plain and renumbered."""
     L = RANDOM_LATTICES[idx]
     if seed != "plain":
         L = relabelled(L, seed)
     for table, bound in ((L.meet_table, oracles.greatest_lower_bound),
                          (L.join_table, oracles.least_upper_bound)):
-        assert table.dtype == np.int64 and not table.flags.writeable
+        assert table.dtype == row_dtype(L.size) and not table.flags.writeable
         assert np.array_equal(table, oracle_table(L, bound))
 
 
@@ -272,17 +274,55 @@ def test_tables_do_not_depend_on_the_rows_per_gather(monkeypatch, name, rows):
     ("chain(512)", "fb943b825947600ef63a1f07203bb69086bb2ac5746a3fe9851ae29eb75d061c",
      "46a702c5d0f37f17d72e63357d12b4eefa7dfec50192806c046e41785a8ae72a")])
 def test_largest_tables_are_pinned(name, meet, join):
-    """The sha256 of the int64 table bytes, at sizes the bound scans are too
-    slow for."""
+    """The sha256 of the table bytes widened to int64, at sizes the bound
+    scans are too slow for."""
     L = catalogue(name)
-    assert hashlib.sha256(L.meet_table.tobytes()).hexdigest() == meet
-    assert hashlib.sha256(L.join_table.tobytes()).hexdigest() == join
+    assert hashlib.sha256(L.meet_table.astype(np.int64).tobytes()).hexdigest() == meet
+    assert hashlib.sha256(L.join_table.astype(np.int64).tobytes()).hexdigest() == join
+
+
+@pytest.mark.parametrize("name", ["chain(7)", "N5", "boolean(9)"])
+def test_one_read_only_table_stack_per_lattice(name):
+    """The meet and join tables are the halves of one read-only stack, and
+    every plan reads that stack rather than a copy of it.  ``_plan`` caches
+    by equality, so its plan may belong to an equal lattice built earlier;
+    a plan built here reads L's own stack."""
+    L = catalogue(name)
+    cached, fresh = _plan(L, 1), _Plan(L, input_grid(L.size, 1))
+    for table in (L.tables, L.meet_table, L.join_table, cached.tables, fresh.tables):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 0
+    for plan in (cached, fresh):
+        assert np.shares_memory(plan.tables, plan.lattice.meet_table)
+        assert np.shares_memory(plan.tables, plan.lattice.join_table)
+    assert fresh.lattice is L
+
+
+@pytest.mark.parametrize("name", ["boolean(9)", "chain(512)"])
+def test_largest_lattices_build_in_three_megabytes(name):
+    """The traced allocation peak of a build at MAX_SIZE: the tables are one
+    uint16 stack, 1 MB in all, the meets are checked before it is
+    allocated, and ranks become elements ``ROWS`` rows at a time.  With
+    int64 tables the peak is about 7 MB, with a whole-table gather about
+    4.7 MB."""
+    tracemalloc.start()
+    try:
+        L = catalogue(name)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert L.meet_table.nbytes == 512 * 512 * 2
+    assert peak <= 3_000_000
+
 
 def test_max_size_fits_the_induction_entries():
-    """The meet and join induction packs rank * 2**16 + element into each
-    entry and masks the element out with 0xFFFF, so every element must fit
-    in 16 bits: raising MAX_SIZE past 2**16 fails here."""
-    assert MAX_SIZE <= 1 << 16
+    """The meet and join induction runs in rank space in the row dtype of
+    the carrier, and the tables keep that dtype: a rank and an element are
+    both below the size, so both fit.  At MAX_SIZE the dtype is uint16, the
+    two bytes per entry that MAX_SIZE's memory note counts: raising MAX_SIZE
+    past 2**16 fails here."""
+    assert row_dtype(MAX_SIZE) == np.uint16
 
 
 def test_catalogue_size_guard():

@@ -24,8 +24,6 @@ CACHES = {
                           "compatibility call",
     ("congruences", "principal_congruences"): "the join-irreducible congruences, "
                                                "built once per lattice",
-    ("tables", "_typed_tables"): "the meet and join tables in the row dtype, shared by "
-                                 "every plan of a lattice",
     ("tables", "_plan"): "the index arrays of the kernels per lattice and arity",
     ("tables", "_earlier_neighbours"): "the order of the inputs of P^j, read by every "
                                        "enumeration over P",
