@@ -20,7 +20,7 @@ import numpy as np
 
 from .congruences import principal_congruences
 from .errors import BudgetExceeded, InvalidArgument, NotMonotone
-from .lattice import Lattice, _integer, check_elements, check_type
+from .lattice import Lattice, _integer, check_elements
 from .polynomials import NormalForm, _rebuild_rows, boolean_restriction, \
     is_monotone, normal_form_table
 from .sugeno import enumerate_capacities
@@ -264,7 +264,7 @@ def verify_equivalence_suite(L: Lattice, n: int,
     once the lower pass ``_agrees`` finds arity n - 1 in agreement.
     """
     n = check_arity(n)
-    plan = _plan(check_type(L, Lattice), n)
+    plan = _plan(L, n)
     _check_filter(filter)
     prune = n >= 2 and _agrees(L, n - 1)
     monotone = compatible = compatible_aggregation = 0

@@ -327,13 +327,23 @@ def parse_polynomial(text: str, arity: int | None = None) -> WeightedPolynomial:
 
 
 def serialize_polynomial(p: WeightedPolynomial) -> str:
-    def render(node):
-        if isinstance(node, Projection):
-            return f"(var {node.index})"
-        if isinstance(node, Constant):
-            return f"(const {node.value})"
-        op = "meet" if isinstance(node, Meet) else "join"
-        return f"({op} {render(node.left)} {render(node.right)})"
-
-    return render(p.root) + "\n"
+    """The S-expression of ``p``, written with a stack of its own;
+    InvalidArgument for a term deeper than ``MAX_DEPTH``, which
+    ``parse_polynomial`` would refuse."""
+    out, stack = [], [(check_type(p, WeightedPolynomial).root, 1)]
+    while stack:
+        node, depth = stack.pop()
+        if isinstance(node, str):  # the text between and after operands
+            out.append(node)
+        elif depth > MAX_DEPTH:
+            raise InvalidArgument(f"a polynomial nested deeper than {MAX_DEPTH} "
+                                  f"levels would not read back")
+        elif isinstance(node, Projection):
+            out.append(f"(var {node.index})")
+        elif isinstance(node, Constant):
+            out.append(f"(const {node.value})")
+        else:
+            out.append("(meet " if isinstance(node, Meet) else "(join ")
+            stack += ((")", 0), (node.right, depth + 1), (" ", 0), (node.left, depth + 1))
+    return "".join(out) + "\n"
 

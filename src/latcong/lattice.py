@@ -118,7 +118,7 @@ class Lattice:
         leq.flags.writeable = self.tables.flags.writeable = False
         # Taken after the flag is cleared, so the halves are read-only too.
         self.meet_table, self.join_table = self.tables
-        # Every plan and cache lookup hashes the lattice; the order is fixed.
+        # Every cache lookup hashes the lattice; the order is fixed.
         self._hash = hash((size, leq.tobytes()))
 
     # --- basic queries ---------------------------------------------------
@@ -162,6 +162,7 @@ class Lattice:
         return bool((self.leq_table | self.leq_table.T).all())
 
     def label_of(self, a: Element) -> str:
+        (a,) = check_elements(self.size, (a,), "element")
         return self.labels.get(a, str(a))
 
     # --- dunder ----------------------------------------------------------

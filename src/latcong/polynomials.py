@@ -218,7 +218,7 @@ def _code_rows(plan, codes) -> np.ndarray:
 
 def to_table(L: Lattice, p: WeightedPolynomial) -> FunctionTable:
     """Lower a polynomial to its table over all inputs."""
-    rows = _term_rows(_plan(check_type(L, Lattice), _arity(p)), [p])
+    rows = _term_rows(_plan(L, _arity(p)), [p])
     return FunctionTable(p.arity, L.size, rows[0].tolist())
 
 
@@ -400,11 +400,14 @@ def random_polynomial(rng, arity: int, lattice_size: int,
     """Sample a random term; leaves more likely as depth runs out.
 
     Raises InvalidArgument, before drawing, unless the arity and the
-    lattice size are ints of at least 1 and the depth is an int.
+    lattice size are ints of at least 1 and the depth is an int, and
+    TooLarge unless the full binary term of that depth would fit.
     """
     n, size = _integer(arity, "arity"), _integer(lattice_size, "lattice size")
     if n < 1 or size < 1:
         raise InvalidArgument(
             f"random terms need arity and lattice size at least 1, "
             f"got {n} and {size}")
-    return _term(n, _random_code(rng, n, size, _integer(max_depth, "max depth")))
+    depth = _integer(max_depth, "max depth")
+    check_power(2, depth + 1, "a full binary term of the given depth")
+    return _term(n, _random_code(rng, n, size, depth))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -215,12 +215,32 @@ class _Plan:
         x, y = np.nonzero(~(up[:, None] & up.transpose(0, 2, 1)[None]).any(axis=(2, 3)))
         return x, y, L.join_table[g[x], g[y]] @ self.strides
 
+    @cached_property
+    def neighbours(self):
+        """Per input t, in encoding order: the maximal earlier inputs that
+        lie strictly under it, and the minimal ones strictly over it, as
+        tuples (full grid only).  The values at earlier positions already
+        keep order among themselves, for any numbering, so only these need
+        checking.  ``_map_blocks`` checks the entry limit outside this part,
+        so a part built under a higher limit never bypasses a lower one."""
+        order = _pointwise_order(self.lattice.leq_table, self.grid)
+        less = order & ~np.eye(len(order), dtype=bool)
+        below, above = [], []
+        for t in range(len(order)):
+            lows = np.flatnonzero(less[:t, t])
+            below.append(tuple(lows[~less[np.ix_(lows, lows)].any(axis=1)].tolist()))
+            highs = np.flatnonzero(less[t, :t])
+            above.append(tuple(highs[~less[np.ix_(highs, highs)].any(axis=0)].tolist()))
+        return tuple(below), tuple(above)
 
-@lru_cache(maxsize=64)
+
 def _plan(L: Lattice, n: int) -> _Plan:
-    """The plan over the full input grid of arity n; InvalidArgument unless
-    L is a Lattice."""
-    return _Plan(L, input_grid(check_type(L, Lattice).size, n))
+    """The plan over the full input grid of arity n, kept on L for as long
+    as L lives; InvalidArgument unless L is a Lattice."""
+    plans = vars(check_type(L, Lattice)).setdefault("_plans", {})
+    if (n := check_arity(n)) not in plans:
+        plans[n] = _Plan(L, input_grid(L.size, n))
+    return plans[n]
 
 
 def _apply(table, a, b):
@@ -284,27 +304,6 @@ def _pointwise_order(order, rows):
     return out
 
 
-@lru_cache(maxsize=64)
-def _earlier_neighbours(P: Lattice, j: int):
-    """Per input t of P^j, in encoding order: the maximal earlier inputs
-    that lie strictly under it, and the minimal ones strictly over it, as
-    tuples.  The caller checks the entry limit, so a cached entry never
-    bypasses a lower one.
-
-    The values at earlier positions already keep order among themselves,
-    for any numbering, so only these need checking.
-    """
-    order = _pointwise_order(P.leq_table, input_grid(P.size, j))
-    strictly = order & ~np.eye(len(order), dtype=bool)
-    below, above = [], []
-    for t in range(len(order)):
-        lows = np.flatnonzero(strictly[:t, t])
-        below.append(tuple(lows[~strictly[np.ix_(lows, lows)].any(axis=1)].tolist()))
-        highs = np.flatnonzero(strictly[t, :t])
-        above.append(tuple(highs[~strictly[np.ix_(highs, highs)].any(axis=0)].tolist()))
-    return tuple(below), tuple(above)
-
-
 def _next_level(order, neighbours):
     """Index rows of the monotone maps from P into the poset ``order``, or
     None once their own order matrix would exceed ``MAX_ENTRIES``."""
@@ -339,7 +338,7 @@ def _map_blocks(P: Lattice, n: int, L: Lattice, pinned: bool = False):
     n = check_arity(n)
     check_type(L, Lattice)
     values, order = np.arange(L.size, dtype=row_dtype(L.size))[:, None], L.leq_table
-    neighbours = _earlier_neighbours(P, 1)
+    neighbours = _plan(P, 1).neighbours
     curried = 0
     while curried < n - 1 and (rows := _next_level(order, neighbours)) is not None:
         values = values.take(rows, axis=0).reshape(len(rows), -1)
@@ -349,15 +348,14 @@ def _map_blocks(P: Lattice, n: int, L: Lattice, pinned: bool = False):
     # The last step maps the inputs of P^j into M_{n-j}.
     j = n - curried
     try:
-        grid = input_grid(P.size, j)
-        check_entries(len(grid) ** 2, f"the order of the inputs of arity {j}")
+        plan = _plan(P, j)
+        check_entries(len(plan.grid) ** 2, f"the order of the inputs of arity {j}")
     except TooLarge as exc:
         raise TooLarge(f"the monotone maps of arity {n}: {exc}") from None
-    positions = _earlier_neighbours(P, j)
-    allowed = np.ones((len(grid), len(values)), dtype=bool)
+    allowed = np.ones((len(plan.grid), len(values)), dtype=bool)
     if pinned:
         for end, image in ((P.bottom, L.bottom), (P.top, L.top)):
             allowed[encode((end,) * j, P.size)] &= \
                 values[:, encode((end,) * curried, P.size)] == image
-    for rows in _monotone_blocks(order, *positions, allowed):
+    for rows in _monotone_blocks(order, *plan.neighbours, allowed):
         yield values.take(rows, axis=0).reshape(len(rows), -1)

@@ -274,10 +274,10 @@ def test_a_file_that_is_not_utf8_exits_2(files, capsys, argv):
 
 def test_selected_meets_over_the_limit_exit_2(files, capsys, monkeypatch):
     """Under this limit the grid of a ternary term over chain(2) fits (24
-    entries) but its selected meets (8 masks * 8 inputs) do not; the plan
-    cache is cleared so that no part built under the real limit is reused."""
+    entries) but its selected meets (8 masks * 8 inputs) do not.  The
+    lattice is parsed here, so no plan part built under the real limit
+    exists to be reused."""
     monkeypatch.setattr(tables, "MAX_ENTRIES", 63)
-    tables._plan.cache_clear()
     code, out, err = run(capsys, "synthesize", "--poly", files["ternary.poly"],
                          "--lattice", files["c2.lat"])
     assert code == 2

@@ -152,14 +152,14 @@ def test_enumerator_refuses_positions_over_the_limit(monkeypatch):
 
 
 def test_enumerator_limit_holds_past_the_neighbour_cache(monkeypatch):
-    """The earlier neighbours of the inputs of P^j are cached per (P, j);
-    the entry limit is checked outside that cache, so a lower limit still
-    refuses after the lists were built under a higher one."""
+    """The earlier neighbours of the inputs of P^j are a part of P's plan
+    of arity j; the entry limit is checked outside that part, so a lower
+    limit still refuses after the lists were built under a higher one."""
     L = catalogue("chain(3)")
     everything = [f.values for f in enumerate_monotone_tables(L, 2)]
     monkeypatch.setattr(tables, "MAX_ENTRIES", 99)  # maps from L^2 into L
     assert [f.values for f in enumerate_monotone_tables(L, 2)] == everything
-    assert tables._earlier_neighbours.cache_info().currsize >= 2
+    assert "neighbours" in vars(tables._plan(L, 2))
     monkeypatch.setattr(tables, "MAX_ENTRIES", 80)
     with pytest.raises(TooLarge):
         next(enumerate_monotone_tables(L, 2))

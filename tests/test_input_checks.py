@@ -42,6 +42,7 @@ ELEMENTS = {
     "Lattice.meet": (lambda v: L.meet(v, 1), 2),
     "Lattice.join": (lambda v: L.join(1, v), 0),
     "Lattice.med": (lambda v: L.med(0, 1, v), 2),
+    "Lattice.label_of": (lambda v: L.label_of(v), 1),
     "principal_congruence": (lambda v: principal_congruence(L, v, 1), 0),
     "principal_congruence_fixpoint":
         (lambda v: principal_congruence_fixpoint(L, v, 0), 2),

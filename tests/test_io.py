@@ -1,7 +1,7 @@
 import pytest
 
 from latcong import io
-from latcong.errors import ArityMismatch, NotBounded, ParseError, \
+from latcong.errors import ArityMismatch, InvalidArgument, NotBounded, ParseError, \
     ValidationError
 from latcong.lattice import catalogue
 from latcong.polynomials import Constant, Join, Meet, Projection, \
@@ -234,6 +234,20 @@ def test_polynomial_depth_limit(c3):
                 "(meet " + "(var 0) " * 1500 + ")"):
         with pytest.raises(ParseError, match="nested deeper than 256 levels"):
             io.parse_polynomial(bad)
+    # Built directly, a deeper term is valid, but its text would not parse
+    # back; at 3000 levels printing it raised a raw RecursionError.
+    assert io.serialize_polynomial(_built(io.MAX_DEPTH)) == _nested(io.MAX_DEPTH) + "\n"
+    for depth in (io.MAX_DEPTH + 1, 3000):
+        with pytest.raises(InvalidArgument, match="256 levels would not read back"):
+            io.serialize_polynomial(_built(depth))
+
+
+def _built(depth):
+    """The term of ``_nested(depth)``, built without recursion."""
+    node = Projection(0)
+    for _ in range(depth - 1):
+        node = Meet(node, Projection(1))
+    return WeightedPolynomial(2, node)
 
 
 def test_negative_projection_rejected():

@@ -1,8 +1,10 @@
+import gc
 import hashlib
 import itertools
 import random
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -11,12 +13,15 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 from conftest import CATALOGUE_NAMES, DISTRIBUTIVE_NAMES, relabelled, relabelling
 from latcong import lattice
+from latcong.compat import enumerate_monotone_tables
 from latcong.constructions import ProductLattice, direct_product, \
     horizontal_sum
 from latcong.errors import CyclicCovers, ForeignElement, InvalidArgument, \
     NotALattice, NotBounded, TooLarge, UnknownName
 from latcong.lattice import MAX_SIZE, Lattice, build_from_covers, catalogue, \
     is_isomorphic, med_dual_check, row_dtype
+from latcong.polynomials import Meet, Projection, WeightedPolynomial, to_table
+from latcong.sugeno import compare_formulations
 from latcong.tables import _Plan, _plan, input_grid
 from test_random_lattices import LATTICES as RANDOM_LATTICES
 
@@ -284,11 +289,11 @@ def test_largest_tables_are_pinned(name, meet, join):
 @pytest.mark.parametrize("name", ["chain(7)", "N5", "boolean(9)"])
 def test_one_read_only_table_stack_per_lattice(name):
     """The meet and join tables are the halves of one read-only stack, and
-    every plan reads that stack rather than a copy of it.  ``_plan`` caches
-    by equality, so its plan may belong to an equal lattice built earlier;
-    a plan built here reads L's own stack."""
+    every plan reads that stack rather than a copy of it.  ``_plan`` keeps
+    its plans on L, so its plan belongs to L."""
     L = catalogue(name)
     cached, fresh = _plan(L, 1), _Plan(L, input_grid(L.size, 1))
+    assert cached.lattice is L
     for table in (L.tables, L.meet_table, L.join_table, cached.tables, fresh.tables):
         assert not table.flags.writeable
         with pytest.raises(ValueError):
@@ -297,6 +302,33 @@ def test_one_read_only_table_stack_per_lattice(name):
         assert np.shares_memory(plan.tables, plan.lattice.meet_table)
         assert np.shares_memory(plan.tables, plan.lattice.join_table)
     assert fresh.lattice is L
+
+
+@pytest.mark.parametrize("name", ["chain(3)", "N5"])
+def test_an_equal_lattice_does_not_lend_its_plan(name):
+    """Plans were cached by lattice equality, which compares only the
+    order, so L got the plan of an equal lattice with another name that was
+    planned before it, and that lattice's tables."""
+    L = catalogue(name)
+    other = Lattice(L.size, L.covers, name="other")
+    assert other == L and other.tables is not L.tables
+    _plan(other, 2)
+    plan = _plan(L, 2)
+    assert plan.lattice is L and plan.tables is L.tables
+
+
+def test_a_lattice_is_freed_with_its_plans():
+    """Plans and the enumerator's neighbour lists were kept in module
+    caches of 64 entries each, which held a lattice alive after its last
+    caller had dropped it."""
+    L = catalogue("chain(3)")
+    compare_formulations(L, 2)
+    assert len(list(enumerate_monotone_tables(L, 2))) == 175
+    to_table(L, WeightedPolynomial(2, Meet(Projection(0), Projection(1))))
+    freed = weakref.ref(L)
+    del L
+    gc.collect()
+    assert freed() is None
 
 
 @pytest.mark.parametrize("name", ["boolean(9)", "chain(512)"])

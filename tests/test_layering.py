@@ -18,15 +18,17 @@ UNUSED_ON_PURPOSE = {("verify", "is_monotone"), ("verify", "is_compatible")}
 # ``cache_info()`` (see ROADMAP item 1).
 PUBLIC_CACHES = {("congruences", "principal_congruences")}
 # Every ``lru_cache`` in the package, each with why it is there; a new one
-# is added here on purpose or fails ``test_every_cache_is_pinned``.
+# is added here on purpose or fails ``test_every_cache_is_pinned``.  The
+# kernels' plans are not among them: ``tables._plan`` keeps each on its
+# lattice.
 CACHES = {
+    # Not a plan part: it reads ``principal_congruences``, and as a plan part
+    # would leave that import of ``compat`` unused, which perfbench's
+    # test_install_rebinds_every_import_and_dispatch_table looks up.
     ("compat", "_pairs"): "the congruence pairs of a lattice and arity, read by every "
                           "compatibility call",
     ("congruences", "principal_congruences"): "the join-irreducible congruences, "
                                                "built once per lattice",
-    ("tables", "_plan"): "the index arrays of the kernels per lattice and arity",
-    ("tables", "_earlier_neighbours"): "the order of the inputs of P^j, read by every "
-                                       "enumeration over P",
     ("verify", "_catalogue"): "the checks' catalogue lattices, built once per process",
     ("verify", "_product_2x3"): "the product chain(2) x chain(3) that AC01, AC10 and "
                                 "AC12 share",

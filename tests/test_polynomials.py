@@ -235,6 +235,21 @@ def test_polynomial_tables_are_compatible(name):
         assert oracles.is_compatible_all_tuples(L, table)
 
 
+def test_random_term_depth_is_refused_unless_its_full_term_fits():
+    """A node has two children with probability 2/3, so the mean term size
+    grows about 18-fold per ten levels: depth 40 averaged 361 105 nodes.
+    A depth whose full binary term would exceed ``MAX_ENTRIES`` nodes is
+    refused before anything is drawn, at once even for a huge depth."""
+    assert tables.MAX_ENTRIES == 1 << 24  # the full term of depth 23
+    assert random_polynomial(random.Random(5), 2, 3, max_depth=23).arity == 2
+    for depth in (24, 10 ** 100):
+        rng = random.Random(5)
+        state = rng.getstate()
+        with pytest.raises(TooLarge, match="full binary term"):
+            random_polynomial(rng, 2, 3, max_depth=depth)
+        assert rng.getstate() == state
+
+
 def test_monotone_normal_forms_evaluate_monotone(c3, b2):
     for L in (c3, b2):
         for nf in enumerate_monotone_normal_forms(L, 2):
@@ -288,12 +303,11 @@ def test_to_normal_form_bounds_its_vertex_stack(monkeypatch):
 def test_a_point_never_builds_a_full_grid(monkeypatch):
     """chain(3) at n = 3: a point selects 2 ** 3 = 8 meets, which fit, while
     size * 2 ** 3 = 24 entries and the full grid's 27 * 3 = 81 do not.  The
-    plan cache is cleared so that no full-grid plan built under the real
-    limit is reused."""
+    lattice is built here, so it holds no full-grid plan built under the
+    real limit."""
     L = catalogue("chain(3)")
     m = Capacity(L, (0, 0, 1, 1, 1, 2, 1, 2))
     monkeypatch.setattr(tables, "MAX_ENTRIES", 8)
-    tables._plan.cache_clear()
     with pytest.raises(TooLarge, match="input grid of arity 3"):
         tables._plan(L, 3)
     for x in [(2, 1, 0), (1, 1, 2), (0, 2, 2)]:
